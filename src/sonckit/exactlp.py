@@ -1,49 +1,92 @@
 """Exact rational linear algebra and a small LP feasibility oracle.
 
-Everything runs on ``Fraction`` -- no floating point, no tolerances.
-Problem sizes are tiny (point sets in dimension <= 6 at desk scale), so a
-dense textbook treatment is the right tool: Gaussian elimination for
-linear systems and ranks, and a phase-one simplex with Bland's rule for
-convex-hull membership queries.  Bland's rule guarantees termination.
+Inputs and results are integers or ``Fraction``s, but the work runs on
+Python ints: each routine scales its input to integers once
+(:func:`integer_numerators`) and then eliminates fraction-free, after
+E. H. Bareiss, "Sylvester's identity and multistep integer-preserving
+Gaussian elimination", Math. Comp. 22 (1968).  Each division by the
+previous pivot is exact, no gcd is taken inside a loop, and a
+``Fraction`` is built only for a returned value.  No floating point, no
+tolerances.  Problem sizes are tiny (dimension <= 6 at desk scale), so
+dense textbook methods fit: Bareiss elimination for ranks, Gauss--Jordan
+for linear systems, and a phase-one simplex with Bland's rule, which
+guarantees termination, for convex-hull membership queries.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-Matrix = list[list[Fraction]]
 
 
-def _as_matrix(rows: Sequence[Sequence[Fraction | int]]) -> Matrix:
-    return [[Fraction(v) for v in row] for row in rows]
+def integer_numerators(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """``values`` as integer numerators over their least common denominator.
+
+    Returns ``(numerators, denominator)`` with
+    ``values[i] == Fraction(numerators[i], denominator)``.  Anything
+    ``Fraction`` accepts is accepted.
+    """
+    exact = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    common = math.lcm(*[v.denominator for v in exact])
+    if common == 1:
+        return [v.numerator for v in exact], 1
+    return [v.numerator * (common // v.denominator) for v in exact], common
+
+
+def _pivot(rows: list[list[int]], top: int, col: int, previous: int, start: int = 0) -> int:
+    """Fraction-free pivot on ``rows[top][col]``; returns the pivot.
+
+    Every row from ``start`` on, except ``rows[top]``, becomes
+    ``(p * row - row[col] * rows[top]) // previous``.  With ``previous``
+    the pivot before this one, the division is exact by Sylvester's
+    identity.
+    """
+    pivot_row = rows[top]
+    p = pivot_row[col]
+    for r in range(start, len(rows)):
+        if r != top:
+            row = rows[r]
+            factor = row[col]
+            rows[r] = [(p * a - factor * b) // previous for a, b in zip(row, pivot_row)]
+    return p
+
+
+def _eliminate(
+    m: list[list[int]], ncols: int, jordan: bool
+) -> tuple[list[tuple[int, int]], int]:
+    """Bareiss elimination in place on the first ``ncols`` columns of ``m``.
+
+    Returns the ``(row, col)`` pivots, first nonzero entry first, and the
+    last pivot.  Without ``jordan`` only the rows below each pivot are
+    cleared, which settles the rank; with it every other row is, and then
+    every pivot entry ends equal to the last pivot.
+    """
+    pivots: list[tuple[int, int]] = []
+    previous = 1
+    for col in range(ncols):
+        row = len(pivots)
+        if row == len(m):
+            break
+        pivot = next((r for r in range(row, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        previous = _pivot(m, row, col, previous, start=0 if jordan else row + 1)
+        pivots.append((row, col))
+    return pivots, previous
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    """Rank over the rationals by fraction-exact Gaussian elimination."""
-    m = _as_matrix(rows)
+    """Rank over the rationals by Bareiss elimination over the integers."""
+    m = [integer_numerators(row)[0] for row in rows]
     if not m:
         return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    return len(_eliminate(m, len(m[0]), jordan=False)[0])
 
 
 class EchelonSolver:
@@ -53,62 +96,55 @@ class EchelonSolver:
     the solution with free variables set to zero, or ``None`` when the
     system is inconsistent.  ``unique`` tells whether the column rank is
     full, i.e. whether solutions are unique when they exist.
+
+    The reduction is fraction-free Gauss--Jordan on ``[S M | S]``, where
+    the diagonal ``S`` scales each row of ``M`` to integers.  It leaves
+    ``transform @ M = R`` with every pivot entry of ``R`` equal to one
+    positive ``denominator``, so :meth:`solve_numerators` reads integer
+    solutions over it directly.
     """
 
     def __init__(self, rows: Sequence[Sequence[Fraction | int]]):
-        m = _as_matrix(rows)
-        if not m:
+        scaled = [integer_numerators(row) for row in rows]
+        if not scaled:
             raise ValueError("empty coefficient matrix")
-        self.nrows, self.ncols = len(m), len(m[0])
-        # Track T with T @ M = R by eliminating on [M | I].
-        transform = [
-            [_ONE if i == j else _ZERO for j in range(self.nrows)]
-            for i in range(self.nrows)
+        self.nrows, self.ncols = len(scaled), len(scaled[0][0])
+        # Row i of the transform starts as scale_i * e_i, so right sides
+        # get the same row scaling as the matrix.
+        augmented = [
+            numerators + [scale if i == j else 0 for j in range(self.nrows)]
+            for i, (numerators, scale) in enumerate(scaled)
         ]
-        pivots: list[tuple[int, int]] = []
-        row = 0
-        for col in range(self.ncols):
-            pivot = next((r for r in range(row, self.nrows) if m[r][col] != 0), None)
-            if pivot is None:
-                continue
-            m[row], m[pivot] = m[pivot], m[row]
-            transform[row], transform[pivot] = transform[pivot], transform[row]
-            inv = 1 / m[row][col]
-            m[row] = [v * inv for v in m[row]]
-            transform[row] = [v * inv for v in transform[row]]
-            for r in range(self.nrows):
-                if r != row and m[r][col] != 0:
-                    factor = m[r][col]
-                    m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-                    transform[r] = [
-                        a - factor * b for a, b in zip(transform[r], transform[row])
-                    ]
-            pivots.append((row, col))
-            row += 1
-            if row == self.nrows:
-                break
-        self.echelon = m
-        self.transform = transform
+        pivots, previous = _eliminate(augmented, self.ncols, jordan=True)
+        sign = 1 if previous > 0 else -1
+        self.denominator = sign * previous
+        self.transform = [[sign * v for v in current[self.ncols :]] for current in augmented]
         self.pivots = pivots
         self.rank = len(pivots)
         self.unique = self.rank == self.ncols
 
-    def solve(self, rhs: Sequence[Fraction | int]) -> list[Fraction] | None:
+    def solve_numerators(self, rhs: Sequence[int]) -> list[int] | None:
+        """Integer numerators over ``denominator`` of the solution for an
+        integer right side, free variables zero; ``None`` if inconsistent."""
         if len(rhs) != self.nrows:
             raise ValueError("right-hand side has wrong length")
-        b = [Fraction(v) for v in rhs]
-        reduced = [
-            sum((t * v for t, v in zip(trow, b)), _ZERO) for trow in self.transform
-        ]
-        for r in range(self.rank, self.nrows):
-            if reduced[r] != 0:
-                return None
-        # Reduced row echelon form with free variables pinned to zero: each
-        # pivot equation then reads x_pivot = reduced[row] directly.
-        solution = [_ZERO] * self.ncols
+        reduced = [sum(map(mul, trow, rhs)) for trow in self.transform]
+        if any(reduced[self.rank :]):
+            return None
+        solution = [0] * self.ncols
         for row, col in self.pivots:
             solution[col] = reduced[row]
         return solution
+
+    def solve(self, rhs: Sequence[Fraction | int]) -> list[Fraction] | None:
+        if len(rhs) != self.nrows:
+            raise ValueError("right-hand side has wrong length")
+        numerators, common = integer_numerators(rhs)
+        solution = self.solve_numerators(numerators)
+        if solution is None:
+            return None
+        denominator = self.denominator * common
+        return [Fraction(v, denominator) for v in solution]
 
 
 def solve_linear_system(
@@ -124,7 +160,10 @@ def simplex_feasible(
     """Find ``x >= 0`` with ``A x = b``, or ``None`` if infeasible.
 
     Phase-one simplex: minimize the sum of artificial variables with
-    Bland's anti-cycling rule, all in exact rationals.
+    Bland's anti-cycling rule.  The tableau holds integers: it is ``d``
+    times the rational tableau, ``d > 0`` being the last pivot, so each
+    sign and ratio test agrees with the rational one and the pivots and
+    the returned weights are those of rational arithmetic.
     """
     nrows = len(a_rows)
     ncols = len(a_rows[0]) if nrows else 0
@@ -135,64 +174,57 @@ def simplex_feasible(
     if nrows == 0:
         return []
 
-    tableau: list[list[Fraction]] = []
-    for row, beta in zip(a_rows, b):
-        beta = Fraction(beta)
-        coeffs = [Fraction(v) for v in row]
+    # One denominator for the whole system: scaling rows apart would
+    # reweight the artificial variables in the objective, and the LP
+    # could end at another vertex.
+    values, _ = integer_numerators([*itertools.chain.from_iterable(a_rows), *b])
+    tableau: list[list[int]] = []
+    for i in range(nrows):
+        coeffs = values[i * ncols : (i + 1) * ncols]
+        beta = values[nrows * ncols + i]
         if beta < 0:
             beta = -beta
             coeffs = [-v for v in coeffs]
-        tableau.append(coeffs + [_ZERO] * nrows + [beta])
+        tableau.append(coeffs + [int(i == k) for k in range(nrows)] + [beta])
     total_cols = ncols + nrows
-    for i in range(nrows):
-        tableau[i][ncols + i] = _ONE
+    # Last row: reduced costs of the objective (zero on the artificial
+    # columns) and minus its value, kept up to date by the same pivots.
+    sums = [sum(column) for column in zip(*tableau)]
+    tableau.append([-s for s in sums[:ncols]] + [0] * nrows + [-sums[-1]])
     basis = list(range(ncols, ncols + nrows))
-    cost = [_ZERO] * ncols + [_ONE] * nrows
+    denominator = 1
 
     while True:
-        duals_cost = [cost[basis[i]] for i in range(nrows)]
-        entering = -1
-        for j in range(total_cols):
-            reduced = cost[j] - sum(
-                (duals_cost[i] * tableau[i][j] for i in range(nrows)), _ZERO
-            )
-            if reduced < 0:
-                entering = j  # Bland: first negative reduced cost
-                break
+        costs = tableau[nrows]
+        # Bland: first negative reduced cost.
+        entering = next((j for j in range(total_cols) if costs[j] < 0), -1)
         if entering < 0:
             break
         leaving = -1
-        best_ratio: Fraction | None = None
         for i in range(nrows):
             coeff = tableau[i][entering]
             if coeff > 0:
-                ratio = tableau[i][-1] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
+                if leaving < 0:
+                    leaving = i
+                    continue
+                # Compare rhs_i / coeff with the best ratio; both
+                # denominators are positive.
+                best = tableau[leaving]
+                lhs = tableau[i][-1] * best[entering]
+                rhs = best[-1] * coeff
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                     leaving = i
         if leaving < 0:
             raise ArithmeticError("phase-one objective unbounded; bug")
-        pivot_value = tableau[leaving][entering]
-        tableau[leaving] = [v / pivot_value for v in tableau[leaving]]
-        for i in range(nrows):
-            if i != leaving and tableau[i][entering] != 0:
-                factor = tableau[i][entering]
-                tableau[i] = [
-                    a - factor * p for a, p in zip(tableau[i], tableau[leaving])
-                ]
+        denominator = _pivot(tableau, leaving, entering, denominator)
         basis[leaving] = entering
 
-    objective = sum((cost[basis[i]] * tableau[i][-1] for i in range(nrows)), _ZERO)
-    if objective != 0:
+    if tableau[nrows][-1] != 0:
         return None
     solution = [_ZERO] * ncols
     for i, var in enumerate(basis):
         if var < ncols:
-            solution[var] = tableau[i][-1]
+            solution[var] = Fraction(tableau[i][-1], denominator)
     return solution
 
 

@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, NotHomogeneous, ParseError
+from .exactlp import integer_numerators
 
 Exponent = tuple[int, ...]
 RationalLike = Fraction | int | str
@@ -301,20 +302,27 @@ def save_form_file(path: str, f: SparseForm) -> None:
 # ---------------------------------------------------------------------------
 
 def evaluate(f: SparseForm, point: Sequence[RationalLike]) -> Fraction:
-    """Exact value of ``f`` at a rational point."""
+    """Exact value of ``f`` at a rational point.
+
+    Runs on Python ints.  With the point written as ``p / D`` over its
+    least common denominator, homogeneity gives
+    ``f(p / D) = f(p) / D**degree``, and ``f(p)`` is summed from the
+    coefficient numerators over their least common denominator, so the
+    one ``Fraction`` built is the result.
+    """
     if len(point) != f.num_vars:
         raise DimensionMismatch(
             f"point has {len(point)} coordinates, form has {f.num_vars} variables"
         )
-    values = [Fraction(v) for v in point]
-    total = Fraction(0)
-    for exponent, coeff in f.terms.items():
-        term = coeff
+    values, point_denominator = integer_numerators(point)
+    coefficients, denominator = integer_numerators(list(f.terms.values()))
+    total = 0
+    for exponent, term in zip(f.terms, coefficients):
         for value, power in zip(values, exponent):
             if power:
                 term *= value**power
         total += term
-    return total
+    return Fraction(total, denominator * point_denominator**f.degree)
 
 
 def evaluate_float(f: SparseForm, point: Sequence[float]) -> float:

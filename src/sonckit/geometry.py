@@ -264,7 +264,8 @@ def lattice_points(simplex_vertices: Sequence[Exponent]) -> frozenset[Exponent]:
     solver = EchelonSolver(rows)
     inside = []
     for candidate in _integer_candidates(vertices):
-        weights = solver.solve(list(candidate) + [1])
+        # Weights are these numerators over a positive denominator.
+        weights = solver.solve_numerators([*candidate, 1])
         if weights is not None and all(w >= 0 for w in weights):
             inside.append(candidate)
     return frozenset(inside)

@@ -72,7 +72,16 @@ class AnalysisReport:
     verdicts: list[Verdict] = field(default_factory=list)
 
 
-_CONTRADICTIONS = (("SONC", "not SONC"), ("SOS", "not SOS"), ("nonnegative", "not nonnegative"))
+# Conclusions that cannot hold together: direct negations, and "not
+# nonnegative" next to a cone that implies nonnegativity.  "SOS" and "not
+# SONC" can both hold, so they are no pair.
+_CONTRADICTIONS = (
+    ("SONC", "not SONC"),
+    ("SOS", "not SOS"),
+    ("nonnegative", "not nonnegative"),
+    ("SONC", "not nonnegative"),
+    ("SOS", "not nonnegative"),
+)
 
 
 def _is_hilbert_case(num_vars: int, degree: int) -> bool:

@@ -1,0 +1,230 @@
+"""Differential tests: the integer kernel against the ``Fraction`` oracle.
+
+Every routine must return exactly what the ``Fraction`` implementation in
+``fraction_oracle`` returns: the same rank, the same solution vector, the
+same LP weights (hence the same pivot path) and the same value.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fraction_oracle as oracle
+from sonckit.corpus import FORM_BUILDERS
+from sonckit.exactlp import (
+    EchelonSolver,
+    integer_numerators,
+    matrix_rank,
+    point_in_hull,
+    simplex_feasible,
+    solve_linear_system,
+)
+from sonckit.forms import evaluate, make_form
+
+
+def _entry(rng, fractions):
+    value = rng.randint(-4, 4)
+    if fractions and rng.random() < 0.5:
+        return Fraction(value, rng.randint(1, 6))
+    return value
+
+
+def _random_matrix(rng, nrows, ncols, fractions=False):
+    """A matrix that is rank-deficient about half the time: some rows are
+    rational combinations of others."""
+    rows = [[_entry(rng, fractions) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and rng.random() < 0.5:
+        for i in rng.sample(range(nrows), rng.randint(1, nrows - 1)):
+            a, b = rng.sample(range(nrows), 2)
+            s, t = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2)
+            rows[i] = [s * x + t * y for x, y in zip(rows[a], rows[b])]
+    return rows
+
+
+def _right_sides(rng, rows, fractions):
+    """A consistent right side (rows @ x) and an arbitrary one, which is
+    inconsistent whenever the matrix is rank-deficient and it misses the
+    column space."""
+    ncols = len(rows[0])
+    x = [_entry(rng, fractions) for _ in range(ncols)]
+    consistent = [sum((a * v for a, v in zip(row, x)), Fraction(0)) for row in rows]
+    arbitrary = [_entry(rng, fractions) for _ in rows]
+    return [consistent, arbitrary]
+
+
+def _assert_solver_agrees(rows, right_sides):
+    solver, reference = EchelonSolver(rows), oracle.EchelonSolver(rows)
+    assert (solver.rank, solver.unique) == (reference.rank, reference.unique)
+    assert matrix_rank(rows) == oracle.matrix_rank(rows) == reference.rank
+    for rhs in right_sides:
+        expected = reference.solve(rhs)
+        assert solver.solve(rhs) == expected
+        assert solve_linear_system(rows, rhs) == expected
+        numerators, common = integer_numerators(rhs)
+        if common == 1:
+            integral = solver.solve_numerators(numerators)
+            assert (integral is None) == (expected is None)
+            if integral is not None:
+                assert [Fraction(v, solver.denominator) for v in integral] == expected
+
+
+def _assert_lp_agrees(rows, rhs):
+    assert simplex_feasible(rows, rhs) == oracle.simplex_feasible(rows, rhs)
+
+
+def test_integer_numerators():
+    assert integer_numerators([1, -2, 0]) == ([1, -2, 0], 1)
+    assert integer_numerators([Fraction(1, 2), Fraction(-2, 3), 1, "1/4"]) == (
+        [6, -8, 12, 3],
+        12,
+    )
+    assert integer_numerators([]) == ([], 1)
+
+
+def test_linear_algebra_matches_oracle_seeded():
+    rng = random.Random(2024)
+    for trial in range(400):
+        fractions = trial % 2 == 1
+        rows = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), fractions)
+        _assert_solver_agrees(rows, _right_sides(rng, rows, fractions))
+
+
+def test_linear_algebra_edge_cases():
+    cases = [
+        [[0, 0], [0, 0]],
+        [[0, 0, 0]],
+        [[1, 2], [2, 4], [3, 6]],
+        [[0, 1], [1, 0]],
+        [[Fraction(1, 3), Fraction(2, 3)], [1, 2]],
+        [[-2, 4, 6], [1, -2, -3], [0, 0, 1]],
+    ]
+    for rows in cases:
+        zero = [0] * len(rows)
+        ones = [1] * len(rows)
+        _assert_solver_agrees(rows, [zero, ones, [Fraction(1, 2)] * len(rows)])
+
+
+def test_lp_matches_oracle_seeded():
+    rng = random.Random(7)
+    for trial in range(300):
+        fractions = trial % 3 == 2
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 7)
+        rows = _random_matrix(rng, nrows, ncols, fractions)
+        if rng.random() < 0.5:
+            # Feasible by construction; zero entries in x make it degenerate.
+            x = [rng.choice([0, 0, 1, Fraction(1, 2), 3]) for _ in range(ncols)]
+            rhs = [sum((a * v for a, v in zip(row, x)), Fraction(0)) for row in rows]
+        else:
+            rhs = [_entry(rng, fractions) for _ in range(nrows)]
+        _assert_lp_agrees(rows, rhs)
+
+
+def test_lp_degenerate_cases():
+    # Zero right sides, duplicated columns and repeated rows.
+    _assert_lp_agrees([[1, 1, -1], [2, 2, -2]], [0, 0])
+    _assert_lp_agrees([[1, 1, 1], [1, 1, 1]], [2, 2])
+    _assert_lp_agrees([[1, -1], [-1, 1]], [0, 0])
+    _assert_lp_agrees([[0, 0]], [0])
+    _assert_lp_agrees([[0, 0]], [1])
+    _assert_lp_agrees([[Fraction(1, 2), Fraction(1, 3)], [1, 1]], [Fraction(-1, 6), 1])
+
+
+def test_point_in_hull_matches_oracle_on_boundaries():
+    rng = random.Random(99)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        generators = [
+            tuple(rng.randint(0, 6) for _ in range(n)) for _ in range(rng.randint(1, 7))
+        ]
+        picks = [
+            rng.choice(generators),  # a vertex or a repeated point
+            tuple(Fraction(a + b, 2) for a, b in zip(*rng.sample(generators * 2, 2))),
+            tuple(rng.randint(0, 6) for _ in range(n)),
+        ]
+        for point in picks:
+            assert point_in_hull(point, generators) == oracle.point_in_hull(
+                point, generators
+            )
+
+
+def test_hull_lp_on_halved_supports_matches_oracle():
+    for builder in FORM_BUILDERS.values():
+        f = builder()
+        halved = [tuple(Fraction(e, 2) for e in exponent) for exponent in f.terms]
+        for point in f.terms:
+            assert point_in_hull(point, halved) == oracle.point_in_hull(point, halved)
+
+
+def test_evaluate_matches_oracle_seeded():
+    rng = random.Random(5)
+    forms = [builder() for builder in FORM_BUILDERS.values()]
+    forms.append(make_form(3, {}, zero_degree=4))
+    for f in forms:
+        for _ in range(25):
+            point = tuple(_entry(rng, True) for _ in range(f.num_vars))
+            assert evaluate(f, point) == oracle.evaluate(f, point)
+        text = tuple(
+            str(Fraction(rng.randint(-5, 5), rng.randint(1, 5))) for _ in range(f.num_vars)
+        )
+        assert evaluate(f, text) == oracle.evaluate(f, text)
+
+
+# ---------------------------------------------------------------------------
+# hypothesis
+# ---------------------------------------------------------------------------
+
+_rationals = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+
+
+@st.composite
+def _systems(draw):
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    row = st.lists(_rationals, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    # Repeat a scaled row now and then to force rank deficiency.
+    if nrows > 1 and draw(st.booleans()):
+        scale = draw(_rationals)
+        rows[-1] = [scale * v for v in rows[0]]
+    rhs = draw(st.lists(_rationals, min_size=nrows, max_size=nrows))
+    return rows, rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_systems())
+def test_linear_algebra_matches_oracle_hypothesis(system):
+    rows, rhs = system
+    _assert_solver_agrees(rows, [rhs, [0] * len(rows)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_systems())
+def test_lp_matches_oracle_hypothesis(system):
+    rows, rhs = system
+    _assert_lp_agrees(rows, rhs)
+
+
+@st.composite
+def _forms_and_points(draw):
+    num_vars, degree = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    # A monomial of the degree, as the multiset of its variables.
+    monomials = st.lists(st.integers(0, num_vars - 1), min_size=degree, max_size=degree)
+    terms = draw(st.lists(st.tuples(monomials, _rationals), max_size=6))
+    f = make_form(
+        num_vars,
+        [(tuple(m.count(i) for i in range(num_vars)), c) for m, c in terms],
+        zero_degree=degree,
+    )
+    point = draw(st.lists(_rationals, min_size=num_vars, max_size=num_vars))
+    return f, point
+
+
+@settings(max_examples=200, deadline=None)
+@given(_forms_and_points())
+def test_evaluate_matches_oracle_hypothesis(case):
+    f, point = case
+    assert evaluate(f, point) == oracle.evaluate(f, point)

@@ -215,6 +215,32 @@ def test_cli_invariant_violation_exit_code(monkeypatch, motzkin_file, capsys):
     assert "invariant" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "positive, negative",
+    [
+        ("SONC", "not SONC"),
+        ("SOS", "not SOS"),
+        ("nonnegative", "not nonnegative"),
+        ("SONC", "not nonnegative"),
+        ("SOS", "not nonnegative"),
+    ],
+)
+def test_enforce_consistency_rejects_broken_pairs(positive, negative):
+    from sonckit.errors import InternalInvariantViolation
+    from sonckit.report import Verdict, _enforce_consistency
+
+    verdicts = [Verdict(positive, "exact", "x"), Verdict(negative, "exact", "y")]
+    with pytest.raises(InternalInvariantViolation):
+        _enforce_consistency(verdicts)
+
+
+def test_enforce_consistency_allows_sos_next_to_not_sonc():
+    from sonckit.report import Verdict, _enforce_consistency
+
+    conclusions = ("nonnegative", "SOS", "not SONC")
+    _enforce_consistency([Verdict(c, "exact", "x") for c in conclusions])
+
+
 def test_cli_analyze_zero_form(tmp_path, capsys):
     path = tmp_path / "zero.poly"
     path.write_text("# name: zero\nx1^2 - x1^2\n")
