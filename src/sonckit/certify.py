@@ -8,9 +8,12 @@ The exact routes are the coefficient-sum necessary condition
 its equality-case corollary ``f_alpha >= min_k lambda_alpha^k * |f_beta|``,
 and exact verification of explicit cancellation-free decompositions.  A
 bounded numeric feasibility search over decomposition weights covers small
-instances the exact routes leave open; a numeric result never certifies --
-feasible weights are rounded to rationals and re-verified exactly, and
-infeasibility is only reported with an explicit margin.
+instances the exact routes leave open.  It descends a smoothed maximum of
+the circuit margins with its exact analytic gradient, computed in reverse
+mode in plain floats.  A numeric result never certifies -- feasible weights
+are rounded to rationals and re-verified exactly, and infeasibility is only
+reported with an explicit margin, which is that of a local search and not
+a bound.
 """
 
 from __future__ import annotations
@@ -270,59 +273,40 @@ def _build_exact_decomposition(
     f: SparseForm,
     partition: SupportPartition,
     slots: Sequence[_CircuitSlot],
-    mu_weights: dict[Exponent, list[Fraction]],
-    nu_weights: dict[Exponent, list[Fraction]],
+    problem: _SearchProblem,
+    weights: Sequence[Fraction],
 ) -> SoncDecomposition | None:
-    """Assemble the candidate decomposition from exact weights; ``None``
-    when some piece fails to be a circuit (rounding artefacts)."""
+    """Assemble the candidate decomposition from exact weights laid out
+    like ``problem``'s split weights; ``None`` when some piece fails to be
+    a circuit (rounding artefacts)."""
     remainder_terms: dict[Exponent, Fraction] = {
         alpha: f.terms[alpha] for alpha in partition.r_set
     }
-    mu_of: dict[tuple[Exponent, int], Fraction] = {}
-    for alpha, members in mu_weights.items():
-        for position, index in enumerate(_mu_members(partition, slots, alpha)):
-            mu_of[(alpha, index)] = members[position]
     circuits: list[Circuit] = []
-    for beta, weights in nu_weights.items():
-        for position, index in enumerate(_nu_members(slots, beta)):
-            nu = weights[position]
-            slot = slots[index]
-            outer_pairs = {
-                alpha: mu_of[(alpha, index)] * f.terms[alpha]
-                for alpha in slot.simplex.vertices
-            }
-            if nu == 0:
-                for alpha, coeff in outer_pairs.items():
-                    if coeff != 0:
-                        remainder_terms[alpha] = (
-                            remainder_terms.get(alpha, _ZERO) + coeff
-                        )
-                continue
-            if any(coeff == 0 for coeff in outer_pairs.values()):
-                return None
-            terms = dict(outer_pairs)
-            terms[beta] = terms.get(beta, _ZERO) + nu * f.terms[beta]
-            piece = make_form(f.num_vars, terms, zero_degree=f.degree)
-            detected = detect_circuit(piece)
-            if isinstance(detected, NotACircuit):
-                return None
-            circuits.append(detected)
+    for slot, (nu_index, _, terms) in zip(slots, problem.slots):
+        nu = weights[nu_index]
+        outer_pairs = {
+            alpha: weights[mu_index] * f.terms[alpha]
+            for alpha, (mu_index, _, _) in zip(slot.simplex.vertices, terms)
+        }
+        if nu == 0:
+            for alpha, coeff in outer_pairs.items():
+                if coeff != 0:
+                    remainder_terms[alpha] = remainder_terms.get(alpha, _ZERO) + coeff
+            continue
+        if any(coeff == 0 for coeff in outer_pairs.values()):
+            return None
+        terms = dict(outer_pairs)
+        terms[slot.beta] = terms.get(slot.beta, _ZERO) + nu * f.terms[slot.beta]
+        piece = make_form(f.num_vars, terms, zero_degree=f.degree)
+        detected = detect_circuit(piece)
+        if isinstance(detected, NotACircuit):
+            return None
+        circuits.append(detected)
     remainder = make_form(f.num_vars, remainder_terms, zero_degree=f.degree)
     return SoncDecomposition(
         circuits=tuple(circuits), monomial_square_remainder=remainder
     )
-
-
-def _mu_members(
-    partition: SupportPartition, slots: Sequence[_CircuitSlot], alpha: Exponent
-) -> list[int]:
-    return [
-        index for index, slot in enumerate(slots) if alpha in slot.simplex.vertices
-    ]
-
-
-def _nu_members(slots: Sequence[_CircuitSlot], beta: Exponent) -> list[int]:
-    return [index for index, slot in enumerate(slots) if slot.beta == beta]
 
 
 def _rationalize_group(values: Sequence[float]) -> list[Fraction] | None:
@@ -350,20 +334,19 @@ def sonc_feasibility_search(
     Square coefficients are split across covering simplices and inner
     coefficients across their circuits (both splits summing to one); a
     choice is feasible when every resulting circuit passes the exact
-    nonnegativity test.  The search runs first-order in log coordinates
-    with softmax-parameterized splits; any feasible point is rounded to
-    rationals and must re-verify exactly.
+    nonnegativity test.  The search runs Adam on a smoothed maximum of the
+    circuit margins over softmax-parameterized splits, with the exact
+    analytic (reverse-mode) gradient.  Its numeric result never certifies:
+    any feasible point is rounded to rationals and must re-verify exactly.
     """
     budget = budget or SearchBudget()
     if f.is_zero:
         raise ZeroFormInput("feasibility search needs a nonzero form")
     slots, mu_groups, nu_groups = _search_structure(f, partition)
-    free_parameters = sum(len(g) - 1 for g in mu_groups.values()) + sum(
-        len(g) - 1 for g in nu_groups.values()
-    )
-    if free_parameters > budget.max_params:
+    problem = _SearchProblem(f, slots, mu_groups, nu_groups)
+    if problem.size > budget.max_params:
         raise BudgetExceeded(
-            f"{free_parameters} free weights exceed the budget of {budget.max_params}"
+            f"{problem.size} free weights exceed the budget of {budget.max_params}"
         )
     if not slots:
         remainder = make_form(
@@ -376,31 +359,27 @@ def sonc_feasibility_search(
             return SearchOutcome(SearchStatus.FEASIBLE, 0.0, decomposition, exact=True)
         raise UncoveredInnerExponent("no circuits and remainder does not reproduce f")
 
-    if free_parameters == 0:
-        ones_mu = {alpha: [_ONE] * len(g) for alpha, g in mu_groups.items()}
-        ones_nu = {beta: [_ONE] * len(g) for beta, g in nu_groups.items()}
-        decomposition = _build_exact_decomposition(f, partition, slots, ones_mu, ones_nu)
+    if problem.size == 0:
+        ones = [_ONE] * problem.weight_count
+        decomposition = _build_exact_decomposition(f, partition, slots, problem, ones)
         if decomposition is not None and verify_decomposition(f, decomposition).valid:
             return SearchOutcome(SearchStatus.FEASIBLE, 0.0, decomposition, exact=True)
-        margin = _exact_weights_margin(f, slots, ones_mu, ones_nu, partition)
-        return SearchOutcome(SearchStatus.INFEASIBLE, margin, None, exact=True)
+        # Floats for the report only; the infeasibility itself is exact.
+        values, _ = problem.margins([1.0] * problem.weight_count)
+        return SearchOutcome(SearchStatus.INFEASIBLE, max(values), None, exact=True)
 
-    best_margin, best_theta = _optimize(
-        f, partition, slots, mu_groups, nu_groups, budget
-    )
-    mu_float, nu_float = _SearchProblem(f, slots, mu_groups, nu_groups).weights(
-        best_theta
-    )
+    best_margin, best_weights = _optimize(problem, budget)
     if best_margin <= 1e-6:
         # Promising enough to try the exact gate; rounding hits boundary
         # optima (weights like 1/2) exactly via continued fractions.
-        exact_mu = {a: _rationalize_group(w) for a, w in mu_float.items()}
-        exact_nu = {b: _rationalize_group(w) for b, w in nu_float.items()}
-        if all(v is not None for v in exact_mu.values()) and all(
-            v is not None for v in exact_nu.values()
-        ):
+        groups = [
+            _rationalize_group(best_weights[first : first + size])
+            for _, first, size in problem.groups
+        ]
+        if all(group is not None for group in groups):
+            exact = [weight for group in groups for weight in group]
             decomposition = _build_exact_decomposition(
-                f, partition, slots, exact_mu, exact_nu
+                f, partition, slots, problem, exact
             )
             if decomposition is not None and verify_decomposition(f, decomposition).valid:
                 return SearchOutcome(
@@ -414,123 +393,141 @@ def sonc_feasibility_search(
 
 
 class _SearchProblem:
-    """Float-side view of the weight-splitting problem with all index
-    lookups resolved up front."""
+    """Float-side view of the weight-splitting problem, resolved once into
+    flat index lists.
+
+    All split weights sit in one list: the square groups, then the inner
+    groups, each in slot order.  ``groups`` holds ``(theta offset, first
+    weight, size)`` per group; a group of size s reads s - 1 logits from
+    theta, its first logit being pinned at 0.  ``slots`` holds
+    ``(nu index, |f_beta|, [(mu index, lambda, log f_alpha - log lambda)])``
+    per circuit slot.  ``size`` is the number of free weights.
+    """
 
     def __init__(self, f, slots, mu_groups, nu_groups):
-        self.mu_keys = list(mu_groups)
-        self.nu_keys = list(nu_groups)
-        self.mu_sizes = [len(mu_groups[k]) for k in self.mu_keys]
-        self.nu_sizes = [len(nu_groups[k]) for k in self.nu_keys]
-        self.abs_inner = [float(slot.abs_inner) for slot in slots]
-        self.slot_nu = [
-            (slot.beta, nu_groups[slot.beta].index(index))
+        self.groups: list[tuple[int, int, int]] = []
+        self.size = 0
+        self.weight_count = 0
+        # Square and inner exponents are disjoint, so one map serves both.
+        position: dict[tuple[Exponent, int], int] = {}
+        for key, members in [*mu_groups.items(), *nu_groups.items()]:
+            self.groups.append((self.size, self.weight_count, len(members)))
+            for index in members:
+                position[key, index] = self.weight_count
+                self.weight_count += 1
+            self.size += len(members) - 1
+        self.slots = [
+            (
+                position[slot.beta, index],
+                float(slot.abs_inner),
+                [
+                    (
+                        position[alpha, index],
+                        float(lam),
+                        math.log(float(f.terms[alpha])) - math.log(float(lam)),
+                    )
+                    for alpha, lam in zip(slot.simplex.vertices, slot.simplex.barycentric)
+                ],
+            )
             for index, slot in enumerate(slots)
         ]
-        self.slot_terms = []
-        for index, slot in enumerate(slots):
-            terms = []
-            for alpha, lam in zip(slot.simplex.vertices, slot.simplex.barycentric):
-                position = mu_groups[alpha].index(index)
-                constant = math.log(float(f.terms[alpha])) - math.log(float(lam))
-                terms.append((alpha, position, float(lam), constant))
-            self.slot_terms.append(terms)
 
-    def weights(self, theta):
-        mu_float: dict[Exponent, list[float]] = {}
-        nu_float: dict[Exponent, list[float]] = {}
-        offset = 0
-        for key, size in zip(self.mu_keys, self.mu_sizes):
-            mu_float[key], offset = _softmax_slice(theta, offset, size)
-        for key, size in zip(self.nu_keys, self.nu_sizes):
-            nu_float[key], offset = _softmax_slice(theta, offset, size)
-        return mu_float, nu_float
+    def weights(self, theta: Sequence[float]) -> list[float]:
+        """The group softmaxes of ``theta``, flat."""
+        weights = [1.0] * self.weight_count
+        for offset, first, size in self.groups:
+            if size > 1:
+                logits = [0.0, *theta[offset : offset + size - 1]]
+                peak = max(logits)
+                exps = [math.exp(v - peak) for v in logits]
+                total = sum(exps)
+                weights[first : first + size] = [v / total for v in exps]
+        return weights
 
-    def margins(self, mu_float, nu_float):
-        values = []
-        for i, (beta, position) in enumerate(self.slot_nu):
-            nu = nu_float[beta][position]
+    def margins(self, weights: Sequence[float]) -> tuple[list[float], list[float]]:
+        """Each slot's margin ``nu * |f_beta| - theta`` and its threshold
+        ``theta = prod (mu_alpha f_alpha / lambda_alpha) ** lambda_alpha``."""
+        values, thresholds = [], []
+        for nu_index, abs_inner, terms in self.slots:
             log_theta = 0.0
-            for alpha, mu_position, lam, constant in self.slot_terms[i]:
-                mu = max(mu_float[alpha][mu_position], 1e-300)
-                log_theta += lam * (math.log(mu) + constant)
-            values.append(nu * self.abs_inner[i] - math.exp(log_theta))
-        return values
+            for mu_index, lam, constant in terms:
+                log_theta += lam * (math.log(max(weights[mu_index], 1e-300)) + constant)
+            threshold = math.exp(log_theta)
+            values.append(weights[nu_index] * abs_inner - threshold)
+            thresholds.append(threshold)
+        return values, thresholds
+
+    def gradient(
+        self,
+        weights: Sequence[float],
+        values: Sequence[float],
+        thresholds: Sequence[float],
+        tau: float,
+    ) -> list[float]:
+        """Gradient in theta of the smoothed maximum
+        ``peak + tau * log sum exp((v - peak) / tau)`` of the margins, by
+        reverse mode through the forward pass that gave these values."""
+        peak = max(values)
+        exps = [math.exp((v - peak) / tau) for v in values]
+        total = sum(exps)
+        upstream = [0.0] * self.weight_count
+        for (nu_index, abs_inner, terms), e, threshold in zip(self.slots, exps, thresholds):
+            share = e / total
+            upstream[nu_index] += share * abs_inner
+            for mu_index, lam, _ in terms:
+                mu = weights[mu_index]
+                if mu > 1e-300:  # the clamp in ``margins`` is flat below
+                    upstream[mu_index] -= share * threshold * lam / mu
+        gradient = [0.0] * self.size
+        for offset, first, size in self.groups:
+            if size > 1:
+                probs = weights[first : first + size]
+                grads = upstream[first : first + size]
+                mean = sum(p * g for p, g in zip(probs, grads))
+                for b in range(1, size):
+                    gradient[offset + b - 1] = probs[b] * (grads[b] - mean)
+        return gradient
 
 
-def _softmax_slice(theta, offset, size):
-    if size == 1:
-        return [1.0], offset
-    logits = [0.0] + [theta[offset + i] for i in range(size - 1)]
-    peak = max(logits)
-    exps = [math.exp(min(v - peak, 50.0)) for v in logits]
-    total = sum(exps)
-    return [v / total for v in exps], offset + size - 1
-
-
-def _exact_weights_margin(f, slots, mu_weights, nu_weights, partition) -> float:
-    """Max circuit excess for fully determined weights (floats for report
-    only; the infeasibility itself is exact)."""
-    mu_groups = {alpha: _mu_members(partition, slots, alpha) for alpha in mu_weights}
-    nu_groups = {beta: _nu_members(slots, beta) for beta in nu_weights}
-    problem = _SearchProblem(f, slots, mu_groups, nu_groups)
-    mu_float = {k: [float(v) for v in vs] for k, vs in mu_weights.items()}
-    nu_float = {k: [float(v) for v in vs] for k, vs in nu_weights.items()}
-    return max(problem.margins(mu_float, nu_float))
-
-
-def _optimize(f, partition, slots, mu_groups, nu_groups, budget):
-    size = sum(len(g) - 1 for g in mu_groups.values()) + sum(
-        len(g) - 1 for g in nu_groups.values()
-    )
-    scale = max(float(slot.abs_inner) for slot in slots)
-    problem = _SearchProblem(f, slots, mu_groups, nu_groups)
+def _optimize(problem: _SearchProblem, budget: SearchBudget) -> tuple[float, list[float]]:
+    """Best hard margin found and the split weights that reach it."""
+    size = problem.size
+    scale = max(abs_inner for _, abs_inner, _ in problem.slots)
     starts = max(budget.seeds, 1)
     per_start = max(300, budget.iterations // starts)
     taus = [0.3 * scale, 0.03 * scale, 0.003 * scale, 0.0003 * scale]
     phase = 300
 
-    def hard_margin(theta):
-        return max(problem.margins(*problem.weights(theta)))
-
-    def smooth(theta, tau):
-        values = problem.margins(*problem.weights(theta))
-        peak = max(values)
-        return peak + tau * math.log(sum(math.exp((v - peak) / tau) for v in values))
-
     best_margin = math.inf
-    best_theta = [0.0] * size
+    best_weights = problem.weights([0.0] * size)
     for start in range(starts):
         rng = random.Random(1000 + start)
         theta = [rng.uniform(-1.0, 1.0) for _ in range(size)]
         moment = [0.0] * size
         velocity = [0.0] * size
         since_improvement = 0
+        weights = problem.weights(theta)
+        values, thresholds = problem.margins(weights)
         for iteration in range(per_start):
             tau = taus[min(iteration // phase, len(taus) - 1)]
-            gradient = []
-            step = 1e-6
-            for i in range(size):
-                theta[i] += step
-                upper = smooth(theta, tau)
-                theta[i] -= 2 * step
-                lower = smooth(theta, tau)
-                theta[i] += step
-                gradient.append((upper - lower) / (2 * step))
+            gradient = problem.gradient(weights, values, thresholds, tau)
             for i in range(size):
                 moment[i] = 0.9 * moment[i] + 0.1 * gradient[i]
                 velocity[i] = 0.999 * velocity[i] + 0.001 * gradient[i] ** 2
                 theta[i] -= 0.1 * moment[i] / (math.sqrt(velocity[i]) + 1e-12)
-            current = hard_margin(theta)
+            # This forward pass also feeds the next step's gradient.
+            weights = problem.weights(theta)
+            values, thresholds = problem.margins(weights)
+            current = max(values)
             if current < best_margin - 1e-12 * max(1.0, scale):
                 best_margin = current
-                best_theta = list(theta)
+                best_weights = weights
                 since_improvement = 0
             else:
                 since_improvement += 1
             if best_margin <= 1e-10:
-                return best_margin, best_theta
+                return best_margin, best_weights
             # Allow one smoothing-phase change before giving up on a start.
             if since_improvement > phase + 60:
                 break
-    return best_margin, best_theta
+    return best_margin, best_weights

@@ -4,14 +4,13 @@ Subcommands: ``analyze`` a polynomial file, ``corpus`` for the built-in
 regression table, ``mms`` for maximal mediated sets of inline point
 lists, and ``grid`` for exact evaluation over the named evaluation grids.
 Exit codes: 0 ok, 1 input error, 2 internal invariant violation,
-3 corpus mismatch.  ``SONCKIT_THREADS`` caps corpus workers.
+3 corpus mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import InternalInvariantViolation, SonckitError
@@ -20,14 +19,6 @@ from .corpus import GRIDS, run_corpus
 from .forms import evaluate, load_form_file
 from .mediated import maximal_mediated_set
 from .report import analyze, render_text, report_to_dict
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("SONCKIT_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return min(4, os.cpu_count() or 1)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -68,7 +59,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
-    rows = run_corpus(name_filter=args.filter, threads=_thread_count())
+    rows = run_corpus(name_filter=args.filter)
     if args.json:
         print(
             json.dumps(

@@ -823,20 +823,11 @@ def run_entry(entry: CorpusEntry) -> list[CorpusRow]:
     return rows
 
 
-def run_corpus(
-    name_filter: str | None = None, threads: int = 1
-) -> list[CorpusRow]:
+def run_corpus(name_filter: str | None = None) -> list[CorpusRow]:
     """Run all (or filtered) corpus entries; rows in canonical order."""
-    selected = [
-        entry
+    return [
+        row
         for entry in _ENTRIES
         if name_filter is None or re.search(name_filter, entry.name)
+        for row in run_entry(entry)
     ]
-    if threads > 1 and len(selected) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_entry, selected))
-    else:
-        results = [run_entry(entry) for entry in selected]
-    return [row for rows in results for row in rows]

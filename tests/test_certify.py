@@ -1,8 +1,13 @@
 """Necessary condition, corollary, decomposition verification, and search."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import search_oracle
 
 from sonckit.errors import (
     BudgetExceeded,
@@ -12,6 +17,8 @@ from sonckit.errors import (
 )
 from sonckit.certify import (
     ConditionVerdict,
+    _SearchProblem,
+    _search_structure,
     SearchBudget,
     SearchStatus,
     SoncDecomposition,
@@ -24,7 +31,9 @@ from sonckit.certify import (
 from sonckit.circuits import Circuit, detect_circuit
 from sonckit.forms import make_form, parse_form
 from sonckit.geometry import support_partition
+from sonckit.report import analyze
 from sonckit.corpus import (
+    FORM_BUILDERS,
     motzkin,
     motzkin_bcj,
     p_family,
@@ -283,6 +292,197 @@ def test_search_pure_square_sum():
     assert outcome.decomposition is not None
     assert outcome.decomposition.circuits == ()
     assert verify_decomposition(f, outcome.decomposition).valid
+
+
+# ---------------------------------------------------------------------------
+# the search's analytic gradient against the central-difference oracle
+# ---------------------------------------------------------------------------
+
+#: The smoothing temperatures of the four search phases, in units of the
+#: largest inner coefficient magnitude.
+_TAU_PHASES = (0.3, 0.03, 0.003, 0.0003)
+
+
+def _search_problem(f):
+    slots, mu_groups, nu_groups = _search_structure(f, support_partition(f))
+    return _SearchProblem(f, slots, mu_groups, nu_groups), slots, mu_groups, nu_groups
+
+
+@pytest.fixture(scope="module")
+def corpus_problems():
+    """Search problems of the corpus forms with free weights."""
+    problems = []
+    for name, build in FORM_BUILDERS.items():
+        f = build()
+        try:
+            problem, *_ = _search_problem(f)
+        except UncoveredInnerExponent:
+            continue
+        if problem.size:
+            problems.append((name, f, problem))
+    return problems
+
+
+def _assert_gradient_matches_oracle(problem, theta, tau):
+    weights = problem.weights(theta)
+    values, thresholds = problem.margins(weights)
+    analytic = problem.gradient(weights, values, thresholds, tau)
+    numeric = search_oracle.central_difference_gradient(problem, theta, tau)
+    # Relative to the largest component; the floor sits far above the
+    # oracle's rounding noise (about 1e-10 * scale) for a vanishing gradient.
+    scale = max(abs_inner for _, abs_inner, _ in problem.slots)
+    reference = max(max(abs(g) for g in numeric), 1e-3 * scale)
+    error = max(abs(a - n) for a, n in zip(analytic, numeric))
+    assert error <= 1e-6 * reference, (theta, tau, analytic, numeric)
+
+
+def test_search_forward_pass_matches_reference_margins():
+    # Same float operations in the same order: the values agree bitwise.
+    rng = random.Random(11)
+    for name, build in FORM_BUILDERS.items():
+        f = build()
+        try:
+            problem, slots, mu_groups, nu_groups = _search_problem(f)
+        except UncoveredInnerExponent:
+            continue
+        for _ in range(5):
+            theta = [rng.uniform(-3.0, 3.0) for _ in range(problem.size)]
+            values, _ = problem.margins(problem.weights(theta))
+            expected = search_oracle.reference_margins(
+                f, slots, mu_groups, nu_groups, theta
+            )
+            assert values == expected, name
+
+
+def test_search_gradient_matches_central_difference_on_corpus(corpus_problems):
+    # 13 forms: the 7 searched at max_params=9 and the 6 beyond it
+    assert len(corpus_problems) == 13
+    rng = random.Random(3)
+    for _, _, problem in corpus_problems:
+        scale = max(abs_inner for _, abs_inner, _ in problem.slots)
+        for factor in _TAU_PHASES:
+            for _ in range(3):
+                theta = [rng.uniform(-3.0, 3.0) for _ in range(problem.size)]
+                _assert_gradient_matches_oracle(problem, theta, factor * scale)
+
+
+def test_search_gradient_is_flat_below_the_weight_clamp(corpus_problems):
+    # Logits of +-700 and beyond push some weights under 1e-300, where the
+    # forward pass clamps them and neither gradient may see a slope.
+    rng = random.Random(5)
+    clamped = 0
+    for _, _, problem in corpus_problems:
+        scale = max(abs_inner for _, abs_inner, _ in problem.slots)
+        for factor in _TAU_PHASES:
+            theta = [
+                rng.choice((-800.0, -700.0, 700.0, rng.uniform(-1.0, 1.0)))
+                for _ in range(problem.size)
+            ]
+            clamped += any(w < 1e-300 for w in problem.weights(theta))
+            _assert_gradient_matches_oracle(problem, theta, factor * scale)
+    assert clamped >= 12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    c=st.fractions(min_value=Fraction(1, 20), max_value=8, max_denominator=50),
+    logit=st.floats(min_value=-6.0, max_value=6.0),
+    phase=st.sampled_from(_TAU_PHASES),
+)
+def test_search_gradient_matches_central_difference_on_trinomial_family(
+    c, logit, phase
+):
+    problem, *_ = _search_problem(_trinomial_family_form(c))
+    assert problem.size == 1
+    scale = max(abs_inner for _, abs_inner, _ in problem.slots)
+    _assert_gradient_matches_oracle(problem, [logit], phase * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), phase=st.sampled_from(_TAU_PHASES))
+def test_search_gradient_matches_central_difference_hypothesis(
+    corpus_problems, data, phase
+):
+    _, _, problem = data.draw(st.sampled_from(corpus_problems))
+    theta = data.draw(
+        st.lists(
+            st.floats(min_value=-8.0, max_value=8.0),
+            min_size=problem.size,
+            max_size=problem.size,
+        )
+    )
+    scale = max(abs_inner for _, abs_inner, _ in problem.slots)
+    _assert_gradient_matches_oracle(problem, theta, phase * scale)
+
+
+# ---------------------------------------------------------------------------
+# corpus search pins
+# ---------------------------------------------------------------------------
+
+#: Search status of every corpus form at ``SearchBudget(max_params=9)``;
+#: the same table as the benchmark's ``SEARCH_PINS``.
+SEARCH_PINS = {
+    "motzkin": "Feasible",
+    "motzkin_bcj": "Feasible",
+    "motzkin_bcj_boundary": "Feasible",
+    "robinson1": "InfeasibleWithMargin",
+    "robinson2": "BudgetExceeded",
+    "choi_lam_q1": "Feasible",
+    "choi_lam_q2": "Feasible",
+    "schmuedgen": "BudgetExceeded",
+    "p_2_6": "InfeasibleWithMargin",
+    "p_3_6": "BudgetExceeded",
+    "p_3_8": "BudgetExceeded",
+    "q_3_6": "InfeasibleWithMargin",
+    "q_3_8": "InfeasibleWithMargin",
+    "square_trinomial": "InfeasibleWithMargin",
+    "separator_ternary": "InfeasibleWithMargin",
+    "separator_quaternary": "InfeasibleWithMargin",
+    "motzkin_tilde": "BudgetExceeded",
+    "q1_tilde": "BudgetExceeded",
+}
+
+#: Margins of the numeric InfeasibleWithMargin outcomes as the
+#: finite-difference search found them.  Each is a local search's margin,
+#: not a bound, so the analytic gradient may settle a little elsewhere.
+SEARCH_MARGINS = {
+    "robinson1": 0.5000,
+    "p_2_6": 0.2681,
+    "q_3_6": 1.0000,
+    "q_3_8": 1.0000,
+    "square_trinomial": 0.5858,
+    "separator_ternary": 0.5221,
+    "separator_quaternary": 0.6319,
+}
+
+
+def _corpus_search_outcomes():
+    budget = SearchBudget(max_params=9)
+    outcomes = {}
+    for name in SEARCH_PINS:
+        result = analyze(FORM_BUILDERS[name](), search=True, budget=budget)
+        if result.feasibility is None:
+            outcomes[name] = (result.feasibility_note.split(":", 1)[0], None, None)
+        else:
+            outcome = result.feasibility
+            outcomes[name] = (outcome.status.value, outcome.margin, outcome.exact)
+    return outcomes
+
+
+def test_search_corpus_pins_and_margins():
+    first = _corpus_search_outcomes()
+    assert set(first) == set(FORM_BUILDERS)
+    assert {name: status for name, (status, _, _) in first.items()} == SEARCH_PINS
+    numeric = {
+        name
+        for name, (status, _, exact) in first.items()
+        if status == "InfeasibleWithMargin" and not exact
+    }
+    assert numeric == set(SEARCH_MARGINS)
+    for name, expected in SEARCH_MARGINS.items():
+        assert abs(first[name][1] - expected) <= 5e-3, (name, first[name][1])
+    # The search is seeded and runs in plain floats: reruns are bit-identical.
+    assert _corpus_search_outcomes() == first
 
 
 def _random_even_point(rng, n, half_degree):

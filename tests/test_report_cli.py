@@ -186,7 +186,7 @@ def test_cli_corpus_mismatch_exit_code(monkeypatch, capsys):
     from sonckit import cli as cli_mod
     from sonckit.corpus import CorpusRow
 
-    def fake_run_corpus(name_filter=None, threads=1):
+    def fake_run_corpus(name_filter=None):
         return [
             CorpusRow(
                 entry="fake",
