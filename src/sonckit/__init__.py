@@ -15,6 +15,7 @@ from .forms import (
     embed_variables,
     evaluate,
     evaluate_float,
+    evaluate_many,
     format_form,
     load_form_file,
     make_form,

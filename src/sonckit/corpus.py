@@ -21,6 +21,7 @@ from typing import Callable, Iterable
 from . import report as report_mod
 from .certify import (
     ConditionVerdict,
+    NecessaryConditionReport,
     SearchStatus,
     necessary_condition,
     per_simplex_weights,
@@ -44,6 +45,7 @@ from .forms import (
     embed_variables,
     evaluate,
     evaluate_float,
+    evaluate_many,
     form_power,
     grlex_key,
     make_form,
@@ -245,6 +247,10 @@ FORM_BUILDERS: dict[str, Callable[[], SparseForm]] = {
     "q1_tilde": q1_tilde,
 }
 
+#: Points per ``evaluate_many`` call in the sampling check; bounds the
+#: integer lists held at once.
+_SAMPLING_BATCH = 1000
+
 GRIDS: dict[str, tuple[tuple[int, ...], ...]] = {
     "X": tuple(itertools.product((-1, 0, 1), (-1, 0, 1), (1,))),
     "Xprime": tuple(itertools.product((-2, 0, 2), (-2, 0, 2), (1,))),
@@ -303,9 +309,7 @@ class _EntryContext:
         return circuit
 
 
-def _is_not_sonc_exact(form: SparseForm) -> bool:
-    partition = support_partition(form)
-    report = necessary_condition(form, partition)
+def _is_not_sonc_exact(report: NecessaryConditionReport) -> bool:
     if report.verdict is ConditionVerdict.VIOLATED:
         return True
     return (
@@ -321,7 +325,7 @@ def _check_necessary(ctx: _EntryContext, arg: str) -> str:
 
 
 def _check_not_sonc_exact(ctx: _EntryContext, arg: str) -> str:
-    return str(_is_not_sonc_exact(ctx.form))
+    return str(_is_not_sonc_exact(ctx.necessary))
 
 
 def _check_corollary_first_violation(ctx: _EntryContext, arg: str) -> str:
@@ -455,7 +459,10 @@ def _check_reduction_preserved(ctx: _EntryContext, arg: str) -> str:
         embed_variables(f, 1),
         multiply_monomial_square(f, f.num_vars, 1),
     )
-    if _is_not_sonc_exact(f) and all(_is_not_sonc_exact(g) for g in transformed):
+    if _is_not_sonc_exact(ctx.necessary) and all(
+        _is_not_sonc_exact(necessary_condition(g, support_partition(g)))
+        for g in transformed
+    ):
         return "preserved"
     return "changed"
 
@@ -468,15 +475,22 @@ def _check_no_not_sonc(ctx: _EntryContext, arg: str) -> str:
 
 
 def _check_sampling_nonneg(ctx: _EntryContext, arg: str) -> str:
+    """Seeded points ``p / 8`` with integer ``p`` in ``[-24, 24]``.  By
+    homogeneity ``f(p / 8)`` has the sign of ``f(p)``, so the integer
+    points are evaluated in batches and ``Fraction``s are built only for
+    the first negative one."""
     count = int(arg)
     rng = random.Random(f"sampling:{ctx.form.name}")
     n = ctx.form.num_vars
-    for _ in range(count):
-        point = tuple(
-            Fraction(rng.randint(-3 * 8, 3 * 8), 8) for _ in range(n)
-        )
-        if evaluate(ctx.form, point) < 0:
-            return f"negative at {point}"
+    for start in range(0, count, _SAMPLING_BATCH):
+        points = [
+            tuple(rng.randint(-3 * 8, 3 * 8) for _ in range(n))
+            for _ in range(min(_SAMPLING_BATCH, count - start))
+        ]
+        values, _ = evaluate_many(ctx.form, points)
+        for point, value in zip(points, values):
+            if value < 0:
+                return f"negative at {tuple(Fraction(v, 8) for v in point)}"
     return "ok"
 
 

@@ -2,7 +2,10 @@
 
 A form is stored as a map from exponent tuples to nonzero ``Fraction``
 coefficients.  All arithmetic is exact; floating point enters only through
-the explicitly approximate ``evaluate_float``.
+the explicitly approximate ``evaluate_float``.  Exact evaluation has one
+kernel, ``evaluate_many``: it clears denominators once per batch of points
+and returns integer numerators over one denominator; ``evaluate`` is that
+kernel on a batch of one.
 
 Variables are written ``x1, x2, ...`` in text.  The grammar (whitespace
 ignored) is:
@@ -301,28 +304,47 @@ def save_form_file(path: str, f: SparseForm) -> None:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate(f: SparseForm, point: Sequence[RationalLike]) -> Fraction:
-    """Exact value of ``f`` at a rational point.
+def evaluate_many(
+    f: SparseForm, points: Sequence[Sequence[RationalLike]]
+) -> tuple[list[int], int]:
+    """Exact values of ``f`` at a batch of rational points, as integers.
 
-    Runs on Python ints.  With the point written as ``p / D`` over its
-    least common denominator, homogeneity gives
-    ``f(p / D) = f(p) / D**degree``, and ``f(p)`` is summed from the
-    coefficient numerators over their least common denominator, so the
-    one ``Fraction`` built is the result.
+    Returns ``(numerators, denominator)`` with
+    ``f(points[i]) == Fraction(numerators[i], denominator)`` and
+    ``denominator > 0``, so signs and zeros can be read off the ints.
+    The coefficients are cleared to integer numerators once per call and
+    every coordinate of the batch is written over one common denominator
+    ``D``; homogeneity gives ``f(p / D) = f(p) / D**degree``.  Each term is
+    then multiplied out over the whole batch, one coordinate column at a
+    time, in Python ints; no ``Fraction`` is built.
     """
-    if len(point) != f.num_vars:
-        raise DimensionMismatch(
-            f"point has {len(point)} coordinates, form has {f.num_vars} variables"
-        )
-    values, point_denominator = integer_numerators(point)
+    n = f.num_vars
+    for point in points:
+        if len(point) != n:
+            raise DimensionMismatch(
+                f"point has {len(point)} coordinates, form has {n} variables"
+            )
+    flat, point_denominator = integer_numerators([v for point in points for v in point])
+    columns = [flat[i::n] for i in range(n)]
     coefficients, denominator = integer_numerators(list(f.terms.values()))
-    total = 0
-    for exponent, term in zip(f.terms, coefficients):
-        for value, power in zip(values, exponent):
+    totals = [0] * len(points)
+    for exponent, coefficient in zip(f.terms, coefficients):
+        term = [coefficient] * len(points)
+        for column, power in zip(columns, exponent):
             if power:
-                term *= value**power
-        total += term
-    return Fraction(total, denominator * point_denominator**f.degree)
+                term = [t * v**power for t, v in zip(term, column)]
+        totals = [s + t for s, t in zip(totals, term)]
+    return totals, denominator * point_denominator**f.degree
+
+
+def evaluate(f: SparseForm, point: Sequence[RationalLike]) -> Fraction:
+    """Exact value of ``f`` at one rational point.
+
+    :func:`evaluate_many` on a batch of one; the one ``Fraction`` built
+    is the result.
+    """
+    (numerator,), denominator = evaluate_many(f, [point])
+    return Fraction(numerator, denominator)
 
 
 def evaluate_float(f: SparseForm, point: Sequence[float]) -> float:

@@ -3,12 +3,15 @@
 These are the routines ``sonckit.exactlp`` and ``sonckit.forms.evaluate``
 ran on before they moved to integer arithmetic: textbook Gaussian
 elimination, Gauss--Jordan on ``[M | I]`` and a phase-one simplex, all in
-``Fraction``, plus term-by-term ``Fraction`` evaluation.  The differential
-tests require the integer kernel to return identical results.
+``Fraction``, plus term-by-term ``Fraction`` evaluation and the corpus
+sampling check that built one ``Fraction`` point per draw.  The
+differential tests require the integer kernel to return identical
+results.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from typing import Sequence
 
@@ -228,3 +231,16 @@ def evaluate(f: SparseForm, point: Sequence[RationalLike]) -> Fraction:
                 term *= value**power
         total += term
     return total
+
+
+def sampling_nonneg(f: SparseForm, count: int) -> str:
+    """The corpus ``sampling_nonneg`` check point by point: ``count`` seeded
+    ``Fraction`` points ``p / 8``, each evaluated by :func:`evaluate`."""
+    rng = random.Random(f"sampling:{f.name}")
+    for _ in range(count):
+        point = tuple(
+            Fraction(rng.randint(-3 * 8, 3 * 8), 8) for _ in range(f.num_vars)
+        )
+        if evaluate(f, point) < 0:
+            return f"negative at {point}"
+    return "ok"

@@ -2,17 +2,20 @@
 
 Every routine must return exactly what the ``Fraction`` implementation in
 ``fraction_oracle`` returns: the same rank, the same solution vector, the
-same LP weights (hence the same pivot path) and the same value.
+same LP weights (hence the same pivot path), the same value and the same
+sampling-check string.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from sonckit.corpus import FORM_BUILDERS
+from sonckit.corpus import FORM_BUILDERS, _check_sampling_nonneg, _EntryContext
+from sonckit.errors import DimensionMismatch
 from sonckit.exactlp import (
     EchelonSolver,
     integer_numerators,
@@ -21,7 +24,7 @@ from sonckit.exactlp import (
     simplex_feasible,
     solve_linear_system,
 )
-from sonckit.forms import evaluate, make_form
+from sonckit.forms import evaluate, evaluate_many, make_form, parse_form
 
 
 def _entry(rng, fractions):
@@ -171,6 +174,95 @@ def test_evaluate_matches_oracle_seeded():
         assert evaluate(f, text) == oracle.evaluate(f, text)
 
 
+def _assert_many_agrees(f, points):
+    numerators, denominator = evaluate_many(f, points)
+    assert denominator > 0 and len(numerators) == len(points)
+    for point, numerator in zip(points, numerators):
+        assert Fraction(numerator, denominator) == oracle.evaluate(f, point)
+
+
+def test_evaluate_many_matches_oracle_seeded():
+    rng = random.Random(11)
+    forms = [builder() for builder in FORM_BUILDERS.values()]
+    forms.append(make_form(3, {}, zero_degree=4))  # the zero form
+    forms.append(make_form(3, {(0, 0, 0): Fraction(-7, 3)}))  # degree 0
+    for f in forms:
+        n = f.num_vars
+        _assert_many_agrees(f, [])
+        _assert_many_agrees(f, [tuple(_entry(rng, True) for _ in range(n))])
+        _assert_many_agrees(f, [(0,) * n, (-1,) * n, (Fraction(-1, 2),) * n])
+        # Every coordinate over its own denominator, zeros and signs mixed.
+        mixed = [
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n))
+            for _ in range(40)
+        ]
+        _assert_many_agrees(f, mixed)
+        for _ in range(5):
+            batch = [
+                tuple(_entry(rng, True) for _ in range(n))
+                for _ in range(rng.randint(2, 30))
+            ]
+            _assert_many_agrees(f, batch)
+
+
+def test_evaluate_many_rejects_any_wrong_length_point():
+    f = parse_form("x1^2 - x2*x3")
+    good = (1, Fraction(1, 2), -3)
+    for bad in [(1, 2), (1, 2, 3, 4), ()]:
+        for position in range(3):
+            batch = [good, good]
+            batch.insert(position, bad)
+            with pytest.raises(DimensionMismatch) as error:
+                evaluate_many(f, batch)
+            assert str(error.value) == (
+                f"point has {len(bad)} coordinates, form has 3 variables"
+            )
+    with pytest.raises(DimensionMismatch, match="point has 2 coordinates"):
+        evaluate(f, (1, 2))
+
+
+# ---------------------------------------------------------------------------
+# the corpus sampling check
+# ---------------------------------------------------------------------------
+
+#: The first sampled point of "neg" is negative almost at once.
+_INDEFINITE = "x1^2 - 2*x1*x2 + x2^2 - x3^2"
+#: Negative only on the x3 axis; the first such draw of "needle" is point
+#: 1252, in the second batch.
+_NEEDLE = "x1^2 + x2^2 - 1/1152*x3^2"
+
+
+def _sampling(f, count):
+    return _check_sampling_nonneg(_EntryContext(f), str(count))
+
+
+def test_sampling_check_matches_oracle_on_corpus_forms():
+    for name in ("motzkin", "motzkin_bcj", "choi_lam_q1", "choi_lam_q2"):
+        f = FORM_BUILDERS[name]()
+        assert _sampling(f, 10000) == oracle.sampling_nonneg(f, 10000) == "ok"
+
+
+def test_sampling_check_reports_the_first_negative_draw():
+    f = parse_form(_INDEFINITE, name="neg")
+    expected = "negative at (Fraction(17, 8), Fraction(1, 4), Fraction(-21, 8))"
+    assert _sampling(f, 100) == oracle.sampling_nonneg(f, 100) == expected
+
+
+@pytest.mark.parametrize("count", [0, 1, 999, 1000, 1001, 1252, 1253, 2500])
+def test_sampling_check_draw_order_across_batches(count):
+    for f in (
+        parse_form(_INDEFINITE, name="neg"),
+        parse_form(_NEEDLE, name="needle"),
+    ):
+        assert _sampling(f, count) == oracle.sampling_nonneg(f, count)
+    needle = _sampling(parse_form(_NEEDLE, name="needle"), count)
+    assert needle == (
+        "negative at (Fraction(0, 1), Fraction(0, 1), Fraction(-3, 4))"
+        if count > 1252
+        else "ok"
+    )
+
+
 # ---------------------------------------------------------------------------
 # hypothesis
 # ---------------------------------------------------------------------------
@@ -209,18 +301,32 @@ def test_lp_matches_oracle_hypothesis(system):
 
 
 @st.composite
-def _forms_and_points(draw):
+def _forms(draw):
     num_vars, degree = draw(st.integers(1, 4)), draw(st.integers(0, 6))
     # A monomial of the degree, as the multiset of its variables.
     monomials = st.lists(st.integers(0, num_vars - 1), min_size=degree, max_size=degree)
     terms = draw(st.lists(st.tuples(monomials, _rationals), max_size=6))
-    f = make_form(
+    return make_form(
         num_vars,
         [(tuple(m.count(i) for i in range(num_vars)), c) for m, c in terms],
         zero_degree=degree,
     )
-    point = draw(st.lists(_rationals, min_size=num_vars, max_size=num_vars))
-    return f, point
+
+
+def _points(f):
+    return st.lists(_rationals, min_size=f.num_vars, max_size=f.num_vars)
+
+
+@st.composite
+def _forms_and_points(draw):
+    f = draw(_forms())
+    return f, draw(_points(f))
+
+
+@st.composite
+def _forms_and_batches(draw):
+    f = draw(_forms())
+    return f, draw(st.lists(_points(f), max_size=8))
 
 
 @settings(max_examples=200, deadline=None)
@@ -228,3 +334,10 @@ def _forms_and_points(draw):
 def test_evaluate_matches_oracle_hypothesis(case):
     f, point = case
     assert evaluate(f, point) == oracle.evaluate(f, point)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_forms_and_batches())
+def test_evaluate_many_matches_oracle_hypothesis(case):
+    f, points = case
+    _assert_many_agrees(f, points)
