@@ -133,8 +133,14 @@ class ZeroLocus:
 # detection
 # ---------------------------------------------------------------------------
 
-def detect_circuit(f: SparseForm) -> Circuit | NotACircuit:
-    """Check the circuit conditions and assemble the validated circuit."""
+def detect_circuit(
+    f: SparseForm, *, vertices: frozenset[Exponent] | None = None
+) -> Circuit | NotACircuit:
+    """Check the circuit conditions and assemble the validated circuit.
+
+    ``vertices``, the Newton polytope vertices of ``f`` when the caller
+    has them already (``SupportPartition.vertices``), spares the hull.
+    """
     if f.is_zero:
         raise ZeroFormInput("circuit detection needs a nonzero form")
     squares = monomial_square_support(f)
@@ -144,7 +150,8 @@ def detect_circuit(f: SparseForm) -> Circuit | NotACircuit:
             reason="multiple_inner_exponents",
             detail=f"{len(inner_set)} exponents are not monomial squares",
         )
-    vertices = hull_vertices(f.terms.keys())
+    if vertices is None:
+        vertices = hull_vertices(f.terms.keys())
     if vertices != squares:
         missing = sorted(squares - vertices, key=grlex_key)
         extra = sorted(vertices - squares, key=grlex_key)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from . import report as report_mod
 from .certify import (
     ConditionVerdict,
     NecessaryConditionReport,
@@ -33,8 +32,6 @@ from .circuits import (
     ZeroLocusStatus,
     circuit_number,
     compare_circuit_number,
-    decide_circuit_nonnegativity,
-    detect_circuit,
     logs_affinely_independent,
     zero_locus,
 )
@@ -56,17 +53,9 @@ from .forms import (
     substitute_linear,
     variable,
 )
-from .geometry import (
-    half_newton_support,
-    psd_newton_precheck,
-    support_partition,
-)
-from .mediated import (
-    maximal_mediated_set,
-    mediated_set_of_circuit,
-    naive_mediated_fixpoint,
-    circuit_is_sos,
-)
+from .geometry import half_newton_support, support_partition
+from .mediated import maximal_mediated_set, naive_mediated_fixpoint
+from .report import AnalysisReport, analyze
 
 # ---------------------------------------------------------------------------
 # form builders
@@ -275,38 +264,10 @@ def _parse_exp(text: str) -> Exponent:
     return tuple(int(v) for v in text.split(","))
 
 
-class _EntryContext:
-    """Caches the derived objects a corpus entry's checks share."""
-
-    def __init__(self, form: SparseForm):
-        self.form = form
-        self._partition = None
-        self._necessary = None
-        self._circuit = None
-
-    @property
-    def partition(self):
-        if self._partition is None:
-            self._partition = support_partition(self.form)
-        return self._partition
-
-    @property
-    def necessary(self):
-        if self._necessary is None:
-            self._necessary = necessary_condition(self.form, self.partition)
-        return self._necessary
-
-    @property
-    def circuit(self):
-        if self._circuit is None:
-            self._circuit = detect_circuit(self.form)
-        return self._circuit
-
-    def proper_circuit(self) -> Circuit:
-        circuit = self.circuit
-        if not isinstance(circuit, Circuit):
-            raise ValueError(f"{self.form.name} is not a circuit")
-        return circuit
+def _proper_circuit(report: AnalysisReport) -> Circuit:
+    if not isinstance(report.circuit, Circuit):
+        raise ValueError(f"{report.form_name} is not a circuit")
+    return report.circuit
 
 
 def _is_not_sonc_exact(report: NecessaryConditionReport) -> bool:
@@ -319,94 +280,101 @@ def _is_not_sonc_exact(report: NecessaryConditionReport) -> bool:
     )
 
 
-def _check_necessary(ctx: _EntryContext, arg: str) -> str:
-    report = ctx.necessary
-    return f"inner={report.inner_sum} outer={report.outer_sum} {report.verdict.value}"
+def _check_necessary(f: SparseForm, report: AnalysisReport, arg: str) -> str:
+    necessary = report.necessary
+    return (
+        f"inner={necessary.inner_sum} outer={necessary.outer_sum}"
+        f" {necessary.verdict.value}"
+    )
 
 
-def _check_not_sonc_exact(ctx: _EntryContext, arg: str) -> str:
-    return str(_is_not_sonc_exact(ctx.necessary))
+def _check_not_sonc_exact(f: SparseForm, report: AnalysisReport, arg: str) -> str:
+    return str(_is_not_sonc_exact(report.necessary))
 
 
-def _check_corollary_first_violation(ctx: _EntryContext, arg: str) -> str:
-    report = ctx.necessary.corollary
-    if report is None or report.passed:
+def _check_corollary_first_violation(
+    f: SparseForm, report: AnalysisReport, arg: str
+) -> str:
+    corollary = report.necessary.corollary
+    if corollary is None or corollary.passed:
         return "none"
-    first = report.violations[0]
+    first = corollary.violations[0]
     return (
         f"alpha={_fmt_exp(first.alpha)} beta={_fmt_exp(first.beta)}"
         f" bound={first.bound} coeff={first.coefficient}"
     )
 
 
-def _check_corollary_violation_at(ctx: _EntryContext, arg: str) -> str:
+def _check_corollary_violation_at(
+    f: SparseForm, report: AnalysisReport, arg: str
+) -> str:
     alpha, beta = (_parse_exp(part) for part in arg.split("|"))
-    report = ctx.necessary.corollary
-    if report is None:
+    corollary = report.necessary.corollary
+    if corollary is None:
         return "no-equality"
-    for violation in report.violations:
+    for violation in corollary.violations:
         if violation.alpha == alpha and violation.beta == beta:
             return f"bound={violation.bound} coeff={violation.coefficient}"
     return "no-violation"
 
 
-def _check_family_size(ctx: _EntryContext, arg: str) -> str:
-    return str(ctx.partition.family_size(_parse_exp(arg)))
+def _check_family_size(f: SparseForm, report: AnalysisReport, arg: str) -> str:
+    return str(report.partition.family_size(_parse_exp(arg)))
 
 
-def _check_lambda_profile(ctx: _EntryContext, arg: str) -> str:
+def _check_lambda_profile(f: SparseForm, report: AnalysisReport, arg: str) -> str:
     alpha_text, beta_text = arg.split("|")
     weights = per_simplex_weights(
-        ctx.partition, _parse_exp(alpha_text), _parse_exp(beta_text)
+        report.partition, _parse_exp(alpha_text), _parse_exp(beta_text)
     )
     return ",".join(str(w) for w in weights)
 
 
-def _check_r_set(ctx: _EntryContext, arg: str) -> str:
-    return _fmt_exps(ctx.partition.r_set)
+def _check_r_set(f: SparseForm, report: AnalysisReport, arg: str) -> str:
+    return _fmt_exps(report.partition.r_set)
 
 
-def _check_vertices(ctx: _EntryContext, arg: str) -> str:
-    return _fmt_exps(ctx.partition.vertices)
+def _check_vertices(f: SparseForm, report: AnalysisReport, arg: str) -> str:
+    return _fmt_exps(report.partition.vertices)
 
 
-def _check_circuit_kind(ctx: _EntryContext, arg: str) -> str:
-    circuit = ctx.circuit
+def _check_circuit_kind(f: SparseForm, report: AnalysisReport, arg: str) -> str:
+    circuit = report.circuit
     if isinstance(circuit, NotACircuit):
         return f"NotACircuit:{circuit.reason}"
     return circuit.kind.value
 
 
-def _check_circuit_lambda(ctx: _EntryContext, arg: str) -> str:
-    return ",".join(str(w) for w in ctx.proper_circuit().barycentric)
+def _check_circuit_lambda(f: SparseForm, report: AnalysisReport, arg: str) -> str:
+    return ",".join(str(w) for w in _proper_circuit(report).barycentric)
 
 
-def _check_theta_cmp(ctx: _EntryContext, arg: str) -> str:
-    theta = circuit_number(ctx.proper_circuit())
+def _check_theta_cmp(f: SparseForm, report: AnalysisReport, arg: str) -> str:
+    theta = circuit_number(_proper_circuit(report))
     return compare_circuit_number(theta, Fraction(arg)).value
 
 
-def _check_nonnegative(ctx: _EntryContext, arg: str) -> str:
-    verdict = decide_circuit_nonnegativity(ctx.proper_circuit())
-    if not verdict.is_nonnegative:
+def _check_nonnegative(f: SparseForm, report: AnalysisReport, arg: str) -> str:
+    _proper_circuit(report)
+    if not report.circuit_nonnegative:
         return "negative"
-    return "boundary" if verdict.boundary else "strict"
+    return "boundary" if report.circuit_boundary else "strict"
 
 
-def _check_circuit_sos(ctx: _EntryContext, arg: str) -> str:
-    circuit = ctx.proper_circuit()
-    return str(circuit_is_sos(circuit, mediated_set_of_circuit(circuit)))
+def _check_circuit_sos(f: SparseForm, report: AnalysisReport, arg: str) -> str:
+    _proper_circuit(report)
+    return str(report.circuit_sos)
 
 
-def _check_mms_excludes_inner(ctx: _EntryContext, arg: str) -> str:
-    circuit = ctx.proper_circuit()
-    assert circuit.inner is not None
-    star = mediated_set_of_circuit(circuit).star
-    return str(circuit.inner[0] not in star)
+def _check_mms_excludes_inner(f: SparseForm, report: AnalysisReport, arg: str) -> str:
+    circuit = _proper_circuit(report)
+    if report.mediated is None:
+        return "no mediated set"
+    return str(circuit.inner[0] not in report.mediated.star)
 
 
-def _check_mms_oracle(ctx: _EntryContext, arg: str) -> str:
-    vertices = sorted(ctx.partition.vertices, key=grlex_key)
+def _check_mms_oracle(f: SparseForm, report: AnalysisReport, arg: str) -> str:
+    vertices = sorted(report.partition.vertices, key=grlex_key)
     if any(e % 2 for vertex in vertices for e in vertex):
         return "skipped"
     star = maximal_mediated_set(vertices).star
@@ -414,12 +382,12 @@ def _check_mms_oracle(ctx: _EntryContext, arg: str) -> str:
     return "ok" if star == oracle else f"mismatch:{_fmt_exps(star ^ oracle)}"
 
 
-def _check_grid(ctx: _EntryContext, arg: str) -> str:
+def _check_grid(f: SparseForm, report: AnalysisReport, arg: str) -> str:
     grid = GRIDS[arg]
     zeros = 0
     nonzero: list[str] = []
     for point in grid:
-        value = evaluate(ctx.form, point)
+        value = evaluate(f, point)
         if value == 0:
             zeros += 1
         else:
@@ -427,22 +395,22 @@ def _check_grid(ctx: _EntryContext, arg: str) -> str:
     return f"zeros={zeros};" + (";".join(nonzero) if nonzero else "all-zero")
 
 
-def _check_eval_at(ctx: _EntryContext, arg: str) -> str:
+def _check_eval_at(f: SparseForm, report: AnalysisReport, arg: str) -> str:
     point = tuple(Fraction(v) for v in arg.split(","))
-    return str(evaluate(ctx.form, point))
+    return str(evaluate(f, point))
 
 
-def _check_half_newton(ctx: _EntryContext, arg: str) -> str:
-    return _fmt_exps(half_newton_support(ctx.form))
+def _check_half_newton(f: SparseForm, report: AnalysisReport, arg: str) -> str:
+    return _fmt_exps(half_newton_support(f))
 
 
-def _check_psd_precheck(ctx: _EntryContext, arg: str) -> str:
-    witness = psd_newton_precheck(ctx.form)
+def _check_psd_precheck(f: SparseForm, report: AnalysisReport, arg: str) -> str:
+    witness = report.precheck_witness
     return "pass" if witness is None else f"witness={_fmt_exp(witness)}"
 
 
-def _check_search(ctx: _EntryContext, arg: str) -> str:
-    outcome = sonc_feasibility_search(ctx.form, ctx.partition)
+def _check_search(f: SparseForm, report: AnalysisReport, arg: str) -> str:
+    outcome = sonc_feasibility_search(f, report.partition)
     if outcome.status is SearchStatus.FEASIBLE:
         return "Feasible(exact)" if outcome.exact else "Feasible(numeric)"
     if outcome.status is SearchStatus.INFEASIBLE:
@@ -453,13 +421,12 @@ def _check_search(ctx: _EntryContext, arg: str) -> str:
     return f"Inconclusive({outcome.margin:.4f})"
 
 
-def _check_reduction_preserved(ctx: _EntryContext, arg: str) -> str:
-    f = ctx.form
+def _check_reduction_preserved(f: SparseForm, report: AnalysisReport, arg: str) -> str:
     transformed = (
         embed_variables(f, 1),
         multiply_monomial_square(f, f.num_vars, 1),
     )
-    if _is_not_sonc_exact(ctx.necessary) and all(
+    if _is_not_sonc_exact(report.necessary) and all(
         _is_not_sonc_exact(necessary_condition(g, support_partition(g)))
         for g in transformed
     ):
@@ -467,39 +434,37 @@ def _check_reduction_preserved(ctx: _EntryContext, arg: str) -> str:
     return "changed"
 
 
-def _check_no_not_sonc(ctx: _EntryContext, arg: str) -> str:
-    analysis = report_mod.analyze(ctx.form)
-    conclusions = {v.conclusion for v in analysis.verdicts}
+def _check_no_not_sonc(f: SparseForm, report: AnalysisReport, arg: str) -> str:
+    conclusions = {v.conclusion for v in report.verdicts}
     bad = conclusions & {"not SONC", "not nonnegative"}
     return "ok" if not bad else ";".join(sorted(bad))
 
 
-def _check_sampling_nonneg(ctx: _EntryContext, arg: str) -> str:
+def _check_sampling_nonneg(f: SparseForm, report: AnalysisReport, arg: str) -> str:
     """Seeded points ``p / 8`` with integer ``p`` in ``[-24, 24]``.  By
     homogeneity ``f(p / 8)`` has the sign of ``f(p)``, so the integer
     points are evaluated in batches and ``Fraction``s are built only for
     the first negative one."""
     count = int(arg)
-    rng = random.Random(f"sampling:{ctx.form.name}")
-    n = ctx.form.num_vars
+    rng = random.Random(f"sampling:{f.name}")
+    n = f.num_vars
     for start in range(0, count, _SAMPLING_BATCH):
         points = [
             tuple(rng.randint(-3 * 8, 3 * 8) for _ in range(n))
             for _ in range(min(_SAMPLING_BATCH, count - start))
         ]
-        values, _ = evaluate_many(ctx.form, points)
+        values, _ = evaluate_many(f, points)
         for point, value in zip(points, values):
             if value < 0:
                 return f"negative at {tuple(Fraction(v, 8) for v in point)}"
     return "ok"
 
 
-def _check_zero_locus(ctx: _EntryContext, arg: str) -> str:
-    locus = zero_locus(ctx.proper_circuit())
+def _check_zero_locus(f: SparseForm, report: AnalysisReport, arg: str) -> str:
+    locus = zero_locus(_proper_circuit(report))
     if isinstance(locus, ZeroLocusStatus):
         return locus.value
     solutions = locus.sample_solutions(100, seed=7)
-    f = ctx.form
     for y in solutions:
         point = [math.exp(v) for v in y]
         residual = abs(evaluate_float(f, point))
@@ -512,7 +477,7 @@ def _check_zero_locus(ctx: _EntryContext, arg: str) -> str:
     return f"dim={locus.dimension};residuals=ok"
 
 
-def _check_logs_example(ctx: _EntryContext, arg: str) -> str:
+def _check_logs_example(f: SparseForm, report: AnalysisReport, arg: str) -> str:
     points = [
         (1.0, -2.0, 1.0),
         (-2.0, 1.0, 1.0),
@@ -522,16 +487,17 @@ def _check_logs_example(ctx: _EntryContext, arg: str) -> str:
     return str(logs_affinely_independent(points))
 
 
-def _check_inverse_transform(ctx: _EntryContext, arg: str) -> str:
+def _check_inverse_transform(f: SparseForm, report: AnalysisReport, arg: str) -> str:
     base_name, matrix_text = arg.split(":")
     matrix = [
         [Fraction(v) for v in row.split(",")] for row in matrix_text.split(";")
     ]
-    recovered = substitute_linear(ctx.form, matrix)
+    recovered = substitute_linear(f, matrix)
     return "recovered" if recovered == FORM_BUILDERS[base_name]() else "different"
 
 
-CHECKS: dict[str, Callable[[_EntryContext, str], str]] = {
+#: A check reads the entry's form and its one ``analyze`` report.
+CHECKS: dict[str, Callable[[SparseForm, AnalysisReport, str], str]] = {
     "necessary": _check_necessary,
     "not_sonc_exact": _check_not_sonc_exact,
     "corollary_first_violation": _check_corollary_first_violation,
@@ -815,15 +781,28 @@ def corpus_entries() -> tuple[CorpusEntry, ...]:
     return _ENTRIES
 
 
+def _error_text(error: Exception) -> str:
+    return f"error:{type(error).__name__}:{error}"
+
+
 def run_entry(entry: CorpusEntry) -> list[CorpusRow]:
-    ctx = _EntryContext(entry.build())
+    """One row per check, all read from one ``analyze`` of the entry's
+    form; if that raises, every row of the entry reports the error."""
+    f = entry.build()
+    try:
+        report = analyze(f)
+        failure = None
+    except Exception as error:  # surfaced in the table, not swallowed
+        failure = _error_text(error)
     rows = []
     for check, arg, expected in entry.checks:
         label = f"{check}({arg})" if arg else check
-        try:
-            got = CHECKS[check](ctx, arg)
-        except Exception as error:  # surfaced in the table, not swallowed
-            got = f"error:{type(error).__name__}:{error}"
+        got = failure
+        if got is None:
+            try:
+                got = CHECKS[check](f, report, arg)
+            except Exception as error:  # surfaced in the table, not swallowed
+                got = _error_text(error)
         rows.append(
             CorpusRow(
                 entry=entry.name,

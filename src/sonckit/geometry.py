@@ -109,24 +109,23 @@ def barycentric_coordinates(
 ) -> tuple[Fraction, ...] | None:
     """Positive weights expressing ``beta`` over affinely independent
     ``vertices``, or ``None`` when ``beta`` is not in the relative
-    interior of their hull."""
+    interior of their hull.
+
+    Solves ``[vertices; all-ones] * lam = [beta; 1]`` in one elimination:
+    that matrix has full column rank exactly when the vertices are
+    affinely independent.
+    """
     vertices = [tuple(v) for v in vertices]
-    if not affinely_independent(vertices):
+    rows: list[list[int]] = [[v[i] for v in vertices] for i in range(len(beta))]
+    rows.append([1] * len(vertices))
+    solver = EchelonSolver(rows)
+    # An empty vertex list passes the rank test but spans nothing.
+    if not vertices or not solver.unique:
         raise AffinelyDependentInput(f"{vertices} is affinely dependent")
-    solution = _hull_coordinates(beta, vertices)
+    solution = solver.solve(list(beta) + [1])
     if solution is None or any(weight <= 0 for weight in solution):
         return None
     return tuple(solution)
-
-
-def _hull_coordinates(
-    beta: Exponent, vertices: Sequence[Exponent]
-) -> list[Fraction] | None:
-    """Solve [vertices; all-ones] * lam = [beta; 1] exactly."""
-    dim = len(beta)
-    rows: list[list[int]] = [[v[i] for v in vertices] for i in range(dim)]
-    rows.append([1] * len(vertices))
-    return EchelonSolver(rows).solve(list(beta) + [1])
 
 
 def enumerate_simplices(
@@ -297,13 +296,18 @@ def half_newton_support(f: SparseForm) -> frozenset[Exponent]:
         return frozenset()
     if f.degree % 2 != 0:
         raise OddDegree(f"degree {f.degree} is odd")
-    halved = [[Fraction(e, 2) for e in exponent] for exponent in f.terms.keys()]
-    inside = [
-        candidate
-        for candidate in _integer_candidates(halved)
-        if point_in_hull(candidate, halved) is not None
-    ]
-    return frozenset(inside)
+    return polytope_lattice_points(
+        [[Fraction(e, 2) for e in exponent] for exponent in f.terms.keys()]
+    )
+
+
+def non_square_vertex(
+    vertices: Iterable[Exponent], squares: frozenset[Exponent]
+) -> Exponent | None:
+    """The grlex-largest Newton polytope vertex that is not a monomial
+    square: the witness of the Newton precheck, or ``None``."""
+    candidates = [vertex for vertex in vertices if vertex not in squares]
+    return max(candidates, key=grlex_key) if candidates else None
 
 
 def psd_newton_precheck(f: SparseForm) -> Exponent | None:
@@ -315,8 +319,4 @@ def psd_newton_precheck(f: SparseForm) -> Exponent | None:
     """
     if f.is_zero:
         return None
-    squares = monomial_square_support(f)
-    for vertex in sorted(hull_vertices(f.terms.keys()), key=grlex_key, reverse=True):
-        if vertex not in squares:
-            return vertex
-    return None
+    return non_square_vertex(hull_vertices(f.terms.keys()), monomial_square_support(f))

@@ -4,10 +4,15 @@
 condition with its equality-case corollary, the mediated-set
 sum-of-squares decision for circuits, and (on request) the bounded
 feasibility search, then condenses everything into tagged verdicts.
-Every verdict carries its certificate kind: ``exact`` conclusions are
-replayable from rational data recorded in the report, ``numeric`` ones
-come from the margin-reporting search.  JSON output is schema-versioned
-and serializes all rationals as ``p/q`` strings.
+The support partition computes the Newton polytope vertices; every later
+stage reads them from there.  Every verdict carries its certificate kind:
+``exact`` conclusions rest on exact rational arithmetic, ``numeric`` ones
+come from the margin-reporting search.  The JSON records the verdicts with
+their reasons and the data behind them (partition, coefficient sums,
+corollary violations, circuit weights, mediated set, search status), but
+not yet every certificate needed to replay an exact verdict; see ROADMAP
+item 5.  JSON output is schema-versioned and serializes all rationals as
+``p/q`` strings.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .circuits import (
     detect_circuit,
 )
 from .forms import SparseForm, format_rational, grlex_key
-from .geometry import SupportPartition, psd_newton_precheck, support_partition
+from .geometry import SupportPartition, non_square_vertex, support_partition
 from .mediated import MediatedSet, circuit_is_sos, mediated_set_of_circuit
 
 JSON_SCHEMA_VERSION = 1
@@ -94,7 +99,6 @@ def analyze(
     f: SparseForm,
     search: bool = False,
     budget: SearchBudget | None = None,
-    compute_mediated: bool = True,
 ) -> AnalysisReport:
     report = AnalysisReport(
         form_name=f.name or "anonymous",
@@ -107,8 +111,8 @@ def analyze(
         return report
     verdicts: list[Verdict] = []
 
-    report.partition = support_partition(f)
-    report.precheck_witness = psd_newton_precheck(f)
+    report.partition = partition = support_partition(f)
+    report.precheck_witness = non_square_vertex(partition.vertices, partition.s_set)
     if report.precheck_witness is not None:
         witness = report.precheck_witness
         verdicts.append(
@@ -126,7 +130,7 @@ def analyze(
             )
         )
 
-    report.circuit = detect_circuit(f)
+    report.circuit = detect_circuit(f, vertices=partition.vertices)
     if isinstance(report.circuit, Circuit):
         circuit = report.circuit
         verdict = decide_circuit_nonnegativity(circuit)
@@ -151,7 +155,7 @@ def analyze(
                 verdicts.append(
                     Verdict("SOS", "exact", "sum of monomial squares")
                 )
-            elif compute_mediated:
+            else:
                 report.mediated = mediated_set_of_circuit(circuit)
                 report.circuit_sos = circuit_is_sos(circuit, report.mediated)
                 assert circuit.inner is not None
@@ -188,7 +192,7 @@ def analyze(
                 )
             )
 
-    report.necessary = necessary_condition(f, report.partition)
+    report.necessary = necessary_condition(f, partition)
     necessary = report.necessary
     if necessary.verdict is ConditionVerdict.VIOLATED:
         if necessary.uncovered_inner:
@@ -221,7 +225,7 @@ def analyze(
     if search:
         try:
             report.feasibility = sonc_feasibility_search(
-                f, report.partition, budget
+                f, partition, budget
             )
         except (BudgetExceeded, UncoveredInnerExponent) as error:
             report.feasibility_note = f"{type(error).__name__}: {error}"

@@ -162,8 +162,10 @@ def test_barycentric_not_in_relint():
 
 
 def test_barycentric_rejects_dependent_vertices():
-    with pytest.raises(AffinelyDependentInput):
-        barycentric_coordinates((3, 3), [(2, 4), (4, 2), (6, 0)])
+    # The empty list passes the rank test but spans nothing.
+    for vertices in ([(2, 4), (4, 2), (6, 0)], []):
+        with pytest.raises(AffinelyDependentInput):
+            barycentric_coordinates((3, 3), vertices)
 
 
 # ---------------------------------------------------------------------------

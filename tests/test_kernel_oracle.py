@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from sonckit.corpus import FORM_BUILDERS, _check_sampling_nonneg, _EntryContext
+from sonckit.corpus import FORM_BUILDERS, _check_sampling_nonneg
 from sonckit.errors import DimensionMismatch
 from sonckit.exactlp import (
     EchelonSolver,
@@ -25,6 +25,7 @@ from sonckit.exactlp import (
     solve_linear_system,
 )
 from sonckit.forms import evaluate, evaluate_many, make_form, parse_form
+from sonckit.report import analyze
 
 
 def _entry(rng, fractions):
@@ -233,7 +234,7 @@ _NEEDLE = "x1^2 + x2^2 - 1/1152*x3^2"
 
 
 def _sampling(f, count):
-    return _check_sampling_nonneg(_EntryContext(f), str(count))
+    return _check_sampling_nonneg(f, analyze(f), str(count))
 
 
 def test_sampling_check_matches_oracle_on_corpus_forms():

@@ -1,11 +1,19 @@
 """Analysis reports, JSON round trip, and the command-line interface."""
 
+import itertools
 import json
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sonckit import corpus, geometry
+from sonckit.circuits import Circuit, detect_circuit
 from sonckit.cli import main
 from sonckit.forms import make_form, save_form_file
+from sonckit.geometry import psd_newton_precheck
 from sonckit.report import analyze, report_to_dict, verdicts_from_dict
 from sonckit.corpus import (
     FORM_BUILDERS,
@@ -86,6 +94,102 @@ def test_json_rationals_as_strings():
     payload = report_to_dict(report)
     assert payload["necessary_condition"]["outer_sum"] == "33/4"
     assert payload["necessary_condition"]["inner_sum"] == "4"
+
+
+# ---------------------------------------------------------------------------
+# one analysis per form
+# ---------------------------------------------------------------------------
+
+def _count_calls(monkeypatch, original):
+    """Wrap ``original`` in every sonckit module that binds it; returns
+    the list that gets one entry per call."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "sonckit":
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_analyze_computes_the_hull_once(monkeypatch):
+    calls = _count_calls(monkeypatch, geometry.hull_vertices)
+    circuits = 0
+    for name, builder in FORM_BUILDERS.items():
+        calls.clear()
+        report = analyze(builder())
+        circuits += isinstance(report.circuit, Circuit)
+        assert len(calls) == 1, name
+    assert circuits >= 4
+
+
+def test_run_entry_analyzes_each_form_once(monkeypatch):
+    calls = _count_calls(monkeypatch, analyze)
+    for entry in corpus.corpus_entries():
+        calls.clear()
+        rows = corpus.run_entry(entry)
+        assert len(calls) == 1, entry.name
+        assert all(row.ok for row in rows), entry.name
+
+
+def test_run_entry_reports_a_failed_analysis_in_every_row(monkeypatch):
+    def broken(f, *args, **kwargs):
+        if f.name == "robinson1":
+            raise ArithmeticError("synthetic")
+        return analyze(f, *args, **kwargs)
+
+    monkeypatch.setattr(corpus, "analyze", broken)
+    rows = corpus.run_corpus("^(robinson1|robinson2)$")
+    assert {row.entry for row in rows} == {"robinson1", "robinson2"}
+    for row in rows:
+        if row.entry == "robinson1":
+            assert row.got == "error:ArithmeticError:synthetic"
+        else:
+            assert row.ok
+
+
+def _assert_matches_standalone_routes(f):
+    report = analyze(f)
+    assert report.precheck_witness == psd_newton_precheck(f)
+    assert report.circuit == detect_circuit(f)
+
+
+def test_analyze_matches_standalone_routes_on_corpus():
+    for builder in FORM_BUILDERS.values():
+        _assert_matches_standalone_routes(builder())
+
+
+@st.composite
+def _small_forms(draw):
+    """Ternary or binary forms of degree 2, 4 or 6 with a few monomial
+    squares and a few arbitrary terms, so circuits and non-circuits,
+    passing and failing prechecks all occur."""
+    n = draw(st.integers(2, 3))
+    degree = draw(st.sampled_from((2, 4, 6)))
+    exponents = [
+        e for e in itertools.product(range(degree + 1), repeat=n) if sum(e) == degree
+    ]
+    evens = [e for e in exponents if all(v % 2 == 0 for v in e)]
+    terms = {
+        e: Fraction(draw(st.integers(1, 4)))
+        for e in draw(st.lists(st.sampled_from(evens), min_size=1, max_size=4))
+    }
+    for e in draw(st.lists(st.sampled_from(exponents), max_size=2)):
+        numerator = draw(st.integers(-4, 4).filter(bool))
+        terms[e] = Fraction(numerator, draw(st.integers(1, 3)))
+    return make_form(n, terms, name="small")
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(f=_small_forms())
+def test_analyze_matches_standalone_routes_hypothesis(f):
+    _assert_matches_standalone_routes(f)
 
 
 # ---------------------------------------------------------------------------

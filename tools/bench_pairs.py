@@ -120,7 +120,19 @@ def main(argv: list[str] | None = None) -> int:
     contract = json.loads((args.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in contract["end_to_end"]}
     seconds = contract["run_seconds"]
-    workloads = [(name, int(pairs)) for name, pairs in (w.split("=") for w in args.workload)]
+    known = sorted(w["name"] for w in contract["workloads"])
+    workloads = []
+    # Checked before any run: with N < 2 the quartiles would fail only
+    # after that workload's runs, and an unknown name inside run.py.
+    for spec in args.workload:
+        name, equals, pairs = spec.partition("=")
+        if not equals:
+            parser.error(f"--workload {spec!r}: expected NAME=N")
+        if name not in known:
+            parser.error(f"--workload {spec!r}: {name!r} is not one of {known}")
+        if not pairs.isdigit() or int(pairs) < 2:
+            parser.error(f"--workload {spec!r}: N must be an integer of at least 2")
+        workloads.append((name, int(pairs)))
     layered = f"per_layer_traced_seed_{TRACE_SEED}"
     out: dict = {
         "pr": args.pr,
