@@ -14,12 +14,12 @@ barycentric exponents -- boundary cases must never flip under rounding.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
-
-import numpy as np
 
 from .errors import (
     InternalInvariantViolation,
@@ -28,7 +28,7 @@ from .errors import (
     ZeroCoordinate,
     ZeroFormInput,
 )
-from .exactlp import matrix_rank
+from .exactlp import EchelonSolver, matrix_rank
 from .forms import Exponent, SparseForm, evaluate, grlex_key
 from .geometry import (
     affinely_independent,
@@ -116,17 +116,29 @@ class ZeroLocus:
     def rhs_floats(self) -> list[float]:
         return [math.log(a) - math.log(b) for a, b in self.rhs_symbolic]
 
-    def sample_solutions(self, count: int, seed: int = 0) -> np.ndarray:
-        """Numeric points of the affine solution space (approximate)."""
-        matrix = np.array(self.matrix, dtype=float)
-        rhs = np.array(self.rhs_floats())
-        particular, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
-        _, singular, vh = np.linalg.svd(matrix)
-        rank = int(np.sum(singular > 1e-12))
-        null_basis = vh[rank:]
-        rng = np.random.default_rng(seed)
-        coefficients = rng.normal(scale=1.0, size=(count, null_basis.shape[0]))
-        return particular[None, :] + coefficients @ null_basis
+    def sample_solutions(self, count: int, seed: int = 0) -> list[tuple[float, ...]]:
+        """``count`` float points of the affine solution space: the
+        minimum-norm solution plus standard normal multiples of an
+        orthonormal null-space basis, drawn from ``random.Random(seed)``."""
+        particular, basis = self._solution_space()
+        rng = random.Random(seed)
+        return [
+            _combine(particular, [rng.gauss(0.0, 1.0) for _ in basis], basis)
+            for _ in range(count)
+        ]
+
+    def _solution_space(self) -> tuple[tuple[float, ...], list[tuple[float, ...]]]:
+        """Minimum-norm solution and orthonormal null-space basis, in floats,
+        from one exact elimination: free column ``j`` gives the null vector
+        ``e_j - solve(M e_j)``, and floats are dyadic rationals, so the solve
+        at the float right sides is exact until it is rounded."""
+        solver = EchelonSolver(self.matrix)
+        columns = list(zip(*self.matrix))
+        free = set(range(solver.ncols)) - {col for _, col in solver.pivots}
+        null = [[(j == k) - x for k, x in enumerate(solver.solve(columns[j]))] for j in free]
+        basis = _orthonormal(null, 0.0)
+        particular = [float(x) for x in solver.solve([Fraction(r) for r in self.rhs_floats()])]
+        return _combine(particular, [-sum(map(mul, particular, v)) for v in basis], basis), basis
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +279,15 @@ def zero_locus(c: Circuit) -> ZeroLocus | ZeroLocusStatus:
     assert c.inner is not None
     if c.inner[1] > 0:
         return ZeroLocusStatus.SIGN_CASE_OUT_OF_SCOPE
+    locus = _log_system(c)
+    if matrix_rank(locus.matrix) != len(locus.matrix):
+        raise InternalInvariantViolation("vertex differences lost rank")
+    return locus
+
+
+def _log_system(c: Circuit) -> ZeroLocus:
+    """The system in ``y = log x`` that puts every outer term of ``c`` at
+    its barycentric share: the AM-GM equality case."""
     base_point, base_coeff = c.outer[0]
     base_weight = c.barycentric[0]
     rows = tuple(
@@ -276,32 +297,48 @@ def zero_locus(c: Circuit) -> ZeroLocus | ZeroLocusStatus:
         (weight / base_weight, coeff / base_coeff)
         for (point, coeff), weight in zip(c.outer[1:], c.barycentric[1:])
     )
-    n = len(base_point)
-    m = len(c.outer) - 1
-    rank = matrix_rank([list(r) for r in rows]) if rows else 0
-    if rank != m:
-        raise InternalInvariantViolation("vertex differences lost rank")
-    return ZeroLocus(matrix=rows, rhs_symbolic=rhs, dimension=n - m)
+    return ZeroLocus(matrix=rows, rhs_symbolic=rhs, dimension=len(base_point) - len(rows))
 
 
 def logs_affinely_independent(
     points: Sequence[Sequence[float]], tolerance: float = 1e-9
 ) -> bool:
     """Whether the coordinatewise log-absolute images of the points are
-    affinely independent (approximate: singular values vs. tolerance)."""
+    affinely independent, in floats: a pivoted modified Gram--Schmidt on
+    their differences to the first keeps every pivot norm above ``tolerance``."""
     if not points:
         return False
     for point in points:
         if any(value == 0 for value in point):
             raise ZeroCoordinate(f"point {tuple(point)} has a zero coordinate")
-    logs = np.log(np.abs(np.array(points, dtype=float)))
-    if logs.shape[0] == 1:
-        return True
-    if logs.shape[0] > logs.shape[1] + 1:
-        return False
-    diffs = logs[1:] - logs[0]
-    singular = np.linalg.svd(diffs, compute_uv=False)
-    return int(np.sum(singular > tolerance)) == logs.shape[0] - 1
+    logs = [[math.log(abs(v)) for v in point] for point in points]
+    diffs = [[a - b for a, b in zip(row, logs[0])] for row in logs[1:]]
+    return len(diffs) <= len(logs[0]) and len(_orthonormal(diffs, tolerance)) == len(diffs)
+
+
+def _orthonormal(rows: Sequence[Sequence[float]], tolerance: float) -> list[tuple[float, ...]]:
+    """Modified Gram--Schmidt with pivoting: normalise the remaining row of
+    largest residual norm, project it out of the others, and stop once
+    that norm is at most ``tolerance``."""
+    remaining = [tuple(map(float, row)) for row in rows]
+    basis: list[tuple[float, ...]] = []
+    while remaining:
+        norm, index = max((math.hypot(*row), i) for i, row in enumerate(remaining))
+        if norm <= tolerance:
+            break
+        vector = tuple(v / norm for v in remaining.pop(index))
+        basis.append(vector)
+        remaining = [_combine(row, [-sum(map(mul, row, vector))], [vector]) for row in remaining]
+    return basis
+
+
+def _combine(
+    point: Sequence[float], steps: Sequence[float], vectors: Sequence[Sequence[float]]
+) -> tuple[float, ...]:
+    """``point`` plus ``steps[i]`` times ``vectors[i]`` for every ``i``."""
+    for step, vector in zip(steps, vectors):
+        point = [p + step * v for p, v in zip(point, vector)]
+    return tuple(point)
 
 
 # ---------------------------------------------------------------------------
@@ -312,41 +349,24 @@ def negative_witness(c: Circuit, seed: int = 0) -> tuple[Fraction, ...]:
     """Rational point with exactly negative value, for circuits that fail
     the nonnegativity test.
 
-    The AM-GM equality direction (least-squares solution of the locus-style
-    system) is the natural violator; falls back to seeded random search.
-    The returned point is verified by exact evaluation.
+    The AM-GM equality direction (minimum-norm solution of the locus-style
+    system) is the natural violator; falls back to deterministic draws from
+    ``random.Random(seed)``.  The returned point is verified exactly.
     """
     if decide_circuit_nonnegativity(c).is_nonnegative:
         raise ValueError("circuit is nonnegative; no negative witness exists")
     assert c.inner is not None and c.kind is CircuitKind.PROPER
-    beta, inner_coeff = c.inner
-    base_point, base_coeff = c.outer[0]
-    base_weight = c.barycentric[0]
-    matrix = np.array(
-        [[v - b for v, b in zip(point, base_point)] for point, _ in c.outer[1:]],
-        dtype=float,
-    )
-    rhs = np.array(
-        [
-            math.log(float(weight / base_weight)) - math.log(float(coeff / base_coeff))
-            for (point, coeff), weight in zip(c.outer[1:], c.barycentric[1:])
-        ]
-    )
-    candidates: list[np.ndarray] = []
-    solution, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
-    candidates.append(solution)
-    rng = np.random.default_rng(seed)
-    candidates.extend(solution + rng.normal(scale=0.2, size=solution.shape) for _ in range(32))
-    candidates.extend(rng.normal(scale=1.0, size=solution.shape) for _ in range(64))
-    signs = _sign_pattern_for_negative_inner(beta, inner_coeff)
+    solution, _ = _log_system(c)._solution_space()
+    rng = random.Random(seed)
+    candidates = [solution]
+    candidates += [[v + rng.gauss(0.0, 0.2) for v in solution] for _ in range(32)]
+    candidates += [[rng.gauss(0.0, 1.0) for _ in solution] for _ in range(64)]
+    signs = _sign_pattern_for_negative_inner(*c.inner)
     for candidate in candidates:
-        numeric = np.exp(np.clip(candidate, -12.0, 12.0))
         point = tuple(
-            sign * Fraction(float(value)).limit_denominator(10**6)
-            for sign, value in zip(signs, numeric)
+            sign * Fraction(math.exp(min(max(v, -12.0), 12.0))).limit_denominator(10**6)
+            for sign, v in zip(signs, candidate)
         )
-        if any(value == 0 for value in point):
-            continue
         if evaluate(c.form, point) < 0:
             return point
     raise ArithmeticError("no negative witness found; bug")

@@ -24,10 +24,7 @@ from .report import analyze, render_text, report_to_dict
 def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
         form = load_form_file(args.file)
-    except OSError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    except SonckitError as error:
+    except (OSError, SonckitError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     budget = SearchBudget(
@@ -169,10 +166,11 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_p.add_argument(
         "--mms", action="store_true", help="print mediated-set detail"
     )
-    analyze_p.add_argument("--max-params", type=int, default=6)
-    analyze_p.add_argument("--margin", type=float, default=1e-3)
-    analyze_p.add_argument("--iters", type=int, default=100_000)
-    analyze_p.add_argument("--seeds", type=int, default=4)
+    defaults = SearchBudget()
+    analyze_p.add_argument("--max-params", type=int, default=defaults.max_params)
+    analyze_p.add_argument("--margin", type=float, default=defaults.infeasibility_margin)
+    analyze_p.add_argument("--iters", type=int, default=defaults.iterations)
+    analyze_p.add_argument("--seeds", type=int, default=defaults.seeds)
     analyze_p.set_defaults(func=_cmd_analyze)
 
     corpus_p = sub.add_parser("corpus", help="run the built-in regression corpus")

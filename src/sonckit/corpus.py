@@ -464,8 +464,7 @@ def _check_zero_locus(f: SparseForm, report: AnalysisReport, arg: str) -> str:
     locus = zero_locus(_proper_circuit(report))
     if isinstance(locus, ZeroLocusStatus):
         return locus.value
-    solutions = locus.sample_solutions(100, seed=7)
-    for y in solutions:
+    for y in locus.sample_solutions(100, seed=7):
         point = [math.exp(v) for v in y]
         residual = abs(evaluate_float(f, point))
         scale = max(

@@ -137,21 +137,12 @@ class EchelonSolver:
         return solution
 
     def solve(self, rhs: Sequence[Fraction | int]) -> list[Fraction] | None:
-        if len(rhs) != self.nrows:
-            raise ValueError("right-hand side has wrong length")
         numerators, common = integer_numerators(rhs)
         solution = self.solve_numerators(numerators)
         if solution is None:
             return None
         denominator = self.denominator * common
         return [Fraction(v, denominator) for v in solution]
-
-
-def solve_linear_system(
-    rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
-) -> list[Fraction] | None:
-    """One-shot ``M x = b``; ``None`` when inconsistent (free vars -> 0)."""
-    return EchelonSolver(rows).solve(rhs)
 
 
 def simplex_feasible(

@@ -276,18 +276,17 @@ def format_form(f: SparseForm) -> str:
 
 def load_form_file(path: str) -> SparseForm:
     """Read a one-form UTF-8 file; '#' lines are metadata ('# name: ...')."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = [line.strip() for line in handle]
+    except UnicodeDecodeError as error:
+        raise ParseError(f"{path} is not UTF-8: {error}") from error
     name: str | None = None
-    body: list[str] = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            stripped = line.strip()
-            if stripped.startswith("#"):
-                meta = stripped.lstrip("#").strip()
-                if meta.lower().startswith("name:"):
-                    name = meta[5:].strip()
-                continue
-            if stripped:
-                body.append(stripped)
+    for line in lines:
+        meta = line.lstrip("#").strip()
+        if line.startswith("#") and meta.lower().startswith("name:"):
+            name = meta[5:].strip()
+    body = [line for line in lines if line and not line.startswith("#")]
     if not body:
         raise ParseError(f"no polynomial text in {path}")
     return parse_form(" ".join(body), name=name)

@@ -255,12 +255,13 @@ def lattice_points(simplex_vertices: Sequence[Exponent]) -> frozenset[Exponent]:
     vertices = [tuple(v) for v in simplex_vertices]
     if not vertices:
         raise ValueError("empty vertex list")
-    if not affinely_independent(vertices):
-        raise AffinelyDependentInput(f"{vertices} is affinely dependent")
     dim = len(vertices[0])
     rows: list[list[int]] = [[v[i] for v in vertices] for i in range(dim)]
     rows.append([1] * len(vertices))
+    # Full column rank of [vertices; 1] is affine independence.
     solver = EchelonSolver(rows)
+    if not solver.unique:
+        raise AffinelyDependentInput(f"{vertices} is affinely dependent")
     inside = []
     for candidate in _integer_candidates(vertices):
         # Weights are these numerators over a positive denominator.
@@ -279,8 +280,10 @@ def polytope_lattice_points(points: Sequence[Exponent]) -> frozenset[Exponent]:
     unique = canonical_points(points)
     if not unique:
         raise ValueError("empty point set")
-    if affinely_independent(unique):
+    try:
         return lattice_points(unique)
+    except AffinelyDependentInput:
+        pass
     inside = [
         candidate
         for candidate in _integer_candidates(unique)

@@ -8,7 +8,6 @@ from sonckit.exactlp import (
     matrix_rank,
     point_in_hull,
     simplex_feasible,
-    solve_linear_system,
 )
 
 
@@ -20,12 +19,12 @@ def test_matrix_rank():
 
 
 def test_solve_unique_system():
-    solution = solve_linear_system([[2, 1], [1, -1]], [5, 1])
+    solution = EchelonSolver([[2, 1], [1, -1]]).solve([5, 1])
     assert solution == [Fraction(2), Fraction(1)]
 
 
 def test_solve_inconsistent_system():
-    assert solve_linear_system([[1, 1], [2, 2]], [1, 3]) is None
+    assert EchelonSolver([[1, 1], [2, 2]]).solve([1, 3]) is None
 
 
 def test_echelon_solver_reuse():

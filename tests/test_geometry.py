@@ -335,6 +335,26 @@ def test_polytope_lattice_points_handles_dependent_sets():
     assert polytope_lattice_points(square) == lattice_points_oracle(square)
 
 
+def test_polytope_lattice_points_eliminates_a_simplex_once(monkeypatch):
+    from sonckit import geometry
+
+    eliminations = []
+
+    class CountingSolver(EchelonSolver):
+        def __init__(self, rows):
+            eliminations.append(rows)
+            super().__init__(rows)
+
+    def no_rank(rows):
+        raise AssertionError("independence is read from the solver")
+
+    monkeypatch.setattr(geometry, "EchelonSolver", CountingSolver)
+    monkeypatch.setattr(geometry, "matrix_rank", no_rank)
+    triangle = [(4, 2, 0), (2, 4, 0), (0, 0, 6)]
+    assert polytope_lattice_points(triangle) == lattice_points(triangle)
+    assert len(eliminations) == 2  # one per call
+
+
 # ---------------------------------------------------------------------------
 # half support
 # ---------------------------------------------------------------------------

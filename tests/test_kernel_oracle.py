@@ -22,7 +22,6 @@ from sonckit.exactlp import (
     matrix_rank,
     point_in_hull,
     simplex_feasible,
-    solve_linear_system,
 )
 from sonckit.forms import evaluate, evaluate_many, make_form, parse_form
 from sonckit.report import analyze
@@ -65,7 +64,7 @@ def _assert_solver_agrees(rows, right_sides):
     for rhs in right_sides:
         expected = reference.solve(rhs)
         assert solver.solve(rhs) == expected
-        assert solve_linear_system(rows, rhs) == expected
+        assert EchelonSolver(rows).solve(rhs) == expected
         numerators, common = integer_numerators(rhs)
         if common == 1:
             integral = solver.solve_numerators(numerators)

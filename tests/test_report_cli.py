@@ -2,6 +2,9 @@
 
 import itertools
 import json
+import os
+import pathlib
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -370,3 +373,42 @@ def test_cli_analyze_with_search_flags(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "InfeasibleWithMargin" in out
     assert "not SONC" in out
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["grid", "--grid", "X"]])
+def test_cli_rejects_a_file_that_is_not_utf8(tmp_path, capsys, command):
+    path = tmp_path / "latin.poly"
+    path.write_bytes(b"\xff\xfe x1^2")
+    assert main([command[0], str(path), *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not UTF-8" in err
+
+
+def test_cli_analyze_default_budget_is_search_budget(monkeypatch, motzkin_file):
+    from sonckit import cli as cli_mod
+    from sonckit.certify import SearchBudget
+
+    budgets = []
+
+    def recording_analyze(form, search, budget):
+        budgets.append(budget)
+        return analyze(form)
+
+    monkeypatch.setattr(cli_mod, "analyze", recording_analyze)
+    assert main(["analyze", motzkin_file]) == 0
+    assert budgets == [SearchBudget()]
+
+
+def test_import_sonckit_leaves_numpy_unloaded():
+    """The runtime is stdlib-only: a fresh interpreter that imports the
+    package and its command line loads no numpy."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, sonckit, sonckit.cli;"
+        " print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
