@@ -22,6 +22,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import (
+    AffinelyDependentInput,
     InternalInvariantViolation,
     MonomialSquareSumHasNoCircuitNumber,
     NotNonnegativeCircuit,
@@ -151,7 +152,8 @@ def detect_circuit(
     """Check the circuit conditions and assemble the validated circuit.
 
     ``vertices``, the Newton polytope vertices of ``f`` when the caller
-    has them already (``SupportPartition.vertices``), spares the hull.
+    has them already (``SupportPartition.vertices``), spares the hull.  A
+    proper circuit's barycentric solve also decides vertex independence.
     """
     if f.is_zero:
         raise ZeroFormInput("circuit detection needs a nonzero form")
@@ -172,13 +174,14 @@ def detect_circuit(
             detail=f"squares off the vertex set: {missing}; non-square vertices: {extra}",
         )
     outer_points = sorted(vertices, key=grlex_key, reverse=True)
-    if not affinely_independent(outer_points):
-        return NotACircuit(
-            reason="affinely_dependent_vertices",
-            detail=f"vertex set {outer_points} is affinely dependent",
-        )
+    dependent = NotACircuit(
+        reason="affinely_dependent_vertices",
+        detail=f"vertex set {outer_points} is affinely dependent",
+    )
     outer = tuple((e, f.terms[e]) for e in outer_points)
     if not inner_set:
+        if not affinely_independent(outer_points):
+            return dependent
         return Circuit(
             form=f,
             outer=outer,
@@ -187,7 +190,10 @@ def detect_circuit(
             kind=CircuitKind.MONOMIAL_SQUARE_SUM,
         )
     beta = inner_set[0]
-    weights = barycentric_coordinates(beta, outer_points)
+    try:
+        weights = barycentric_coordinates(beta, outer_points)
+    except AffinelyDependentInput:
+        return dependent
     if weights is None:
         return NotACircuit(
             reason="inner_not_in_relint",

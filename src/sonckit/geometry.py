@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     AffinelyDependentInput,
     CapExceeded,
+    DimensionMismatch,
     OddDegree,
     ZeroFormInput,
 )
@@ -113,9 +114,13 @@ def barycentric_coordinates(
 
     Solves ``[vertices; all-ones] * lam = [beta; 1]`` in one elimination:
     that matrix has full column rank exactly when the vertices are
-    affinely independent.
+    affinely independent, and :class:`AffinelyDependentInput` is raised
+    otherwise.  A vertex whose length differs from ``beta``'s raises
+    :class:`DimensionMismatch`.
     """
     vertices = [tuple(v) for v in vertices]
+    if any(len(v) != len(beta) for v in vertices):
+        raise DimensionMismatch(f"a vertex of {vertices} differs in length from {beta}")
     rows: list[list[int]] = [[v[i] for v in vertices] for i in range(len(beta))]
     rows.append([1] * len(vertices))
     solver = EchelonSolver(rows)
@@ -136,35 +141,38 @@ def enumerate_simplices(
     """All simplices spanned by candidate points that contain ``beta`` in
     their relative interior.
 
-    Subsets of size 1 .. n+1 are enumerated in graded-lex order on sorted
-    vertex lists; each survivor carries its barycentric coordinates.
-    Candidates strictly above the cap raise :class:`CapExceeded`.
+    Subsets of size 1 up to the pool's affine rank plus one (larger ones
+    are dependent) are enumerated in graded-lex order on sorted vertex
+    lists; the barycentric solve rejects dependent ones and gives each
+    survivor its coordinates.  Candidates strictly above the cap raise
+    :class:`CapExceeded`, candidates of another length than ``beta``
+    :class:`DimensionMismatch`.
     """
     beta = tuple(beta)
-    dim = len(beta)
+    points = {tuple(p) for p in candidates}
+    if any(len(point) != len(beta) for point in points):
+        raise DimensionMismatch(f"a candidate differs in length from {beta}")
     # A simplex covering beta in its relative interior uses only points
     # vanishing wherever beta vanishes (weights are strictly positive).
     zero_positions = [i for i, b in enumerate(beta) if b == 0]
     pool = sorted(
-        (
-            point
-            for point in {tuple(p) for p in candidates}
-            if all(point[i] == 0 for i in zero_positions)
-        ),
+        (point for point in points if all(point[i] == 0 for i in zero_positions)),
         key=grlex_key,
     )
     if len(pool) > cap:
         raise CapExceeded(
             f"{len(pool)} candidate points for {beta} exceed the cap of {cap}"
         )
+    rank = matrix_rank([[a - b for a, b in zip(point, pool[0])] for point in pool[1:]])
     found: list[Simplex] = []
-    for size in range(1, min(len(pool), dim + 1) + 1):
+    for size in range(1, rank + 2):
         for subset in itertools.combinations(pool, size):
             if not _box_contains(subset, beta):
                 continue
-            if not affinely_independent(subset):
+            try:
+                weights = barycentric_coordinates(beta, subset)
+            except AffinelyDependentInput:
                 continue
-            weights = barycentric_coordinates(beta, subset)
             if weights is not None:
                 found.append(Simplex(vertices=subset, barycentric=weights))
     return found

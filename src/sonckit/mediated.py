@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .errors import NotNonnegativeCircuit, OddPointInDelta
+from .errors import AffinelyDependentInput, NotNonnegativeCircuit, OddPointInDelta
 from .circuits import Circuit, CircuitKind, decide_circuit_nonnegativity
 from .forms import Exponent
-from .geometry import affinely_independent, canonical_points, polytope_lattice_points
+from .geometry import canonical_points, lattice_points, polytope_lattice_points
 
 
 class SimplexClass(Enum):
@@ -62,7 +62,8 @@ def maximal_mediated_set(delta: Iterable[Exponent]) -> MediatedSet:
     Starts from all lattice points of ``conv(delta)`` and repeatedly
     deletes non-generators without a surviving midpoint witness; a
     worklist re-examines only points whose witnessing pairs died.  The
-    fixpoint is independent of deletion order.
+    fixpoint is independent of deletion order.  Generators are
+    ``NotSimplicial`` when :func:`lattice_points` finds them dependent.
     """
     generators = frozenset(canonical_points(delta))
     if not generators:
@@ -70,7 +71,10 @@ def maximal_mediated_set(delta: Iterable[Exponent]) -> MediatedSet:
     for point in generators:
         if not _is_even(point):
             raise OddPointInDelta(f"generator {point} has an odd entry")
-    lattice = polytope_lattice_points(sorted(generators))
+    try:
+        lattice, simplicial = lattice_points(sorted(generators)), True
+    except AffinelyDependentInput:
+        lattice, simplicial = polytope_lattice_points(sorted(generators)), False
     alive: set[Exponent] = set(lattice)
     even_alive = {p for p in alive if _is_even(p)}
 
@@ -108,7 +112,7 @@ def maximal_mediated_set(delta: Iterable[Exponent]) -> MediatedSet:
     star = frozenset(alive)
     mid_delta = mid_set(generators)
     lower = generators | mid_delta
-    if not affinely_independent(sorted(generators)):
+    if not simplicial:
         classification = SimplexClass.NOT_SIMPLICIAL
     elif star == lattice:
         classification = SimplexClass.H_SIMPLEX

@@ -192,6 +192,11 @@ def analyze(
                 )
             )
 
+    if not partition.i_set:
+        # Circuit forms keep their reasons above; _dedupe drops these.
+        reason = "a sum of monomial squares with positive coefficients"
+        verdicts.extend(Verdict(c, "exact", reason) for c in ("nonnegative", "SONC", "SOS"))
+
     report.necessary = necessary_condition(f, partition)
     necessary = report.necessary
     if necessary.verdict is ConditionVerdict.VIOLATED:

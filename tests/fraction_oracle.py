@@ -7,16 +7,28 @@ elimination, Gauss--Jordan on ``[M | I]`` and a phase-one simplex, all in
 sampling check that built one ``Fraction`` point per draw.  The
 differential tests require the integer kernel to return identical
 results.
+
+It also keeps the simplex enumeration ``sonckit.geometry`` ran before it
+capped subset sizes at the pool's affine rank: subsets of every size up to
+``n + 1``, each given a rank test before its barycentric solve.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from sonckit.errors import DimensionMismatch
-from sonckit.forms import RationalLike, SparseForm
+from sonckit.errors import CapExceeded, DimensionMismatch
+from sonckit.forms import Exponent, RationalLike, SparseForm, grlex_key
+from sonckit.geometry import (
+    DEFAULT_CANDIDATE_CAP,
+    Simplex,
+    _box_contains,
+    affinely_independent,
+    barycentric_coordinates,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -214,6 +226,48 @@ def point_in_hull(
     rows.append([1] * len(generators))
     rhs = list(point) + [1]
     return simplex_feasible(rows, rhs)
+
+
+def enumerate_simplices(
+    beta: Exponent,
+    candidates: Iterable[Exponent],
+    cap: int = DEFAULT_CANDIDATE_CAP,
+) -> list[Simplex]:
+    """All simplices spanned by candidate points that contain ``beta`` in
+    their relative interior.
+
+    Subsets of size 1 .. n+1 are enumerated in graded-lex order on sorted
+    vertex lists; each survivor carries its barycentric coordinates.
+    Candidates strictly above the cap raise :class:`CapExceeded`.
+    """
+    beta = tuple(beta)
+    dim = len(beta)
+    # A simplex covering beta in its relative interior uses only points
+    # vanishing wherever beta vanishes (weights are strictly positive).
+    zero_positions = [i for i, b in enumerate(beta) if b == 0]
+    pool = sorted(
+        (
+            point
+            for point in {tuple(p) for p in candidates}
+            if all(point[i] == 0 for i in zero_positions)
+        ),
+        key=grlex_key,
+    )
+    if len(pool) > cap:
+        raise CapExceeded(
+            f"{len(pool)} candidate points for {beta} exceed the cap of {cap}"
+        )
+    found: list[Simplex] = []
+    for size in range(1, min(len(pool), dim + 1) + 1):
+        for subset in itertools.combinations(pool, size):
+            if not _box_contains(subset, beta):
+                continue
+            if not affinely_independent(subset):
+                continue
+            weights = barycentric_coordinates(beta, subset)
+            if weights is not None:
+                found.append(Simplex(vertices=subset, barycentric=weights))
+    return found
 
 
 def evaluate(f: SparseForm, point: Sequence[RationalLike]) -> Fraction:

@@ -86,6 +86,27 @@ def test_detect_non_square_vertex_rejected():
     assert result.reason == "vertex_square_mismatch"
 
 
+def test_detect_affinely_dependent_vertices():
+    # The four squares form a parallelogram; (1,1,1,1) is its centre.
+    squares = "x1^2*x2^2 + x2^2*x3^2 + x3^2*x4^2 + x4^2*x1^2"
+    for text in (squares, squares + " - x1*x2*x3*x4"):
+        result = detect_circuit(parse_form(text))
+        assert isinstance(result, NotACircuit)
+        assert result.reason == "affinely_dependent_vertices"
+
+
+def test_detect_proper_circuit_takes_no_rank_test(monkeypatch):
+    from sonckit import circuits, exactlp, geometry
+
+    def no_rank(rows):
+        raise AssertionError("independence is read from the barycentric solve")
+
+    for module in (circuits, exactlp, geometry):
+        monkeypatch.setattr(module, "matrix_rank", no_rank)
+    circuit = detect_circuit(motzkin())
+    assert isinstance(circuit, Circuit) and circuit.kind is CircuitKind.PROPER
+
+
 def test_detect_zero_form():
     with pytest.raises(ZeroFormInput):
         detect_circuit(make_form(2, {}, zero_degree=2))

@@ -9,6 +9,7 @@ import pytest
 from sonckit.errors import (
     AffinelyDependentInput,
     CapExceeded,
+    DimensionMismatch,
     OddDegree,
     ZeroFormInput,
 )
@@ -168,6 +169,16 @@ def test_barycentric_rejects_dependent_vertices():
             barycentric_coordinates((3, 3), vertices)
 
 
+def test_barycentric_rejects_vertices_of_another_length():
+    for beta, vertices in (
+        ((1, 1), [(2, 0, 5), (0, 2, 5)]),
+        ((1, 1, 1), [(2, 0), (0, 2)]),
+        ((1, 1), [(2, 0), (0, 2, 0)]),
+    ):
+        with pytest.raises(DimensionMismatch):
+            barycentric_coordinates(beta, vertices)
+
+
 # ---------------------------------------------------------------------------
 # simplex enumeration
 # ---------------------------------------------------------------------------
@@ -195,6 +206,16 @@ def test_enumerate_simplices_cap():
     candidates = [(i, 8 - i) for i in range(0, 9, 2)]
     with pytest.raises(CapExceeded):
         enumerate_simplices((3, 5), candidates, cap=3)
+
+
+def test_enumerate_simplices_rejects_candidates_of_another_length():
+    for beta, candidates in (
+        ((1, 1), [(2, 0, 5), (0, 2, -1)]),
+        ((1, 1), [(2, 0, 5)]),
+        ((0, 1, 1), [(0, 2), (0, 0, 2)]),
+    ):
+        with pytest.raises(DimensionMismatch):
+            enumerate_simplices(beta, candidates)
 
 
 def test_enumerate_simplices_exhaustive_closure():

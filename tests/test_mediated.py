@@ -47,6 +47,26 @@ def test_mms_motzkin_is_m_simplex():
     assert mediated.classification is SimplexClass.M_SIMPLEX
 
 
+def test_mms_eliminates_the_generators_once(monkeypatch):
+    from sonckit import exactlp, geometry
+
+    eliminations = []
+
+    class CountingSolver(exactlp.EchelonSolver):
+        def __init__(self, rows):
+            eliminations.append(rows)
+            super().__init__(rows)
+
+    def no_rank(rows):
+        raise AssertionError("independence is read from the lattice-point solver")
+
+    monkeypatch.setattr(geometry, "EchelonSolver", CountingSolver)
+    monkeypatch.setattr(geometry, "matrix_rank", no_rank)
+    mediated = maximal_mediated_set(MOTZKIN_VERTICES)
+    assert mediated.classification is SimplexClass.M_SIMPLEX
+    assert len(eliminations) == 1
+
+
 def test_mms_unit_triangle_is_h_simplex():
     mediated = maximal_mediated_set([(0, 0), (2, 0), (0, 2)])
     assert mediated.star == mediated.lattice

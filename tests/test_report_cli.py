@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from sonckit import corpus, geometry
 from sonckit.circuits import Circuit, detect_circuit
 from sonckit.cli import main
-from sonckit.forms import make_form, save_form_file
+from sonckit.forms import make_form, parse_form, save_form_file
 from sonckit.geometry import psd_newton_precheck
 from sonckit.report import analyze, report_to_dict, verdicts_from_dict
 from sonckit.corpus import (
@@ -44,6 +44,33 @@ def test_analyze_robinson_not_sonc():
     verdict = next(v for v in report.verdicts if v.conclusion == "not SONC")
     assert verdict.certificate == "exact"
     assert "6" in verdict.reason and "3" in verdict.reason
+
+
+@pytest.mark.parametrize(
+    "text, circuit_reason",
+    [
+        ("x1^4 + x1^2*x2^2 + x2^4", "vertex_square_mismatch"),
+        ("x1^2*x2^2 + x2^2*x3^2 + x3^2*x4^2 + x4^2*x1^2", "affinely_dependent_vertices"),
+    ],
+)
+def test_analyze_sum_of_monomial_squares_that_is_no_circuit(text, circuit_reason):
+    report = analyze(parse_form(text))
+    assert report.circuit.reason == circuit_reason
+    assert [(v.conclusion, v.certificate) for v in report.verdicts] == [
+        ("nonnegative", "exact"),
+        ("SONC", "exact"),
+        ("SOS", "exact"),
+    ]
+    assert all("sum of monomial squares" in v.reason for v in report.verdicts)
+
+
+def test_analyze_monomial_square_circuit_keeps_its_reasons():
+    report = analyze(parse_form("x1^4 + x2^4 + x3^4"))
+    assert [(v.conclusion, v.reason) for v in report.verdicts] == [
+        ("nonnegative", "nonnegative circuit (strictly above the threshold)"),
+        ("SONC", "a nonnegative circuit form"),
+        ("SOS", "sum of monomial squares"),
+    ]
 
 
 def test_analyze_zero_form():
