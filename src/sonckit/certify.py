@@ -83,6 +83,14 @@ class NecessaryConditionReport:
     uncovered_inner: frozenset[Exponent]
     corollary: CorollaryReport | None
 
+    @property
+    def rules_out_sonc(self) -> bool:
+        """Exact "not SONC": the condition is violated, or it holds with
+        equality and the corollary fails."""
+        return self.verdict is ConditionVerdict.VIOLATED or (
+            self.corollary is not None and not self.corollary.passed
+        )
+
 
 def necessary_condition(
     f: SparseForm, partition: SupportPartition
@@ -212,10 +220,17 @@ def verify_decomposition(f: SparseForm, d: SoncDecomposition) -> VerificationRes
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """Largest number of free split weights the search takes on; larger
+    problems raise :class:`BudgetExceeded` before any work."""
+
     max_params: int = 6
-    infeasibility_margin: float = 1e-3
-    iterations: int = 100_000
-    seeds: int = 4
+
+
+#: Best margin above which a numeric search reports infeasibility.
+_INFEASIBILITY_MARGIN = 1e-3
+#: Adam steps over all starts, and the number of seeded starts.
+_ITERATIONS = 100_000
+_STARTS = 4
 
 
 class SearchStatus(Enum):
@@ -237,42 +252,9 @@ class SearchOutcome:
     exact: bool
 
 
-@dataclass(frozen=True)
-class _CircuitSlot:
-    beta: Exponent
-    simplex: Simplex
-    abs_inner: Fraction
-
-
-def _search_structure(f: SparseForm, partition: SupportPartition):
-    slots: list[_CircuitSlot] = []
-    nu_groups: dict[Exponent, list[int]] = {}
-    for beta in sorted(partition.i_set, key=grlex_key):
-        family = partition.simplex_families.get(beta, ())
-        if not family:
-            raise UncoveredInnerExponent(
-                f"inner exponent {beta} lies in no covering simplex"
-            )
-        indices = []
-        for simplex in family:
-            indices.append(len(slots))
-            slots.append(
-                _CircuitSlot(beta=beta, simplex=simplex, abs_inner=abs(f.terms[beta]))
-            )
-        nu_groups[beta] = indices
-    mu_groups: dict[Exponent, list[int]] = {}
-    for alpha in sorted(partition.s_set - partition.r_set, key=grlex_key):
-        members = [
-            index for index, slot in enumerate(slots) if alpha in slot.simplex.vertices
-        ]
-        mu_groups[alpha] = members
-    return slots, mu_groups, nu_groups
-
-
 def _build_exact_decomposition(
     f: SparseForm,
     partition: SupportPartition,
-    slots: Sequence[_CircuitSlot],
     problem: _SearchProblem,
     weights: Sequence[Fraction],
 ) -> SoncDecomposition | None:
@@ -283,11 +265,11 @@ def _build_exact_decomposition(
         alpha: f.terms[alpha] for alpha in partition.r_set
     }
     circuits: list[Circuit] = []
-    for slot, (nu_index, _, terms) in zip(slots, problem.slots):
+    for (beta, simplex), (nu_index, _, terms) in zip(problem.circuits, problem.slots):
         nu = weights[nu_index]
         outer_pairs = {
             alpha: weights[mu_index] * f.terms[alpha]
-            for alpha, (mu_index, _, _) in zip(slot.simplex.vertices, terms)
+            for alpha, (mu_index, _, _) in zip(simplex.vertices, terms)
         }
         if nu == 0:
             for alpha, coeff in outer_pairs.items():
@@ -297,7 +279,7 @@ def _build_exact_decomposition(
         if any(coeff == 0 for coeff in outer_pairs.values()):
             return None
         terms = dict(outer_pairs)
-        terms[slot.beta] = terms.get(slot.beta, _ZERO) + nu * f.terms[slot.beta]
+        terms[beta] = terms.get(beta, _ZERO) + nu * f.terms[beta]
         piece = make_form(f.num_vars, terms, zero_degree=f.degree)
         detected = detect_circuit(piece)
         if isinstance(detected, NotACircuit):
@@ -342,33 +324,22 @@ def sonc_feasibility_search(
     budget = budget or SearchBudget()
     if f.is_zero:
         raise ZeroFormInput("feasibility search needs a nonzero form")
-    slots, mu_groups, nu_groups = _search_structure(f, partition)
-    problem = _SearchProblem(f, slots, mu_groups, nu_groups)
+    problem = _SearchProblem(f, partition)
     if problem.size > budget.max_params:
         raise BudgetExceeded(
             f"{problem.size} free weights exceed the budget of {budget.max_params}"
         )
-    if not slots:
-        remainder = make_form(
-            f.num_vars,
-            {alpha: f.terms[alpha] for alpha in partition.r_set},
-            zero_degree=f.degree,
-        )
-        decomposition = SoncDecomposition(circuits=(), monomial_square_remainder=remainder)
-        if verify_decomposition(f, decomposition).valid:
-            return SearchOutcome(SearchStatus.FEASIBLE, 0.0, decomposition, exact=True)
-        raise UncoveredInnerExponent("no circuits and remainder does not reproduce f")
-
     if problem.size == 0:
+        # Every split is forced; with no inner exponent the remainder is f.
         ones = [_ONE] * problem.weight_count
-        decomposition = _build_exact_decomposition(f, partition, slots, problem, ones)
+        decomposition = _build_exact_decomposition(f, partition, problem, ones)
         if decomposition is not None and verify_decomposition(f, decomposition).valid:
             return SearchOutcome(SearchStatus.FEASIBLE, 0.0, decomposition, exact=True)
         # Floats for the report only; the infeasibility itself is exact.
         values, _ = problem.margins([1.0] * problem.weight_count)
         return SearchOutcome(SearchStatus.INFEASIBLE, max(values), None, exact=True)
 
-    best_margin, best_weights = _optimize(problem, budget)
+    best_margin, best_weights = _optimize(problem)
     if best_margin <= 1e-6:
         # Promising enough to try the exact gate; rounding hits boundary
         # optima (weights like 1/2) exactly via continued fractions.
@@ -378,58 +349,75 @@ def sonc_feasibility_search(
         ]
         if all(group is not None for group in groups):
             exact = [weight for group in groups for weight in group]
-            decomposition = _build_exact_decomposition(
-                f, partition, slots, problem, exact
-            )
+            decomposition = _build_exact_decomposition(f, partition, problem, exact)
             if decomposition is not None and verify_decomposition(f, decomposition).valid:
                 return SearchOutcome(
                     SearchStatus.FEASIBLE, best_margin, decomposition, exact=True
                 )
     if best_margin <= 1e-9:
         return SearchOutcome(SearchStatus.FEASIBLE, best_margin, None, exact=False)
-    if best_margin > budget.infeasibility_margin:
+    if best_margin > _INFEASIBILITY_MARGIN:
         return SearchOutcome(SearchStatus.INFEASIBLE, best_margin, None, exact=False)
     return SearchOutcome(SearchStatus.INCONCLUSIVE, best_margin, None, exact=False)
 
 
 class _SearchProblem:
-    """Float-side view of the weight-splitting problem, resolved once into
-    flat index lists.
+    """The weight-splitting problem of a support partition, laid out once
+    as flat index lists for the float search and the exact gate.
 
-    All split weights sit in one list: the square groups, then the inner
-    groups, each in slot order.  ``groups`` holds ``(theta offset, first
-    weight, size)`` per group; a group of size s reads s - 1 logits from
-    theta, its first logit being pinned at 0.  ``slots`` holds
-    ``(nu index, |f_beta|, [(mu index, lambda, log f_alpha - log lambda)])``
-    per circuit slot.  ``size`` is the number of free weights.
+    ``circuits`` holds ``(beta, simplex)`` per circuit slot: inner
+    exponents in graded-lex order, each followed by its covering family.
+    All split weights sit in one list: one group per used square (the
+    slots whose simplex has it as a vertex), then one per inner exponent
+    (the slots of its family), each in graded-lex and then slot order.
+    ``groups`` holds ``(theta offset, first weight, size)`` per group; a
+    group of size s reads s - 1 logits from theta, its first logit being
+    pinned at 0.  ``slots`` holds ``(nu index, |f_beta|, [(mu index,
+    lambda, log f_alpha - log lambda)])`` per circuit slot.  ``size`` is
+    the number of free weights.  An inner exponent with no covering
+    simplex raises :class:`UncoveredInnerExponent`.
     """
 
-    def __init__(self, f, slots, mu_groups, nu_groups):
+    def __init__(self, f: SparseForm, partition: SupportPartition):
+        # Square and inner exponents are disjoint, so one map holds the
+        # slot indices of both kinds of group.
+        used = sorted(partition.s_set - partition.r_set, key=grlex_key)
+        members: dict[Exponent, list[int]] = {alpha: [] for alpha in used}
+        self.circuits: list[tuple[Exponent, Simplex]] = []
+        for beta in sorted(partition.i_set, key=grlex_key):
+            family = partition.simplex_families.get(beta, ())
+            if not family:
+                raise UncoveredInnerExponent(
+                    f"inner exponent {beta} lies in no covering simplex"
+                )
+            for simplex in family:
+                for key in (beta, *simplex.vertices):
+                    members.setdefault(key, []).append(len(self.circuits))
+                self.circuits.append((beta, simplex))
         self.groups: list[tuple[int, int, int]] = []
         self.size = 0
         self.weight_count = 0
-        # Square and inner exponents are disjoint, so one map serves both.
         position: dict[tuple[Exponent, int], int] = {}
-        for key, members in [*mu_groups.items(), *nu_groups.items()]:
-            self.groups.append((self.size, self.weight_count, len(members)))
-            for index in members:
+        for key, indices in members.items():
+            self.groups.append((self.size, self.weight_count, len(indices)))
+            for index in indices:
                 position[key, index] = self.weight_count
                 self.weight_count += 1
-            self.size += len(members) - 1
+            self.size += len(indices) - 1
         self.slots = [
             (
-                position[slot.beta, index],
-                float(slot.abs_inner),
+                position[beta, index],
+                float(abs(f.terms[beta])),
                 [
                     (
                         position[alpha, index],
                         float(lam),
                         math.log(float(f.terms[alpha])) - math.log(float(lam)),
                     )
-                    for alpha, lam in zip(slot.simplex.vertices, slot.simplex.barycentric)
+                    for alpha, lam in zip(simplex.vertices, simplex.barycentric)
                 ],
             )
-            for index, slot in enumerate(slots)
+            for index, (beta, simplex) in enumerate(self.circuits)
         ]
 
     def weights(self, theta: Sequence[float]) -> list[float]:
@@ -489,18 +477,17 @@ class _SearchProblem:
         return gradient
 
 
-def _optimize(problem: _SearchProblem, budget: SearchBudget) -> tuple[float, list[float]]:
+def _optimize(problem: _SearchProblem) -> tuple[float, list[float]]:
     """Best hard margin found and the split weights that reach it."""
     size = problem.size
     scale = max(abs_inner for _, abs_inner, _ in problem.slots)
-    starts = max(budget.seeds, 1)
-    per_start = max(300, budget.iterations // starts)
+    per_start = _ITERATIONS // _STARTS
     taus = [0.3 * scale, 0.03 * scale, 0.003 * scale, 0.0003 * scale]
     phase = 300
 
     best_margin = math.inf
     best_weights = problem.weights([0.0] * size)
-    for start in range(starts):
+    for start in range(_STARTS):
         rng = random.Random(1000 + start)
         theta = [rng.uniform(-1.0, 1.0) for _ in range(size)]
         moment = [0.0] * size

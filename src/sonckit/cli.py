@@ -27,12 +27,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     except (OSError, SonckitError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    budget = SearchBudget(
-        max_params=args.max_params,
-        infeasibility_margin=args.margin,
-        iterations=args.iters,
-        seeds=args.seeds,
-    )
+    budget = SearchBudget(max_params=args.max_params)
     try:
         report = analyze(form, search=args.search, budget=budget)
     except InternalInvariantViolation as error:
@@ -166,11 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_p.add_argument(
         "--mms", action="store_true", help="print mediated-set detail"
     )
-    defaults = SearchBudget()
-    analyze_p.add_argument("--max-params", type=int, default=defaults.max_params)
-    analyze_p.add_argument("--margin", type=float, default=defaults.infeasibility_margin)
-    analyze_p.add_argument("--iters", type=int, default=defaults.iterations)
-    analyze_p.add_argument("--seeds", type=int, default=defaults.seeds)
+    analyze_p.add_argument("--max-params", type=int, default=SearchBudget().max_params)
     analyze_p.set_defaults(func=_cmd_analyze)
 
     corpus_p = sub.add_parser("corpus", help="run the built-in regression corpus")

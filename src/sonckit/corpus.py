@@ -19,8 +19,6 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .certify import (
-    ConditionVerdict,
-    NecessaryConditionReport,
     SearchStatus,
     necessary_condition,
     per_simplex_weights,
@@ -270,16 +268,6 @@ def _proper_circuit(report: AnalysisReport) -> Circuit:
     return report.circuit
 
 
-def _is_not_sonc_exact(report: NecessaryConditionReport) -> bool:
-    if report.verdict is ConditionVerdict.VIOLATED:
-        return True
-    return (
-        report.verdict is ConditionVerdict.EQUALITY
-        and report.corollary is not None
-        and not report.corollary.passed
-    )
-
-
 def _check_necessary(f: SparseForm, report: AnalysisReport, arg: str) -> str:
     necessary = report.necessary
     return (
@@ -289,7 +277,7 @@ def _check_necessary(f: SparseForm, report: AnalysisReport, arg: str) -> str:
 
 
 def _check_not_sonc_exact(f: SparseForm, report: AnalysisReport, arg: str) -> str:
-    return str(_is_not_sonc_exact(report.necessary))
+    return str(report.necessary.rules_out_sonc)
 
 
 def _check_corollary_first_violation(
@@ -426,8 +414,8 @@ def _check_reduction_preserved(f: SparseForm, report: AnalysisReport, arg: str) 
         embed_variables(f, 1),
         multiply_monomial_square(f, f.num_vars, 1),
     )
-    if _is_not_sonc_exact(report.necessary) and all(
-        _is_not_sonc_exact(necessary_condition(g, support_partition(g)))
+    if report.necessary.rules_out_sonc and all(
+        necessary_condition(g, support_partition(g)).rules_out_sonc
         for g in transformed
     ):
         return "preserved"

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     AffinelyDependentInput,
@@ -217,44 +217,29 @@ def support_partition(
 # lattice points
 # ---------------------------------------------------------------------------
 
-def _bounded_compositions(
-    total: int, lows: Sequence[int], highs: Sequence[int]
-) -> Iterator[Exponent]:
-    """Integer tuples within [lows, highs] summing to ``total``."""
-    n = len(lows)
-
-    def rec(position: int, remaining: int, prefix: tuple[int, ...]) -> Iterator[Exponent]:
-        if position == n - 1:
-            if lows[position] <= remaining <= highs[position]:
-                yield prefix + (remaining,)
-            return
-        tail_low = sum(lows[position + 1 :])
-        tail_high = sum(highs[position + 1 :])
-        start = max(lows[position], remaining - tail_high)
-        stop = min(highs[position], remaining - tail_low)
-        for value in range(start, stop + 1):
-            yield from rec(position + 1, remaining - value, prefix + (value,))
-
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
-    yield from rec(0, total, ())
-
-
-def _integer_candidates(points: Sequence[Sequence[Fraction]]) -> Iterator[Exponent]:
+def _integer_candidates(points: Sequence[Sequence[Fraction]]) -> list[Exponent]:
     """Integer points of the bounding box, restricted to the total-degree
     range spanned by the generators (convexity makes the restriction
-    exact for the hull)."""
+    exact for the hull).  Prefixes grow one coordinate at a time and keep
+    only values from which that range stays reachable, so a degree-d
+    simplex in n variables does not cost a box of (d + 1)^n points."""
     dim = len(points[0])
     lows = [math.ceil(min(p[i] for p in points)) for i in range(dim)]
     highs = [math.floor(max(p[i] for p in points)) for i in range(dim)]
-    if any(lo > hi for lo, hi in zip(lows, highs)):
-        return
     degree_low = math.ceil(min(sum(p) for p in points))
     degree_high = math.floor(max(sum(p) for p in points))
-    for total in range(degree_low, degree_high + 1):
-        yield from _bounded_compositions(total, lows, highs)
+    prefixes: list[tuple[Exponent, int]] = [((), 0)]
+    for i in range(dim):
+        rest_low, rest_high = sum(lows[i + 1 :]), sum(highs[i + 1 :])
+        prefixes = [
+            ((*prefix, value), total + value)
+            for prefix, total in prefixes
+            for value in range(
+                max(lows[i], degree_low - total - rest_high),
+                min(highs[i], degree_high - total - rest_low) + 1,
+            )
+        ]
+    return [prefix for prefix, _ in prefixes]
 
 
 def lattice_points(simplex_vertices: Sequence[Exponent]) -> frozenset[Exponent]:
@@ -279,11 +264,22 @@ def lattice_points(simplex_vertices: Sequence[Exponent]) -> frozenset[Exponent]:
     return frozenset(inside)
 
 
+def hull_lattice_points(points: Sequence[Exponent]) -> frozenset[Exponent]:
+    """Integer points of conv(points), each candidate decided by the exact
+    LP; for nonempty point sets that may be affinely dependent."""
+    unique = canonical_points(points)
+    return frozenset(
+        candidate
+        for candidate in _integer_candidates(unique)
+        if point_in_hull(candidate, unique) is not None
+    )
+
+
 def polytope_lattice_points(points: Sequence[Exponent]) -> frozenset[Exponent]:
     """Integer points of conv(points) for arbitrary finite point sets.
 
     Affinely independent sets go through the fast barycentric route;
-    otherwise each candidate is decided by the exact LP.
+    otherwise :func:`hull_lattice_points` decides each candidate by LP.
     """
     unique = canonical_points(points)
     if not unique:
@@ -291,13 +287,7 @@ def polytope_lattice_points(points: Sequence[Exponent]) -> frozenset[Exponent]:
     try:
         return lattice_points(unique)
     except AffinelyDependentInput:
-        pass
-    inside = [
-        candidate
-        for candidate in _integer_candidates(unique)
-        if point_in_hull(candidate, unique) is not None
-    ]
-    return frozenset(inside)
+        return hull_lattice_points(unique)
 
 
 def half_newton_support(f: SparseForm) -> frozenset[Exponent]:

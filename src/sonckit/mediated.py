@@ -19,7 +19,9 @@ from typing import Iterable
 from .errors import AffinelyDependentInput, NotNonnegativeCircuit, OddPointInDelta
 from .circuits import Circuit, CircuitKind, decide_circuit_nonnegativity
 from .forms import Exponent
-from .geometry import canonical_points, lattice_points, polytope_lattice_points
+from .geometry import (
+    canonical_points, hull_lattice_points, lattice_points, polytope_lattice_points
+)
 
 
 class SimplexClass(Enum):
@@ -63,7 +65,8 @@ def maximal_mediated_set(delta: Iterable[Exponent]) -> MediatedSet:
     deletes non-generators without a surviving midpoint witness; a
     worklist re-examines only points whose witnessing pairs died.  The
     fixpoint is independent of deletion order.  Generators are
-    ``NotSimplicial`` when :func:`lattice_points` finds them dependent.
+    ``NotSimplicial`` when :func:`lattice_points` finds them dependent;
+    their lattice points then come from :func:`hull_lattice_points`.
     """
     generators = frozenset(canonical_points(delta))
     if not generators:
@@ -74,7 +77,7 @@ def maximal_mediated_set(delta: Iterable[Exponent]) -> MediatedSet:
     try:
         lattice, simplicial = lattice_points(sorted(generators)), True
     except AffinelyDependentInput:
-        lattice, simplicial = polytope_lattice_points(sorted(generators)), False
+        lattice, simplicial = hull_lattice_points(sorted(generators)), False
     alive: set[Exponent] = set(lattice)
     even_alive = {p for p in alive if _is_even(p)}
 

@@ -199,33 +199,25 @@ def analyze(
 
     report.necessary = necessary_condition(f, partition)
     necessary = report.necessary
-    if necessary.verdict is ConditionVerdict.VIOLATED:
+    if necessary.rules_out_sonc:
         if necessary.uncovered_inner:
             uncovered = sorted(necessary.uncovered_inner, key=grlex_key)
             reason = (
                 f"inner exponents {uncovered} lie in no simplex spanned by"
                 " monomial squares"
             )
-        else:
+        elif necessary.verdict is ConditionVerdict.VIOLATED:
             reason = (
                 f"inner coefficient sum {necessary.inner_sum} exceeds the"
                 f" available square coefficient sum {necessary.outer_sum}"
             )
-        verdicts.append(Verdict("not SONC", "exact", reason))
-    elif (
-        necessary.verdict is ConditionVerdict.EQUALITY
-        and necessary.corollary is not None
-        and not necessary.corollary.passed
-    ):
-        violation = necessary.corollary.violations[0]
-        verdicts.append(
-            Verdict(
-                "not SONC",
-                "exact",
+        else:
+            violation = necessary.corollary.violations[0]
+            reason = (
                 f"equality case forces coefficient of {violation.alpha} to be"
-                f" at least {violation.bound}, found {violation.coefficient}",
+                f" at least {violation.bound}, found {violation.coefficient}"
             )
-        )
+        verdicts.append(Verdict("not SONC", "exact", reason))
 
     if search:
         try:

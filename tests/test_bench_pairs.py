@@ -1,7 +1,8 @@
-"""Argument checks of ``tools/bench_pairs.py``; no benchmark is run."""
+"""Checks of ``tools/bench_pairs.py``; no benchmark is run."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -9,11 +10,16 @@ import pytest
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 
 
-@pytest.fixture
-def bench_pairs(monkeypatch):
+def _load():
     spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def bench_pairs(monkeypatch):
+    module = _load()
 
     def no_runs(*args, **kwargs):
         raise AssertionError("a benchmark run started")
@@ -57,3 +63,46 @@ def test_bad_workload_is_rejected_before_any_run(
     assert exit_info.value.code == 2
     assert message in capsys.readouterr().err
     assert not (checkout / "BENCH.json").exists()
+
+
+def test_every_run_compiles_from_source(monkeypatch, tmp_path):
+    """Both sides look bytecode up in one empty directory outside both
+    checkouts and write none, whatever ``__pycache__`` either holds."""
+    module = _load()
+    contract = {
+        "run_seconds": 36,
+        "workloads": [{"name": "corpus"}],
+        "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower"}],
+    }
+    sides = {side: tmp_path / side for side in ("parent", "change")}
+    for checkout in sides.values():
+        (checkout / "__pycache__").mkdir(parents=True)
+        (checkout / "BENCHMARK.json").write_text(json.dumps(contract))
+    info = {"info": {"python": "3", "numpy": None, "cpu_count": 2, "shares": {}}}
+    result = {
+        "metrics": {"wall_s": {"value": 1.0, "unit": "s"}},
+        "correct": True, "attempted": 1, "failed": 0,
+    }
+    runs = []
+
+    def fake_run(command, cwd, env, **kwargs):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        runs.append((cwd, prefix, env["PYTHONDONTWRITEBYTECODE"], list(prefix.iterdir())))
+        stdout = json.dumps(info) + "\n" + json.dumps(result) + "\n"
+        return subprocess.CompletedProcess(command, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(module.subprocess, "run", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert module.main([
+        "--parent", str(sides["parent"]), "--change", str(sides["change"]),
+        "--workload", "corpus=2", "--first-seed", "1", "--pr", "1",
+        "--summary", "s", "--out", str(out),
+    ]) == 0
+    assert sorted(cwd.name for cwd, *_ in runs) == ["change"] * 3 + ["parent"] * 3
+    prefixes = {prefix for _, prefix, _, _ in runs}
+    assert len(prefixes) == 1
+    (prefix,) = prefixes
+    assert all(checkout not in prefix.parents for checkout in sides.values())
+    assert all(flag == "1" and not listing for _, _, flag, listing in runs)
+    assert not prefix.exists()
+    assert json.loads(out.read_text())["run_health"]["corpus"]["parent"]["failed"] == [0, 0]

@@ -18,7 +18,6 @@ from sonckit.errors import (
 from sonckit.certify import (
     ConditionVerdict,
     _SearchProblem,
-    _search_structure,
     SearchBudget,
     SearchStatus,
     SoncDecomposition,
@@ -70,6 +69,14 @@ def test_necessary_condition_inconclusive_cases():
     for f in (schmuedgen(), square_trinomial()):
         report = _report(f)
         assert report.verdict is ConditionVerdict.STRICTLY_SATISFIED
+
+
+def test_necessary_condition_rules_out_sonc():
+    # Violated, equality with a failed corollary, equality with a passed
+    # corollary, strictly satisfied.
+    expected = {"robinson1": True, "p_2_6": True, "motzkin": False, "schmuedgen": False}
+    for name, rules_out in expected.items():
+        assert _report(FORM_BUILDERS[name]()).rules_out_sonc is rules_out, name
 
 
 def test_necessary_condition_zero_form():
@@ -286,12 +293,15 @@ def test_search_zero_parameter_infeasibility_is_exact():
 
 
 def test_search_pure_square_sum():
-    f = parse_form("x1^4 + x2^4")
-    outcome = sonc_feasibility_search(f, support_partition(f))
-    assert outcome.status is SearchStatus.FEASIBLE and outcome.exact
-    assert outcome.decomposition is not None
-    assert outcome.decomposition.circuits == ()
-    assert verify_decomposition(f, outcome.decomposition).valid
+    # The second form is a sum of squares but no circuit.
+    for text in ("x1^4 + x2^4", "x1^4 + x1^2*x2^2 + x2^4"):
+        f = parse_form(text)
+        outcome = sonc_feasibility_search(f, support_partition(f))
+        assert outcome.status is SearchStatus.FEASIBLE and outcome.exact, text
+        assert outcome.decomposition is not None
+        assert outcome.decomposition.circuits == ()
+        assert outcome.decomposition.monomial_square_remainder == f
+        assert verify_decomposition(f, outcome.decomposition).valid
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +314,7 @@ _TAU_PHASES = (0.3, 0.03, 0.003, 0.0003)
 
 
 def _search_problem(f):
-    slots, mu_groups, nu_groups = _search_structure(f, support_partition(f))
-    return _SearchProblem(f, slots, mu_groups, nu_groups), slots, mu_groups, nu_groups
+    return _SearchProblem(f, support_partition(f))
 
 
 @pytest.fixture(scope="module")
@@ -315,7 +324,7 @@ def corpus_problems():
     for name, build in FORM_BUILDERS.items():
         f = build()
         try:
-            problem, *_ = _search_problem(f)
+            problem = _search_problem(f)
         except UncoveredInnerExponent:
             continue
         if problem.size:
@@ -347,16 +356,15 @@ def test_search_forward_pass_matches_reference_margins():
     rng = random.Random(11)
     for name, build in FORM_BUILDERS.items():
         f = build()
+        partition = support_partition(f)
         try:
-            problem, slots, mu_groups, nu_groups = _search_problem(f)
+            problem = _SearchProblem(f, partition)
         except UncoveredInnerExponent:
             continue
         for _ in range(5):
             theta = [rng.uniform(-3.0, 3.0) for _ in range(problem.size)]
             values, _ = problem.margins(problem.weights(theta))
-            expected = search_oracle.reference_margins(
-                f, slots, mu_groups, nu_groups, theta
-            )
+            expected = search_oracle.reference_margins(f, partition, theta)
             assert values == expected, name
 
 
@@ -398,7 +406,7 @@ def test_search_gradient_is_flat_below_the_weight_clamp(corpus_problems):
 def test_search_gradient_matches_central_difference_on_trinomial_family(
     c, logit, phase
 ):
-    problem, *_ = _search_problem(_trinomial_family_form(c))
+    problem = _search_problem(_trinomial_family_form(c))
     assert problem.size == 1
     scale = max(abs_inner for _, abs_inner, _ in problem.slots)
     _assert_gradient_matches_oracle(problem, [logit], phase * scale)

@@ -1,6 +1,7 @@
 """Newton-polytope geometry: hull vertices, simplex families, lattice points."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -349,6 +350,36 @@ def test_lattice_points_matches_brute_force_scan():
             continue
         cases += 1
         assert lattice_points(points) == lattice_points_oracle(points)
+
+
+def test_integer_candidates_are_the_box_points_in_the_degree_range():
+    from sonckit.geometry import _integer_candidates
+
+    rng = random.Random(41)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        points = [
+            tuple(Fraction(rng.randint(0, 12), rng.choice((1, 2))) for _ in range(n))
+            for _ in range(rng.randint(1, 4))
+        ]
+        lows = [math.ceil(min(p[i] for p in points)) for i in range(n)]
+        highs = [math.floor(max(p[i] for p in points)) for i in range(n)]
+        degrees = [sum(p) for p in points]
+        expected = {
+            candidate
+            for candidate in itertools.product(
+                *(range(lo, hi + 1) for lo, hi in zip(lows, highs))
+            )
+            if min(degrees) <= sum(candidate) <= max(degrees)
+        }
+        candidates = _integer_candidates(points)
+        assert len(candidates) == len(expected) and set(candidates) == expected, points
+
+
+def test_lattice_points_of_a_nine_variable_simplex():
+    # 3003 = C(14, 8) points of degree 6, out of 7**9 in the bounding box.
+    vertices = [tuple(6 * (i == j) for i in range(9)) for j in range(9)]
+    assert len(lattice_points(vertices)) == 3003
 
 
 def test_polytope_lattice_points_handles_dependent_sets():

@@ -67,6 +67,24 @@ def test_mms_eliminates_the_generators_once(monkeypatch):
     assert len(eliminations) == 1
 
 
+def test_mms_of_dependent_generators_runs_lattice_points_once(monkeypatch):
+    from sonckit import geometry, mediated as mediated_module
+
+    calls = []
+    original = geometry.lattice_points
+
+    def counting_lattice_points(vertices):
+        calls.append(vertices)
+        return original(vertices)
+
+    monkeypatch.setattr(geometry, "lattice_points", counting_lattice_points)
+    monkeypatch.setattr(mediated_module, "lattice_points", counting_lattice_points)
+    mediated = maximal_mediated_set([(0, 0), (2, 0), (0, 2), (2, 2)])
+    assert len(calls) == 1
+    assert mediated.classification is SimplexClass.NOT_SIMPLICIAL
+    assert len(mediated.lattice) == 9
+
+
 def test_mms_unit_triangle_is_h_simplex():
     mediated = maximal_mediated_set([(0, 0), (2, 0), (0, 2)])
     assert mediated.star == mediated.lattice

@@ -394,12 +394,19 @@ def test_cli_analyze_with_search_flags(tmp_path, capsys):
 
     path = tmp_path / "square.poly"
     save_form_file(str(path), square_trinomial())
-    assert main(
-        ["analyze", str(path), "--search", "--seeds", "2", "--iters", "4000"]
-    ) == 0
+    assert main(["analyze", str(path), "--search"]) == 0
     out = capsys.readouterr().out
     assert "InfeasibleWithMargin" in out
     assert "not SONC" in out
+
+
+def test_cli_analyze_search_budget_is_max_params_only(capsys):
+    with pytest.raises(SystemExit):
+        main(["analyze", "--help"])
+    out = capsys.readouterr().out
+    assert "--max-params" in out
+    for gone in ("--margin", "--iters", "--seeds"):
+        assert gone not in out
 
 
 @pytest.mark.parametrize("command", [["analyze"], ["grid", "--grid", "X"]])

@@ -12,7 +12,9 @@ benchmarks that checkout's ``src/``, for the ``run_seconds`` the parent's
 pairs on seeds ``first-seed`` to ``first-seed + N - 1``; the parent runs
 first in odd-numbered pairs and the change first in even-numbered ones.
 Then one ``--trace 1`` run per side on seed :data:`TRACE_SEED` gives the
-per-layer numbers.  Quartiles are ``statistics.quantiles(n=4,
+per-layer numbers.  Every run compiles its imports from source, as in a
+fresh checkout, whatever ``__pycache__`` either checkout holds: see
+:func:`run_bench`.  Quartiles are ``statistics.quantiles(n=4,
 method="inclusive")`` over the runs; ``pairs_change_better`` counts the
 pairs in which the change's value is strictly better, in the direction
 ``BENCHMARK.json`` gives for the metric.  ``notes`` is left empty for the
@@ -23,21 +25,31 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 #: Seed of the traced runs, the same in every BENCH file.
 TRACE_SEED = 7
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
-    """One benchmark run; returns its ``info`` and its result line."""
+def run_bench(
+    checkout: Path, workload: str, seed: int, seconds: float, trace: int, cache: Path
+) -> tuple[dict, dict]:
+    """One benchmark run; returns its ``info`` and its result line.
+
+    Bytecode is looked up only in the empty directory ``cache`` and
+    written nowhere, so a ``__pycache__`` left in one checkout cannot make
+    that side's imports cheaper.
+    """
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": str(cache), "PYTHONDONTWRITEBYTECODE": "1"}
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True, check=True,
+        cwd=checkout, env=env, capture_output=True, text=True, check=True,
     )
     *_, info, result = done.stdout.strip().splitlines()
     return json.loads(info)["info"], json.loads(result)
@@ -61,7 +73,7 @@ def compare(unit: str, better: str, parent: list[float], change: list[float]) ->
 
 
 def bench_workload(
-    args, seconds: float, name: str, pairs: int, better: dict[str, str]
+    args, seconds: float, name: str, pairs: int, better: dict[str, str], cache: Path
 ) -> tuple[dict, dict]:
     sides = {"parent": args.parent, "change": args.change}
     results: dict[str, list[dict]] = {"parent": [], "change": []}
@@ -69,7 +81,9 @@ def bench_workload(
     for k in range(pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
-            info, result = run_bench(sides[side], name, args.first_seed + k, seconds, 0)
+            info, result = run_bench(
+                sides[side], name, args.first_seed + k, seconds, 0, cache
+            )
             results[side].append(result)
             print(f"{name} seed {args.first_seed + k} {side}: "
                   f"wall_s {result['metrics']['wall_s']['value']:.3f}", file=sys.stderr)
@@ -86,7 +100,9 @@ def bench_workload(
         side: {key: [r[key] for r in runs] for key in ("correct", "attempted", "failed")}
         for side, runs in results.items()
     }
-    traced = {side: run_bench(sides[side], name, TRACE_SEED, seconds, 1) for side in sides}
+    traced = {
+        side: run_bench(sides[side], name, TRACE_SEED, seconds, 1, cache) for side in sides
+    }
     layers = {
         metric: {
             "unit": value["unit"],
@@ -155,12 +171,15 @@ def main(argv: list[str] | None = None) -> int:
         layered: {},
         "notes": [],
     }
-    for name, pairs in workloads:
-        sections, out["machine"] = bench_workload(args, seconds, name, pairs, better)
-        out["end_to_end"][name] = sections["end_to_end"]
-        out["run_health"][name] = sections["run_health"]
-        out[layered][name] = sections["per_layer"]
-        args.out.write_text(json.dumps(out, indent=1) + "\n")
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        for name, pairs in workloads:
+            sections, out["machine"] = bench_workload(
+                args, seconds, name, pairs, better, Path(cache)
+            )
+            out["end_to_end"][name] = sections["end_to_end"]
+            out["run_health"][name] = sections["run_health"]
+            out[layered][name] = sections["per_layer"]
+            args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 
 
