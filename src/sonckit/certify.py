@@ -48,6 +48,9 @@ class ConditionVerdict(Enum):
     VIOLATED = "Violated"
     EQUALITY = "Equality"
     STRICTLY_SATISFIED = "StrictlySatisfied"
+    #: No inner exponent: both sums are empty, and there is nothing to
+    #: compare or to bound.
+    VACUOUS = "Vacuous"
 
 
 @dataclass(frozen=True)
@@ -73,8 +76,9 @@ class NecessaryConditionReport:
 
     ``uncovered_inner`` lists inner exponents covered by no simplex; any
     such exponent already rules out a cancellation-free decomposition, so
-    the verdict is ``VIOLATED`` whenever it is nonempty.  The corollary
-    report is attached exactly in the equality case.
+    the verdict is ``VIOLATED`` whenever it is nonempty.  A form with no
+    inner exponent gets ``VACUOUS``.  The corollary report is attached
+    exactly in the equality case.
     """
 
     inner_sum: Fraction
@@ -100,7 +104,9 @@ def necessary_condition(
     inner_sum = sum((abs(f.terms[b]) for b in partition.i_set), _ZERO)
     outer_sum = sum((f.terms[a] for a in partition.s_set - partition.r_set), _ZERO)
     uncovered = partition.uncovered_inner
-    if uncovered or inner_sum > outer_sum:
+    if not partition.i_set:
+        verdict = ConditionVerdict.VACUOUS
+    elif uncovered or inner_sum > outer_sum:
         verdict = ConditionVerdict.VIOLATED
     elif inner_sum == outer_sum:
         verdict = ConditionVerdict.EQUALITY

@@ -428,19 +428,35 @@ def _check_no_not_sonc(f: SparseForm, report: AnalysisReport, arg: str) -> str:
     return "ok" if not bad else ";".join(sorted(bad))
 
 
+def _sampling_coordinates(rng: random.Random, k: int) -> list[int]:
+    """``[rng.randint(-24, 24) for _ in range(k)]``, drawn without ``randint``.
+
+    CPython's ``randint(-24, 24)`` is ``-24 + rng._randbelow(49)``, which
+    draws ``getrandbits(6)`` (49 has 6 bits) and redraws while the value
+    is 49 or more.  Each round below makes exactly as many draws as
+    coordinates are still missing, so the kept values and the generator's
+    final state are those of the ``randint`` loop.
+    """
+    coordinates: list[int] = []
+    while len(coordinates) < k:
+        draws = map(rng.getrandbits, [6] * (k - len(coordinates)))
+        coordinates += [v - 24 for v in draws if v < 49]
+    return coordinates
+
+
 def _check_sampling_nonneg(f: SparseForm, report: AnalysisReport, arg: str) -> str:
     """Seeded points ``p / 8`` with integer ``p`` in ``[-24, 24]``.  By
     homogeneity ``f(p / 8)`` has the sign of ``f(p)``, so the integer
     points are evaluated in batches and ``Fraction``s are built only for
-    the first negative one."""
+    the first negative one.  The coordinates come from
+    :func:`_sampling_coordinates`, point by point, in the order and with
+    the values of ``rng.randint(-24, 24)``."""
     count = int(arg)
     rng = random.Random(f"sampling:{f.name}")
     n = f.num_vars
     for start in range(0, count, _SAMPLING_BATCH):
-        points = [
-            tuple(rng.randint(-3 * 8, 3 * 8) for _ in range(n))
-            for _ in range(min(_SAMPLING_BATCH, count - start))
-        ]
+        flat = _sampling_coordinates(rng, n * min(_SAMPLING_BATCH, count - start))
+        points = list(zip(*[iter(flat)] * n))
         values, _ = evaluate_many(f, points)
         for point, value in zip(points, values):
             if value < 0:

@@ -29,8 +29,12 @@ def integer_numerators(values: Sequence[Fraction | int]) -> tuple[list[int], int
 
     Returns ``(numerators, denominator)`` with
     ``values[i] == Fraction(numerators[i], denominator)``.  Anything
-    ``Fraction`` accepts is accepted.
+    ``Fraction`` accepts is accepted.  A list of plain ints, such as an
+    exponent row or a batch of integer points, comes back as a copy over
+    denominator 1 without the per-value normalisation.
     """
+    if all(type(v) is int for v in values):
+        return list(values), 1
     exact = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     common = math.lcm(*[v.denominator for v in exact])
     if common == 1:

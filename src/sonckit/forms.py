@@ -3,9 +3,10 @@
 A form is stored as a map from exponent tuples to nonzero ``Fraction``
 coefficients.  All arithmetic is exact; floating point enters only through
 the explicitly approximate ``evaluate_float``.  Exact evaluation has one
-kernel, ``evaluate_many``: it clears denominators once per batch of points
-and returns integer numerators over one denominator; ``evaluate`` is that
-kernel on a batch of one.
+kernel, ``evaluate_many``: it clears denominators once per batch of points,
+computes each power of a coordinate column once for all the terms that
+share it, and returns integer numerators over one denominator;
+``evaluate`` is that kernel on a batch of one.
 
 Variables are written ``x1, x2, ...`` in text.  The grammar (whitespace
 ignored) is:
@@ -313,9 +314,11 @@ def evaluate_many(
     ``denominator > 0``, so signs and zeros can be read off the ints.
     The coefficients are cleared to integer numerators once per call and
     every coordinate of the batch is written over one common denominator
-    ``D``; homogeneity gives ``f(p / D) = f(p) / D**degree``.  Each term is
-    then multiplied out over the whole batch, one coordinate column at a
-    time, in Python ints; no ``Fraction`` is built.
+    ``D``; homogeneity gives ``f(p / D) = f(p) / D**degree``.  Each power
+    column ``v**power`` of a (variable, power) pair is computed once per
+    batch and shared by every term with that pair; each term is then
+    multiplied out over the whole batch, one column at a time, in Python
+    ints; no ``Fraction`` is built.
     """
     n = f.num_vars
     for point in points:
@@ -325,13 +328,17 @@ def evaluate_many(
             )
     flat, point_denominator = integer_numerators([v for point in points for v in point])
     columns = [flat[i::n] for i in range(n)]
+    powers: dict[tuple[int, int], list[int]] = {}
     coefficients, denominator = integer_numerators(list(f.terms.values()))
     totals = [0] * len(points)
     for exponent, coefficient in zip(f.terms, coefficients):
         term = [coefficient] * len(points)
-        for column, power in zip(columns, exponent):
+        for i, power in enumerate(exponent):
             if power:
-                term = [t * v**power for t, v in zip(term, column)]
+                column = powers.get((i, power))
+                if column is None:
+                    column = powers[(i, power)] = [v**power for v in columns[i]]
+                term = [t * v for t, v in zip(term, column)]
         totals = [s + t for s, t in zip(totals, term)]
     return totals, denominator * point_denominator**f.degree
 

@@ -65,10 +65,7 @@ def test_bad_workload_is_rejected_before_any_run(
     assert not (checkout / "BENCH.json").exists()
 
 
-def test_every_run_compiles_from_source(monkeypatch, tmp_path):
-    """Both sides look bytecode up in one empty directory outside both
-    checkouts and write none, whatever ``__pycache__`` either holds."""
-    module = _load()
+def _fake_checkouts(tmp_path):
     contract = {
         "run_seconds": 36,
         "workloads": [{"name": "corpus"}],
@@ -78,6 +75,14 @@ def test_every_run_compiles_from_source(monkeypatch, tmp_path):
     for checkout in sides.values():
         (checkout / "__pycache__").mkdir(parents=True)
         (checkout / "BENCHMARK.json").write_text(json.dumps(contract))
+    return sides
+
+
+def test_every_run_compiles_from_source(monkeypatch, tmp_path):
+    """Both sides look bytecode up in one empty directory outside both
+    checkouts and write none, whatever ``__pycache__`` either holds."""
+    module = _load()
+    sides = _fake_checkouts(tmp_path)
     info = {"info": {"python": "3", "numpy": None, "cpu_count": 2, "shares": {}}}
     result = {
         "metrics": {"wall_s": {"value": 1.0, "unit": "s"}},
@@ -106,3 +111,38 @@ def test_every_run_compiles_from_source(monkeypatch, tmp_path):
     assert all(flag == "1" and not listing for _, _, flag, listing in runs)
     assert not prefix.exists()
     assert json.loads(out.read_text())["run_health"]["corpus"]["parent"]["failed"] == [0, 0]
+
+
+def test_unhealthy_runs_are_named_and_fail_after_the_bench_file(monkeypatch, tmp_path, capsys):
+    """A run with ``correct: false`` or ``failed > 0`` makes the exit status
+    1; the BENCH file is written all the same."""
+    module = _load()
+    sides = _fake_checkouts(tmp_path)
+    info = {"info": {"python": "3", "numpy": None, "cpu_count": 2, "shares": {}}}
+    # (side, seed, traced) -> (correct, failed); every other run is healthy.
+    bad = {("change", "2", "0"): (False, 0), ("parent", "7", "1"): (True, 3)}
+
+    def fake_run(command, cwd, env, **kwargs):
+        seed, trace = command[command.index("--seed") + 1], command[-1]
+        correct, failed = bad.get((cwd.name, seed, trace), (True, 0))
+        result = {
+            "metrics": {"wall_s": {"value": 1.0, "unit": "s"}},
+            "correct": correct, "attempted": 1, "failed": failed,
+        }
+        stdout = json.dumps(info) + "\n" + json.dumps(result) + "\n"
+        return subprocess.CompletedProcess(command, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(module.subprocess, "run", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert module.main([
+        "--parent", str(sides["parent"]), "--change", str(sides["change"]),
+        "--workload", "corpus=2", "--first-seed", "1", "--pr", "1",
+        "--summary", "s", "--out", str(out),
+    ]) == 1
+    health = json.loads(out.read_text())["run_health"]["corpus"]
+    assert health["change"]["correct"] == [True, False]
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err == (
+        "runs with correct false or failed > 0: corpus parent seed 7 traced,"
+        " corpus change seed 2"
+    )

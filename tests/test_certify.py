@@ -30,7 +30,7 @@ from sonckit.certify import (
 from sonckit.circuits import Circuit, detect_circuit
 from sonckit.forms import make_form, parse_form
 from sonckit.geometry import support_partition
-from sonckit.report import analyze
+from sonckit.report import analyze, render_text, report_to_dict
 from sonckit.corpus import (
     FORM_BUILDERS,
     motzkin,
@@ -77,6 +77,26 @@ def test_necessary_condition_rules_out_sonc():
     expected = {"robinson1": True, "p_2_6": True, "motzkin": False, "schmuedgen": False}
     for name, rules_out in expected.items():
         assert _report(FORM_BUILDERS[name]()).rules_out_sonc is rules_out, name
+
+
+@pytest.mark.parametrize("text", ["x1^4 + x1^2*x2^2 + x2^4", "x1^4 + x2^4 + x3^4"])
+def test_necessary_condition_without_inner_exponents_is_vacuous(text):
+    f = parse_form(text)
+    report = _report(f)
+    assert (report.inner_sum, report.outer_sum) == (0, 0)
+    assert report.verdict is ConditionVerdict.VACUOUS
+    assert report.corollary is None and not report.rules_out_sonc
+    analysis = analyze(f)
+    assert report_to_dict(analysis)["necessary_condition"] == {
+        "inner_sum": "0",
+        "outer_sum": "0",
+        "verdict": "Vacuous",
+        "uncovered_inner": [],
+        "corollary_violations": None,
+    }
+    assert "coefficient sums: inner 0 vs outer 0 -> Vacuous" in render_text(
+        analysis
+    ).splitlines()
 
 
 def test_necessary_condition_zero_form():

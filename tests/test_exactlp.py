@@ -1,10 +1,14 @@
 """Exact linear algebra and the LP feasibility oracle."""
 
+import copy
 import random
 from fractions import Fraction
 
+import pytest
+
 from sonckit.exactlp import (
     EchelonSolver,
+    integer_numerators,
     matrix_rank,
     point_in_hull,
     simplex_feasible,
@@ -83,3 +87,38 @@ def test_point_in_hull_random_convex_combinations():
         # A point beyond the bounding box never belongs to the hull.
         outside = tuple(max(g[i] for g in generators) + 1 for i in range(n))
         assert point_in_hull(outside, generators) is None
+
+
+def test_integer_numerators_copies_a_list_of_ints():
+    values = [3, -1, 0, 7]
+    numerators, denominator = integer_numerators(values)
+    assert (numerators, denominator) == ([3, -1, 0, 7], 1)
+    assert numerators is not values
+    numerators[0] = 99
+    assert values == [3, -1, 0, 7]
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        ([True, 2], ([1, 2], 1)),
+        ([1, Fraction(1, 2)], ([2, 1], 2)),
+        (["1/4", 3], ([1, 12], 4)),
+        ([], ([], 1)),
+    ],
+)
+def test_integer_numerators_of_mixed_values(values, expected):
+    numerators, denominator = integer_numerators(values)
+    assert (numerators, denominator) == expected
+    assert all(type(v) is int for v in numerators)
+
+
+def test_kernel_leaves_integer_rows_unmodified():
+    rows = [[2, 0, 4], [0, 6, 0], [1, 3, 2]]
+    rhs = [2, 6, 4]
+    saved = copy.deepcopy((rows, rhs))
+    assert matrix_rank(rows) == 2
+    solver = EchelonSolver(rows)
+    assert solver.solve(rhs) is not None
+    assert simplex_feasible(rows, rhs) is not None
+    assert (rows, rhs) == saved

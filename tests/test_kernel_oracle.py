@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from sonckit.corpus import FORM_BUILDERS, _check_sampling_nonneg
+from sonckit.corpus import FORM_BUILDERS, _check_sampling_nonneg, _sampling_coordinates
 from sonckit.errors import DimensionMismatch
 from sonckit.exactlp import (
     EchelonSolver,
@@ -205,6 +205,27 @@ def test_evaluate_many_matches_oracle_seeded():
             _assert_many_agrees(f, batch)
 
 
+@pytest.mark.parametrize("size", [0, 1, 1000])
+def test_evaluate_many_shared_power_columns_match_oracle(size):
+    # (variable, power) pairs shared by two or three terms next to pairs
+    # that occur once; x2^4 must not reuse the x2^2 column.
+    rng = random.Random(size)
+    forms = [
+        FORM_BUILDERS["motzkin"](),
+        parse_form("x1^4*x2^2 + x1^2*x2^4 - 3*x1^2*x2^2*x3^2 + x3^6 + 1/2*x1^2*x3^4"),
+        parse_form("x1^2*x2^2 - 2/3*x1^2*x3^2 + x2^2*x3^2 + x1^4 + x2^4 - x3^4"),
+    ]
+    for f in forms:
+        points = [
+            tuple(_entry(rng, True) for _ in range(f.num_vars)) for _ in range(size)
+        ]
+        _assert_many_agrees(f, points)
+        integer_points = [
+            tuple(rng.randint(-24, 24) for _ in range(f.num_vars)) for _ in range(size)
+        ]
+        _assert_many_agrees(f, integer_points)
+
+
 def test_evaluate_many_rejects_any_wrong_length_point():
     f = parse_form("x1^2 - x2*x3")
     good = (1, Fraction(1, 2), -3)
@@ -234,6 +255,27 @@ _NEEDLE = "x1^2 + x2^2 - 1/1152*x3^2"
 
 def _sampling(f, count):
     return _check_sampling_nonneg(f, analyze(f), str(count))
+
+
+@pytest.mark.parametrize("name", ["motzkin", "choi_lam_q1", "neg", "needle"])
+@pytest.mark.parametrize("k", [0, 1, 2999, 3000, 3001, 50000])
+def test_sampling_draws_are_those_of_randint(name, k):
+    # k = 3000 is one batch of three-variable points; 50 000 coordinates
+    # hold about 15 000 rejected draws.
+    rng = random.Random(f"sampling:{name}")
+    reference = random.Random(f"sampling:{name}")
+    assert _sampling_coordinates(rng, k) == [reference.randint(-24, 24) for _ in range(k)]
+    assert rng.getstate() == reference.getstate()
+
+
+def test_sampling_draws_continue_across_batches():
+    # The check draws one batch of 1000 three-variable points per call.
+    rng = random.Random("sampling:needle")
+    reference = random.Random("sampling:needle")
+    drawn = []
+    while len(drawn) < 50000:
+        drawn += _sampling_coordinates(rng, min(3000, 50000 - len(drawn)))
+    assert drawn == [reference.randint(-24, 24) for _ in range(50000)]
 
 
 def test_sampling_check_matches_oracle_on_corpus_forms():

@@ -18,7 +18,9 @@ fresh checkout, whatever ``__pycache__`` either checkout holds: see
 method="inclusive")`` over the runs; ``pairs_change_better`` counts the
 pairs in which the change's value is strictly better, in the direction
 ``BENCHMARK.json`` gives for the metric.  ``notes`` is left empty for the
-reader's account of the numbers.
+reader's account of the numbers.  If any run, traced or not, reports
+``correct: false`` or ``failed > 0``, the BENCH file is still written,
+those runs are named on stderr and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -118,8 +120,18 @@ def bench_workload(
         "shares_change": traced["change"][0].get("shares"),
         "correct": [traced["parent"][1]["correct"], traced["change"][1]["correct"]],
     }
+    unhealthy = [
+        f"{name} {side} seed {seed}"
+        for side in sides
+        for seed, result in [
+            *zip(range(args.first_seed, args.first_seed + pairs), results[side]),
+            (f"{TRACE_SEED} traced", traced[side][1]),
+        ]
+        if not result["correct"] or result["failed"] > 0
+    ]
     machine = {key: info[key] for key in ("python", "numpy", "cpu_count")}
-    return {"end_to_end": end_to_end, "run_health": health, "per_layer": per_layer}, machine
+    sections = {"end_to_end": end_to_end, "run_health": health, "per_layer": per_layer}
+    return sections, machine, unhealthy
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -171,15 +183,20 @@ def main(argv: list[str] | None = None) -> int:
         layered: {},
         "notes": [],
     }
+    unhealthy: list[str] = []
     with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
         for name, pairs in workloads:
-            sections, out["machine"] = bench_workload(
+            sections, out["machine"], bad = bench_workload(
                 args, seconds, name, pairs, better, Path(cache)
             )
+            unhealthy += bad
             out["end_to_end"][name] = sections["end_to_end"]
             out["run_health"][name] = sections["run_health"]
             out[layered][name] = sections["per_layer"]
             args.out.write_text(json.dumps(out, indent=1) + "\n")
+    if unhealthy:
+        print("runs with correct false or failed > 0: " + ", ".join(unhealthy), file=sys.stderr)
+        return 1
     return 0
 
 
