@@ -8,18 +8,17 @@ The exact routes are the coefficient-sum necessary condition
 its equality-case corollary ``f_alpha >= min_k lambda_alpha^k * |f_beta|``,
 and exact verification of explicit cancellation-free decompositions.  A
 bounded numeric feasibility search over decomposition weights covers small
-instances the exact routes leave open.  It descends a smoothed maximum of
-the circuit margins with its exact analytic gradient, computed in reverse
-mode in plain floats.  A numeric result never certifies -- feasible weights
-are rounded to rationals and re-verified exactly, and infeasibility is only
-reported with an explicit margin, which is that of a local search and not
-a bound.
+instances the exact routes leave open.  It runs mirror descent on a
+smoothed maximum of the circuit margins, which is convex in the weights.  A
+numeric result never certifies -- feasible weights are rounded to rationals
+and re-verified exactly, and infeasibility is only reported with an
+explicit margin: the smallest margin a first-order method found for a
+convex objective; numeric, not a bound.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -234,9 +233,11 @@ class SearchBudget:
 
 #: Best margin above which a numeric search reports infeasibility.
 _INFEASIBILITY_MARGIN = 1e-3
-#: Adam steps over all starts, and the number of seeded starts.
-_ITERATIONS = 100_000
-_STARTS = 4
+#: Smoothing temperatures in units of the largest |f_beta|, the steps of
+#: each phase before the last, and the cap on all steps.
+_TAUS = (0.3, 0.03, 0.003, 0.0003)
+_PHASE = 300
+_ITERATIONS = 25_000
 
 
 class SearchStatus(Enum):
@@ -322,10 +323,12 @@ def sonc_feasibility_search(
     Square coefficients are split across covering simplices and inner
     coefficients across their circuits (both splits summing to one); a
     choice is feasible when every resulting circuit passes the exact
-    nonnegativity test.  The search runs Adam on a smoothed maximum of the
-    circuit margins over softmax-parameterized splits, with the exact
-    analytic (reverse-mode) gradient.  Its numeric result never certifies:
-    any feasible point is rounded to rationals and must re-verify exactly.
+    nonnegativity test.  Each margin ``nu * |f_beta| - theta`` is convex in
+    the splits (``theta`` is a weighted geometric mean of linear functions),
+    and the search runs entropic mirror descent on their smoothed maximum
+    with the exact reverse-mode gradient.  Its numeric result never
+    certifies: any feasible point is rounded to rationals and must
+    re-verify exactly.
     """
     budget = budget or SearchBudget()
     if f.is_zero:
@@ -351,7 +354,7 @@ def sonc_feasibility_search(
         # optima (weights like 1/2) exactly via continued fractions.
         groups = [
             _rationalize_group(best_weights[first : first + size])
-            for _, first, size in problem.groups
+            for first, size in problem.groups
         ]
         if all(group is not None for group in groups):
             exact = [weight for group in groups for weight in group]
@@ -367,6 +370,12 @@ def sonc_feasibility_search(
     return SearchOutcome(SearchStatus.INCONCLUSIVE, best_margin, None, exact=False)
 
 
+def _smoothed_max(values: Sequence[float], tau: float) -> float:
+    """``peak + tau * log sum exp((v - peak) / tau)``, the search's objective."""
+    peak = max(values)
+    return peak + tau * math.log(sum(math.exp((v - peak) / tau) for v in values))
+
+
 class _SearchProblem:
     """The weight-splitting problem of a support partition, laid out once
     as flat index lists for the float search and the exact gate.
@@ -376,12 +385,12 @@ class _SearchProblem:
     All split weights sit in one list: one group per used square (the
     slots whose simplex has it as a vertex), then one per inner exponent
     (the slots of its family), each in graded-lex and then slot order.
-    ``groups`` holds ``(theta offset, first weight, size)`` per group; a
-    group of size s reads s - 1 logits from theta, its first logit being
-    pinned at 0.  ``slots`` holds ``(nu index, |f_beta|, [(mu index,
-    lambda, log f_alpha - log lambda)])`` per circuit slot.  ``size`` is
-    the number of free weights.  An inner exponent with no covering
-    simplex raises :class:`UncoveredInnerExponent`.
+    ``groups`` holds ``(first weight, size)`` per group; the mirror descent
+    keeps one logit per weight.  ``slots`` holds ``(nu index, |f_beta|,
+    [(mu index, lambda, log f_alpha - log lambda)])`` per circuit slot.
+    ``size`` is the number of free weights, the sum of group size - 1.  An
+    inner exponent with no covering simplex raises
+    :class:`UncoveredInnerExponent`.
     """
 
     def __init__(self, f: SparseForm, partition: SupportPartition):
@@ -400,12 +409,12 @@ class _SearchProblem:
                 for key in (beta, *simplex.vertices):
                     members.setdefault(key, []).append(len(self.circuits))
                 self.circuits.append((beta, simplex))
-        self.groups: list[tuple[int, int, int]] = []
+        self.groups: list[tuple[int, int]] = []
         self.size = 0
         self.weight_count = 0
         position: dict[tuple[Exponent, int], int] = {}
         for key, indices in members.items():
-            self.groups.append((self.size, self.weight_count, len(indices)))
+            self.groups.append((self.weight_count, len(indices)))
             for index in indices:
                 position[key, index] = self.weight_count
                 self.weight_count += 1
@@ -426,14 +435,14 @@ class _SearchProblem:
             for index, (beta, simplex) in enumerate(self.circuits)
         ]
 
-    def weights(self, theta: Sequence[float]) -> list[float]:
-        """The group softmaxes of ``theta``, flat."""
+    def weights(self, logits: Sequence[float]) -> list[float]:
+        """The group softmaxes of ``logits``, one logit per weight, flat."""
         weights = [1.0] * self.weight_count
-        for offset, first, size in self.groups:
+        for first, size in self.groups:
             if size > 1:
-                logits = [0.0, *theta[offset : offset + size - 1]]
-                peak = max(logits)
-                exps = [math.exp(v - peak) for v in logits]
+                group = logits[first : first + size]
+                peak = max(group)
+                exps = [math.exp(v - peak) for v in group]
                 total = sum(exps)
                 weights[first : first + size] = [v / total for v in exps]
         return weights
@@ -458,69 +467,58 @@ class _SearchProblem:
         thresholds: Sequence[float],
         tau: float,
     ) -> list[float]:
-        """Gradient in theta of the smoothed maximum
-        ``peak + tau * log sum exp((v - peak) / tau)`` of the margins, by
-        reverse mode through the forward pass that gave these values."""
-        peak = max(values)
-        exps = [math.exp((v - peak) / tau) for v in values]
-        total = sum(exps)
+        """Gradient in the split weights of the smoothed maximum of the
+        margins, by reverse mode through the forward pass that gave these
+        values.  The entries of forced weights (groups of one) are never
+        used."""
+        smoothed = _smoothed_max(values, tau)
         upstream = [0.0] * self.weight_count
-        for (nu_index, abs_inner, terms), e, threshold in zip(self.slots, exps, thresholds):
-            share = e / total
+        for (nu_index, abs_inner, terms), v, threshold in zip(self.slots, values, thresholds):
+            share = math.exp((v - smoothed) / tau)
             upstream[nu_index] += share * abs_inner
             for mu_index, lam, _ in terms:
                 mu = weights[mu_index]
                 if mu > 1e-300:  # the clamp in ``margins`` is flat below
                     upstream[mu_index] -= share * threshold * lam / mu
-        gradient = [0.0] * self.size
-        for offset, first, size in self.groups:
-            if size > 1:
-                probs = weights[first : first + size]
-                grads = upstream[first : first + size]
-                mean = sum(p * g for p, g in zip(probs, grads))
-                for b in range(1, size):
-                    gradient[offset + b - 1] = probs[b] * (grads[b] - mean)
-        return gradient
+        return upstream
 
 
 def _optimize(problem: _SearchProblem) -> tuple[float, list[float]]:
-    """Best hard margin found and the split weights that reach it."""
-    size = problem.size
+    """Best hard margin found and the split weights that reach it, by one
+    entropic mirror descent run from the uniform split: each step takes the
+    weight-space gradient, times a step length that halves until the
+    smoothed maximum does not rise, off the logits of the group softmaxes."""
     scale = max(abs_inner for _, abs_inner, _ in problem.slots)
-    per_start = _ITERATIONS // _STARTS
-    taus = [0.3 * scale, 0.03 * scale, 0.003 * scale, 0.0003 * scale]
-    phase = 300
-
-    best_margin = math.inf
-    best_weights = problem.weights([0.0] * size)
-    for start in range(_STARTS):
-        rng = random.Random(1000 + start)
-        theta = [rng.uniform(-1.0, 1.0) for _ in range(size)]
-        moment = [0.0] * size
-        velocity = [0.0] * size
-        since_improvement = 0
-        weights = problem.weights(theta)
-        values, thresholds = problem.margins(weights)
-        for iteration in range(per_start):
-            tau = taus[min(iteration // phase, len(taus) - 1)]
-            gradient = problem.gradient(weights, values, thresholds, tau)
-            for i in range(size):
-                moment[i] = 0.9 * moment[i] + 0.1 * gradient[i]
-                velocity[i] = 0.999 * velocity[i] + 0.001 * gradient[i] ** 2
-                theta[i] -= 0.1 * moment[i] / (math.sqrt(velocity[i]) + 1e-12)
-            # This forward pass also feeds the next step's gradient.
-            weights = problem.weights(theta)
+    last_phase = len(_TAUS) - 1
+    logits = [0.0] * problem.weight_count
+    weights = problem.weights(logits)
+    values, thresholds = problem.margins(weights)
+    best_margin, best_weights = max(values), weights
+    step = 3 * _TAUS[0] / scale
+    stalled = 0
+    for iteration in range(_ITERATIONS):
+        if best_margin <= 1e-10 or stalled >= _PHASE + 60:
+            break
+        phase = min(iteration // _PHASE, last_phase)
+        tau = _TAUS[phase] * scale
+        gradient = problem.gradient(weights, values, thresholds, tau)
+        level = _smoothed_max(values, tau)
+        while True:
+            trial = [v - step * g for v, g in zip(logits, gradient)]
+            weights = problem.weights(trial)
             values, thresholds = problem.margins(weights)
-            current = max(values)
-            if current < best_margin - 1e-12 * max(1.0, scale):
-                best_margin = current
-                best_weights = weights
-                since_improvement = 0
-            else:
-                since_improvement += 1
-            if best_margin <= 1e-10:
-                return best_margin, best_weights
-            # Allow one smoothing-phase change before giving up on a start.
-            if since_improvement > phase + 60:
+            # A short enough step leaves the logits, and the level, as they
+            # are; only a slope that overflowed can run the step down to 0.
+            smoothed = _smoothed_max(values, tau)
+            if smoothed <= level or not step:
                 break
+            step /= 2
+        logits = trial
+        step *= 2 if smoothed < level else 1
+        current = max(values)
+        # Only the last phase counts steps that hardly improve the margin.
+        progress = current < best_margin - 1e-7 * max(1.0, scale)
+        stalled = 0 if phase < last_phase or progress else stalled + 1
+        if current < best_margin:
+            best_margin, best_weights = current, weights
     return best_margin, best_weights

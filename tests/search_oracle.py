@@ -1,26 +1,20 @@
 """The feasibility search's former float routines, kept as test oracles.
 
 ``reference_margins`` is the forward pass the search ran before its split
-weights were laid out flat: group softmaxes kept in dicts built from the
+weights were laid out flat: group weights kept in dicts built from the
 support partition, then one margin per circuit slot, looked up by
-exponent.  ``central_difference_gradient`` is the gradient that drove its
-Adam steps before the analytic one: two evaluations of the smoothed
-maximum per free weight.
+exponent.  ``central_difference_gradient`` differentiates the smoothed
+maximum of the margins numerically in the split weights, two evaluations
+per weight.  ``adam_optimize`` is the optimiser the search ran before
+mirror descent: Adam on group softmaxes with the first logit of each group
+pinned at 0, from four seeded starts; ``softmax_weights`` and
+``softmax_gradient`` are its layout and its gradient.
 """
 
 import math
+import random
 
 from sonckit.forms import grlex_key
-
-
-def _softmax_slice(theta, offset, size):
-    if size == 1:
-        return [1.0], offset
-    logits = [0.0] + [theta[offset + i] for i in range(size - 1)]
-    peak = max(logits)
-    exps = [math.exp(min(v - peak, 50.0)) for v in logits]
-    total = sum(exps)
-    return [v / total for v in exps], offset + size - 1
 
 
 def _groups(partition):
@@ -38,15 +32,16 @@ def _groups(partition):
     return slots, mu_groups, nu_groups
 
 
-def reference_margins(f, partition, theta):
-    """Each slot's margin ``nu * |f_beta| - theta`` at the logits ``theta``."""
+def reference_margins(f, partition, weights):
+    """Each slot's margin ``nu * |f_beta| - theta`` at the flat split
+    ``weights``: square groups, then inner groups, in graded-lex order."""
     slots, mu_groups, nu_groups = _groups(partition)
     mu_float, nu_float = {}, {}
     offset = 0
-    for key, members in mu_groups.items():
-        mu_float[key], offset = _softmax_slice(theta, offset, len(members))
-    for key, members in nu_groups.items():
-        nu_float[key], offset = _softmax_slice(theta, offset, len(members))
+    for split, groups in ((mu_float, mu_groups), (nu_float, nu_groups)):
+        for key, members in groups.items():
+            split[key] = weights[offset : offset + len(members)]
+            offset += len(members)
     values = []
     for index, (beta, simplex) in enumerate(slots):
         nu = nu_float[beta][nu_groups[beta].index(index)]
@@ -59,21 +54,107 @@ def reference_margins(f, partition, theta):
     return values
 
 
-def smooth(problem, theta, tau):
+def smooth(problem, weights, tau):
     """The smoothed maximum ``peak + tau * log sum exp((v - peak) / tau)``."""
-    values, _ = problem.margins(problem.weights(theta))
+    values, _ = problem.margins(weights)
     peak = max(values)
     return peak + tau * math.log(sum(math.exp((v - peak) / tau) for v in values))
 
 
-def central_difference_gradient(problem, theta, tau, step=1e-6):
-    theta = list(theta)
+def central_difference_gradient(problem, weights, tau, step=1e-6):
+    """Central differences in each weight, with a step of ``step`` times
+    the weight (times 1e-300 for a zero weight), so that a weight below the
+    search's 1e-300 clamp stays below it on both sides."""
+    weights = list(weights)
     gradient = []
-    for i in range(len(theta)):
-        theta[i] += step
-        upper = smooth(problem, theta, tau)
-        theta[i] -= 2 * step
-        lower = smooth(problem, theta, tau)
-        theta[i] += step
-        gradient.append((upper - lower) / (2 * step))
+    for i, weight in enumerate(weights):
+        h = step * max(weight, 1e-300)
+        weights[i] = weight + h
+        upper = smooth(problem, weights, tau)
+        weights[i] = weight - h
+        lower = smooth(problem, weights, tau)
+        weights[i] = weight
+        gradient.append((upper - lower) / (2 * h))
     return gradient
+
+
+def _offsets(problem):
+    """``(theta offset, first weight, size)`` per group: a group of size s
+    reads s - 1 logits from theta."""
+    offsets, offset = [], 0
+    for first, size in problem.groups:
+        offsets.append((offset, first, size))
+        offset += size - 1
+    return offsets
+
+
+def softmax_weights(problem, theta):
+    """The group softmaxes of ``theta``, each group's first logit pinned at
+    0, flat."""
+    weights = [1.0] * problem.weight_count
+    for offset, first, size in _offsets(problem):
+        if size > 1:
+            logits = [0.0, *theta[offset : offset + size - 1]]
+            peak = max(logits)
+            exps = [math.exp(v - peak) for v in logits]
+            total = sum(exps)
+            weights[first : first + size] = [v / total for v in exps]
+    return weights
+
+
+def softmax_gradient(problem, weights, values, thresholds, tau):
+    """Gradient in theta: the weight-space gradient through each group's
+    softmax Jacobian."""
+    upstream = problem.gradient(weights, values, thresholds, tau)
+    gradient = [0.0] * problem.size
+    for offset, first, size in _offsets(problem):
+        if size > 1:
+            probs = weights[first : first + size]
+            grads = upstream[first : first + size]
+            mean = sum(p * g for p, g in zip(probs, grads))
+            for b in range(1, size):
+                gradient[offset + b - 1] = probs[b] * (grads[b] - mean)
+    return gradient
+
+
+def adam_optimize(problem):
+    """Best hard margin found and the split weights that reach it."""
+    size = problem.size
+    scale = max(abs_inner for _, abs_inner, _ in problem.slots)
+    starts = 4
+    per_start = 100_000 // starts
+    taus = [0.3 * scale, 0.03 * scale, 0.003 * scale, 0.0003 * scale]
+    phase = 300
+
+    best_margin = math.inf
+    best_weights = softmax_weights(problem, [0.0] * size)
+    for start in range(starts):
+        rng = random.Random(1000 + start)
+        theta = [rng.uniform(-1.0, 1.0) for _ in range(size)]
+        moment = [0.0] * size
+        velocity = [0.0] * size
+        since_improvement = 0
+        weights = softmax_weights(problem, theta)
+        values, thresholds = problem.margins(weights)
+        for iteration in range(per_start):
+            tau = taus[min(iteration // phase, len(taus) - 1)]
+            gradient = softmax_gradient(problem, weights, values, thresholds, tau)
+            for i in range(size):
+                moment[i] = 0.9 * moment[i] + 0.1 * gradient[i]
+                velocity[i] = 0.999 * velocity[i] + 0.001 * gradient[i] ** 2
+                theta[i] -= 0.1 * moment[i] / (math.sqrt(velocity[i]) + 1e-12)
+            weights = softmax_weights(problem, theta)
+            values, thresholds = problem.margins(weights)
+            current = max(values)
+            if current < best_margin - 1e-12 * max(1.0, scale):
+                best_margin = current
+                best_weights = weights
+                since_improvement = 0
+            else:
+                since_improvement += 1
+            if best_margin <= 1e-10:
+                return best_margin, best_weights
+            # Allow one smoothing-phase change before giving up on a start.
+            if since_improvement > phase + 60:
+                break
+    return best_margin, best_weights
