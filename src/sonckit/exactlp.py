@@ -4,13 +4,18 @@ Inputs and results are integers or ``Fraction``s, but the work runs on
 Python ints: each routine scales its input to integers once
 (:func:`integer_numerators`) and then eliminates fraction-free, after
 E. H. Bareiss, "Sylvester's identity and multistep integer-preserving
-Gaussian elimination", Math. Comp. 22 (1968).  Each division by the
-previous pivot is exact, no gcd is taken inside a loop, and a
-``Fraction`` is built only for a returned value.  No floating point, no
-tolerances.  Problem sizes are tiny (dimension <= 6 at desk scale), so
-dense textbook methods fit: Bareiss elimination for ranks, Gauss--Jordan
-for linear systems, and a phase-one simplex with Bland's rule, which
-guarantees termination, for convex-hull membership queries.
+Gaussian elimination", Math. Comp. 22 (1968).  Each row carries its
+own scale, the pivot at which it was last rewritten, and holds that
+scale times its rational row.  A pivot rewrites only the rows with a
+nonzero entry in its column; every other row keeps its rational values,
+so skipping it is exact, and it is brought up to date, exactly, when a
+later pivot does touch it.  Each division is exact, no gcd is taken
+inside a loop, and a ``Fraction`` is built only for a returned value.
+No floating point, no tolerances.  Problem sizes are tiny (dimension
+<= 6 at desk scale), so dense textbook methods fit: Bareiss elimination
+for ranks, Gauss--Jordan for linear systems, and a phase-one simplex
+with Bland's rule, which guarantees termination, for convex-hull
+membership queries.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ import math
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
+
+from .errors import DimensionMismatch
 
 _ZERO = Fraction(0)
 
@@ -42,21 +49,32 @@ def integer_numerators(values: Sequence[Fraction | int]) -> tuple[list[int], int
     return [v.numerator * (common // v.denominator) for v in exact], common
 
 
-def _pivot(rows: list[list[int]], top: int, col: int, previous: int, start: int = 0) -> int:
-    """Fraction-free pivot on ``rows[top][col]``; returns the pivot.
+def _pivot(
+    rows: list[list[int]], scales: list[int], top: int, col: int, previous: int, start: int = 0
+) -> int:
+    """Fraction-free pivot on ``rows[top][col]``; returns the pivot ``p``.
 
-    Every row from ``start`` on, except ``rows[top]``, becomes
-    ``(p * row - row[col] * rows[top]) // previous``.  With ``previous``
-    the pivot before this one, the division is exact by Sylvester's
-    identity.
+    Row ``r`` holds ``scales[r]`` times its rational row, its scale being
+    the pivot that last rewrote it.  The pivot row is first brought,
+    exactly, to the scale ``previous`` of the last pivot.  Every other
+    row from ``start`` on with a nonzero ``row[col]`` becomes
+    ``(p * row - row[col] * rows[top]) // scales[r]``: the Bareiss update,
+    over ``previous``, of the row brought to scale ``previous``, so the
+    division is exact by Sylvester's identity.  A row with
+    ``row[col] == 0`` keeps its rational values under this pivot, so it
+    is skipped and keeps its scale.
     """
     pivot_row = rows[top]
-    p = pivot_row[col]
+    if scales[top] != previous:
+        pivot_row = rows[top] = [a * previous // scales[top] for a in pivot_row]
+    p = scales[top] = pivot_row[col]
     for r in range(start, len(rows)):
-        if r != top:
-            row = rows[r]
-            factor = row[col]
-            rows[r] = [(p * a - factor * b) // previous for a, b in zip(row, pivot_row)]
+        row = rows[r]
+        factor = row[col]
+        if factor and r != top:
+            scale = scales[r]
+            rows[r] = [(p * a - factor * b) // scale for a, b in zip(row, pivot_row)]
+            scales[r] = p
     return p
 
 
@@ -68,9 +86,11 @@ def _eliminate(
     Returns the ``(row, col)`` pivots, first nonzero entry first, and the
     last pivot.  Without ``jordan`` only the rows below each pivot are
     cleared, which settles the rank; with it every other row is, and then
-    every pivot entry ends equal to the last pivot.
+    every row ends at the scale of the last pivot, so every pivot entry
+    equals it.
     """
     pivots: list[tuple[int, int]] = []
+    scales = [1] * len(m)
     previous = 1
     for col in range(ncols):
         row = len(pivots)
@@ -80,8 +100,13 @@ def _eliminate(
         if pivot is None:
             continue
         m[row], m[pivot] = m[pivot], m[row]
-        previous = _pivot(m, row, col, previous, start=0 if jordan else row + 1)
+        scales[row], scales[pivot] = scales[pivot], scales[row]
+        previous = _pivot(m, scales, row, col, previous, start=0 if jordan else row + 1)
         pivots.append((row, col))
+    if jordan:
+        for r, scale in enumerate(scales):
+            if scale != previous:
+                m[r] = [a * previous // scale for a in m[r]]
     return pivots, previous
 
 
@@ -155,10 +180,11 @@ def simplex_feasible(
     """Find ``x >= 0`` with ``A x = b``, or ``None`` if infeasible.
 
     Phase-one simplex: minimize the sum of artificial variables with
-    Bland's anti-cycling rule.  The tableau holds integers: it is ``d``
-    times the rational tableau, ``d > 0`` being the last pivot, so each
-    sign and ratio test agrees with the rational one and the pivots and
-    the returned weights are those of rational arithmetic.
+    Bland's anti-cycling rule.  The tableau holds integers: row ``i`` is
+    ``scales[i]`` times the rational row, its scale being the (positive)
+    pivot at which it was last rewritten, so each sign and ratio test
+    agrees with the rational one and the pivots and the returned weights
+    are those of rational arithmetic.
     """
     nrows = len(a_rows)
     ncols = len(a_rows[0]) if nrows else 0
@@ -187,7 +213,8 @@ def simplex_feasible(
     sums = [sum(column) for column in zip(*tableau)]
     tableau.append([-s for s in sums[:ncols]] + [0] * nrows + [-sums[-1]])
     basis = list(range(ncols, ncols + nrows))
-    denominator = 1
+    scales = [1] * (nrows + 1)
+    previous = 1
 
     while True:
         costs = tableau[nrows]
@@ -211,7 +238,7 @@ def simplex_feasible(
                     leaving = i
         if leaving < 0:
             raise ArithmeticError("phase-one objective unbounded; bug")
-        denominator = _pivot(tableau, leaving, entering, denominator)
+        previous = _pivot(tableau, scales, leaving, entering, previous)
         basis[leaving] = entering
 
     if tableau[nrows][-1] != 0:
@@ -219,7 +246,7 @@ def simplex_feasible(
     solution = [_ZERO] * ncols
     for i, var in enumerate(basis):
         if var < ncols:
-            solution[var] = Fraction(tableau[i][-1], denominator)
+            solution[var] = Fraction(tableau[i][-1], scales[i])
     return solution
 
 
@@ -230,12 +257,15 @@ def point_in_hull(
 
     Decides membership in the convex hull by exact LP feasibility of
     ``point = sum mu_g g`` with ``mu >= 0`` and ``sum mu = 1``; returns the
-    weights or ``None``.
+    weights or ``None``.  A generator whose length differs from the
+    point's raises :class:`DimensionMismatch`.
     """
     generators = list(generators)
+    dim = len(point)
+    if any(len(g) != dim for g in generators):
+        raise DimensionMismatch(f"a generator differs in length from {tuple(point)}")
     if not generators:
         return None
-    dim = len(point)
     rows: list[list[Fraction | int]] = [
         [g[coordinate] for g in generators] for coordinate in range(dim)
     ]

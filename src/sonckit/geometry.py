@@ -23,7 +23,13 @@ from .errors import (
     OddDegree,
     ZeroFormInput,
 )
-from .exactlp import EchelonSolver, matrix_rank, point_in_hull
+from .exactlp import (
+    EchelonSolver,
+    _eliminate,
+    integer_numerators,
+    matrix_rank,
+    point_in_hull,
+)
 from .forms import Exponent, SparseForm, grlex_key
 
 #: Hard cap on candidate points per inner exponent during simplex
@@ -90,18 +96,27 @@ def hull_vertices(points: Iterable[Exponent]) -> frozenset[Exponent]:
     """Vertices of the convex hull of a finite point set.
 
     A point is a vertex exactly when it is not a convex combination of
-    the remaining points, decided by exact rational LP feasibility.
+    the other points.  The points are tested once each, in graded-lex
+    order, by exact rational LP feasibility against the points still
+    alive; a point found inside leaves the alive set.  That keeps the
+    hull, since a non-vertex is a convex combination of vertices alone
+    and no vertex ever leaves, so each test is infeasible exactly when
+    its point is a vertex, and later LPs get fewer columns.  Points of
+    different lengths raise :class:`DimensionMismatch`.
     """
     unique = canonical_points(points)
     if not unique:
         raise ValueError("empty point set")
     if len(unique) == 1:
         return frozenset(unique)
+    alive = unique
     vertices = []
-    for index, point in enumerate(unique):
-        others = unique[:index] + unique[index + 1 :]
+    for point in unique:
+        others = [q for q in alive if q != point]
         if point_in_hull(point, others) is None:
             vertices.append(point)
+        else:
+            alive = others
     return frozenset(vertices)
 
 
@@ -112,25 +127,33 @@ def barycentric_coordinates(
     ``vertices``, or ``None`` when ``beta`` is not in the relative
     interior of their hull.
 
-    Solves ``[vertices; all-ones] * lam = [beta; 1]`` in one elimination:
-    that matrix has full column rank exactly when the vertices are
-    affinely independent, and :class:`AffinelyDependentInput` is raised
-    otherwise.  A vertex whose length differs from ``beta``'s raises
+    Solves ``[vertices; all-ones] * lam = [beta; 1]`` by one Gauss--Jordan
+    elimination of the augmented matrix ``[M | b]``.  ``M`` has full
+    column rank exactly when the vertices are affinely independent, and
+    :class:`AffinelyDependentInput` is raised otherwise; a nonzero entry
+    of ``b`` left below the pivots means ``beta`` is off their affine
+    hull.  A vertex whose length differs from ``beta``'s raises
     :class:`DimensionMismatch`.
     """
     vertices = [tuple(v) for v in vertices]
     if any(len(v) != len(beta) for v in vertices):
         raise DimensionMismatch(f"a vertex of {vertices} differs in length from {beta}")
-    rows: list[list[int]] = [[v[i] for v in vertices] for i in range(len(beta))]
-    rows.append([1] * len(vertices))
-    solver = EchelonSolver(rows)
-    # An empty vertex list passes the rank test but spans nothing.
-    if not vertices or not solver.unique:
+    n, k = len(beta), len(vertices)
+    # One denominator for all coordinates: each row of [M | b] scales alike.
+    flat, _ = integer_numerators([*itertools.chain.from_iterable(vertices), *beta])
+    m = [flat[i : k * n : n] + [flat[k * n + i]] for i in range(n)]
+    m.append([1] * (k + 1))
+    pivots, last = _eliminate(m, k, jordan=True)
+    # An empty vertex list has full column rank but spans nothing.
+    if not k or len(pivots) < k:
         raise AffinelyDependentInput(f"{vertices} is affinely dependent")
-    solution = solver.solve(list(beta) + [1])
-    if solution is None or any(weight <= 0 for weight in solution):
+    if any(row[k] for row in m[k:]):
         return None
-    return tuple(solution)
+    # Gauss--Jordan leaves every pivot entry equal to ``last``, so the
+    # weight of vertex j is m[j][k] / last.
+    if any(m[j][k] * last <= 0 for j in range(k)):
+        return None
+    return tuple(Fraction(m[j][k], last) for j in range(k))
 
 
 def enumerate_simplices(
@@ -143,8 +166,12 @@ def enumerate_simplices(
 
     Subsets of size 1 up to the pool's affine rank plus one (larger ones
     are dependent) are enumerated in graded-lex order on sorted vertex
-    lists; the barycentric solve rejects dependent ones and gives each
-    survivor its coordinates.  Candidates strictly above the cap raise
+    lists.  A subset must first reach ``beta`` in every coordinate from
+    below and from above: each point carries the bitmask of coordinates
+    where it is at most ``beta`` and of those where it is at least
+    ``beta``, and the ORs over the subset must be full.  The barycentric
+    solve then rejects dependent subsets and gives each survivor its
+    coordinates.  Candidates strictly above the cap raise
     :class:`CapExceeded`, candidates of another length than ``beta``
     :class:`DimensionMismatch`.
     """
@@ -164,25 +191,30 @@ def enumerate_simplices(
             f"{len(pool)} candidate points for {beta} exceed the cap of {cap}"
         )
     rank = matrix_rank([[a - b for a, b in zip(point, pool[0])] for point in pool[1:]])
+    # Bit i: coordinate i at most beta's; bit n + i: at least beta's.
+    n = len(beta)
+    full = (1 << 2 * n) - 1
+    masks = [
+        sum(1 << i for i in range(n) if point[i] <= beta[i])
+        | sum(1 << n + i for i in range(n) if point[i] >= beta[i])
+        for point in pool
+    ]
     found: list[Simplex] = []
     for size in range(1, rank + 2):
-        for subset in itertools.combinations(pool, size):
-            if not _box_contains(subset, beta):
+        for subset in itertools.combinations(range(len(pool)), size):
+            covered = 0
+            for j in subset:
+                covered |= masks[j]
+            if covered != full:
                 continue
+            vertices = tuple(pool[j] for j in subset)
             try:
-                weights = barycentric_coordinates(beta, subset)
+                weights = barycentric_coordinates(beta, vertices)
             except AffinelyDependentInput:
                 continue
             if weights is not None:
-                found.append(Simplex(vertices=subset, barycentric=weights))
+                found.append(Simplex(vertices=vertices, barycentric=weights))
     return found
-
-
-def _box_contains(points: Sequence[Exponent], target: Exponent) -> bool:
-    return all(
-        min(p[i] for p in points) <= t <= max(p[i] for p in points)
-        for i, t in enumerate(target)
-    )
 
 
 def support_partition(
@@ -244,11 +276,14 @@ def _integer_candidates(points: Sequence[Sequence[Fraction]]) -> list[Exponent]:
 
 def lattice_points(simplex_vertices: Sequence[Exponent]) -> frozenset[Exponent]:
     """All integer points of the convex hull of affinely independent
-    vertices, by a bounding-box scan with exact barycentric containment."""
+    vertices, by a bounding-box scan with exact barycentric containment.
+    Vertices of different lengths raise :class:`DimensionMismatch`."""
     vertices = [tuple(v) for v in simplex_vertices]
     if not vertices:
         raise ValueError("empty vertex list")
     dim = len(vertices[0])
+    if any(len(v) != dim for v in vertices):
+        raise DimensionMismatch(f"the vertices {vertices} differ in length")
     rows: list[list[int]] = [[v[i] for v in vertices] for i in range(dim)]
     rows.append([1] * len(vertices))
     # Full column rank of [vertices; 1] is affine independence.

@@ -10,7 +10,11 @@ results.
 
 It also keeps the simplex enumeration ``sonckit.geometry`` ran before it
 capped subset sizes at the pool's affine rank: subsets of every size up to
-``n + 1``, each given a rank test before its barycentric solve.
+``n + 1``, each given a bounding-box test by ``min`` and ``max``, a rank
+test and a barycentric solve by the ``Fraction`` Gauss--Jordan solver on
+``[M | I]`` above.  Nothing in it calls the integer kernel, so it checks
+the bitmask filter and the one-shot ``[M | b]`` solve of the current
+enumeration against an independent method.
 """
 
 from __future__ import annotations
@@ -22,13 +26,7 @@ from typing import Iterable, Sequence
 
 from sonckit.errors import CapExceeded, DimensionMismatch
 from sonckit.forms import Exponent, RationalLike, SparseForm, grlex_key
-from sonckit.geometry import (
-    DEFAULT_CANDIDATE_CAP,
-    Simplex,
-    _box_contains,
-    affinely_independent,
-    barycentric_coordinates,
-)
+from sonckit.geometry import DEFAULT_CANDIDATE_CAP, Simplex
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -226,6 +224,34 @@ def point_in_hull(
     rows.append([1] * len(generators))
     rhs = list(point) + [1]
     return simplex_feasible(rows, rhs)
+
+
+def _box_contains(points: Sequence[Exponent], target: Exponent) -> bool:
+    return all(
+        min(p[i] for p in points) <= t <= max(p[i] for p in points)
+        for i, t in enumerate(target)
+    )
+
+
+def affinely_independent(points: Sequence[Exponent]) -> bool:
+    """Rank test on difference vectors."""
+    base = points[0]
+    return matrix_rank([[a - b for a, b in zip(p, base)] for p in points[1:]]) == (
+        len(points) - 1
+    )
+
+
+def barycentric_coordinates(
+    beta: Exponent, vertices: Sequence[Exponent]
+) -> tuple[Fraction, ...] | None:
+    """Positive weights of ``beta`` over affinely independent ``vertices``
+    by :class:`EchelonSolver` on ``[vertices; all-ones]``, or ``None``."""
+    rows: list[list[Fraction | int]] = [[v[i] for v in vertices] for i in range(len(beta))]
+    rows.append([1] * len(vertices))
+    solution = EchelonSolver(rows).solve([*beta, 1])
+    if solution is None or any(weight <= 0 for weight in solution):
+        return None
+    return tuple(solution)
 
 
 def enumerate_simplices(

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from sonckit.errors import DimensionMismatch
 from sonckit.exactlp import (
     EchelonSolver,
     integer_numerators,
@@ -64,6 +65,18 @@ def test_point_in_hull_returns_exact_weights():
             sum(w * g[coordinate] for w, g in zip(weights, generators))
             == (2, 2, 2)[coordinate]
         )
+
+
+def test_point_in_hull_rejects_generators_of_another_length():
+    # The third coordinate of the generators used to be ignored, which
+    # gave the weights [1/2, 1/2].
+    for point, generators in (
+        ((1, 1), [(2, 0, 9), (0, 2, 9)]),
+        ((1, 1, 1), [(2, 0), (0, 2)]),
+        ((1, 1), [(2, 0), (0, 2, 0)]),
+    ):
+        with pytest.raises(DimensionMismatch):
+            point_in_hull(point, generators)
 
 
 def test_point_in_hull_random_convex_combinations():

@@ -6,7 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sonckit import exactlp, geometry
 from sonckit.errors import (
     AffinelyDependentInput,
     CapExceeded,
@@ -19,6 +22,7 @@ from sonckit.forms import make_form, mul_forms, parse_form, variable, add_forms
 from sonckit.geometry import (
     affinely_independent,
     barycentric_coordinates,
+    canonical_points,
     enumerate_simplices,
     half_newton_support,
     hull_vertices,
@@ -135,6 +139,66 @@ def test_hull_vertices_matches_oracle_on_random_supports():
         }
         points = sorted(points)
         assert hull_vertices(points) == hull_vertices_oracle(points)
+
+
+@st.composite
+def _hull_point_sets(draw):
+    """Small point sets, not homogeneous in general, with a collinear run
+    through one of the points, midpoints drawn twice (as ``Fraction``s
+    where they are not integral), and now and then every point halved."""
+    n = draw(st.integers(1, 4))
+    points = draw(st.lists(st.tuples(*[st.integers(0, 6)] * n), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        start = draw(st.sampled_from(points))
+        step = draw(st.tuples(*[st.integers(-2, 2)] * n))
+        points += [
+            tuple(a + k * d for a, d in zip(start, step))
+            for k in range(1, draw(st.integers(2, 3)))
+        ]
+    ends = st.tuples(st.sampled_from(points), st.sampled_from(points))
+    for p, q in draw(st.lists(ends, max_size=2)):
+        points += [tuple(Fraction(a + b, 2) for a, b in zip(p, q))] * 2
+    if draw(st.booleans()):
+        points = [tuple(Fraction(v, 2) for v in p) for p in points]
+    return points
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_hull_point_sets())
+def test_hull_vertices_matches_oracle_hypothesis(points):
+    assert hull_vertices(points) == hull_vertices_oracle(points)
+
+
+def _counted_hull_vertices(monkeypatch, points):
+    """``hull_vertices(points)`` and each ``point_in_hull`` call it made,
+    as ``(point, infeasible)``."""
+    calls = []
+
+    def counting(point, generators):
+        weights = exactlp.point_in_hull(point, generators)
+        calls.append((tuple(point), weights is None))
+        return weights
+
+    monkeypatch.setattr(geometry, "point_in_hull", counting)
+    return hull_vertices(points), calls
+
+
+def test_hull_vertices_makes_one_lp_per_distinct_point(monkeypatch):
+    # The benchmark reads the infeasible LPs of a hull as its vertices.
+    for builder in FORM_BUILDERS.values():
+        support = builder().support
+        vertices, calls = _counted_hull_vertices(monkeypatch, support + support[:2])
+        assert [point for point, _ in calls] == canonical_points(support)
+        assert {point for point, infeasible in calls if infeasible} == vertices
+    vertices, calls = _counted_hull_vertices(monkeypatch, [(2, 0), (1, 1), (0, 2)])
+    assert calls == [((0, 2), True), ((1, 1), False), ((2, 0), True)]
+
+
+def test_hull_vertices_rejects_points_of_another_length():
+    # Used to raise a bare IndexError.
+    for points in ([(2, 0), (0, 2, 0)], [(0, 2, 0), (2, 0)], [(1, 1), (2, 0), (0, 2, 4)]):
+        with pytest.raises(DimensionMismatch):
+            hull_vertices(points)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +391,15 @@ def test_lattice_points_motzkin_triangle_contains_center():
     assert (3, 3, 0) in points
 
 
+def test_lattice_points_rejects_vertices_of_another_length():
+    # Used to return three points, reading only two coordinates of each.
+    for vertices in ([(2, 0), (0, 2, 1)], [(0, 2, 1), (2, 0)]):
+        with pytest.raises(DimensionMismatch):
+            lattice_points(vertices)
+        with pytest.raises(DimensionMismatch):
+            polytope_lattice_points(vertices)
+
+
 def test_lattice_points_rejects_dependent():
     with pytest.raises(AffinelyDependentInput):
         lattice_points([(0, 0), (1, 1), (2, 2)])
@@ -388,7 +461,7 @@ def test_polytope_lattice_points_handles_dependent_sets():
 
 
 def test_polytope_lattice_points_eliminates_a_simplex_once(monkeypatch):
-    from sonckit import geometry
+    from sonckit import exactlp, geometry
 
     eliminations = []
 

@@ -343,6 +343,38 @@ def test_lp_matches_oracle_hypothesis(system):
 
 
 @st.composite
+def _zero_heavy_systems(draw):
+    """Systems with at least half their entries 0 and now and then whole
+    zero columns, so that most pivots leave most rows untouched and rows
+    go stale across several pivots before one rewrites them."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    nonzero = _rationals.filter(bool)
+    cells = nrows * ncols
+    filled = draw(st.sets(st.integers(0, cells - 1), max_size=cells // 2))
+    zero_columns = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols // 2))
+    rows = [[0] * ncols for _ in range(nrows)]
+    for cell in sorted(filled):
+        i, j = divmod(cell, ncols)
+        if j not in zero_columns:
+            rows[i][j] = draw(nonzero)
+    if draw(st.booleans()):
+        # Feasible by construction, with zeros in x: degenerate pivots.
+        x = draw(st.lists(st.sampled_from([0, 0, 1, Fraction(1, 2), 3]), min_size=ncols, max_size=ncols))
+        rhs = [sum((a * v for a, v in zip(row, x)), Fraction(0)) for row in rows]
+    else:
+        rhs = draw(st.lists(st.one_of(st.just(0), _rationals), min_size=nrows, max_size=nrows))
+    return rows, rhs
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_zero_heavy_systems())
+def test_kernel_matches_oracle_on_zero_heavy_systems(system):
+    rows, rhs = system
+    _assert_lp_agrees(rows, rhs)
+    _assert_solver_agrees(rows, [rhs, [0] * len(rows), [1] * len(rows)])
+
+
+@st.composite
 def _forms(draw):
     num_vars, degree = draw(st.integers(1, 4)), draw(st.integers(0, 6))
     # A monomial of the degree, as the multiset of its variables.
