@@ -371,9 +371,16 @@ def sonc_feasibility_search(
 
 
 def _smoothed_max(values: Sequence[float], tau: float) -> float:
-    """``peak + tau * log sum exp((v - peak) / tau)``, the search's objective."""
+    """``peak + tau * log sum exp((v - peak) / tau)``, the search's objective.
+
+    The sum is a left fold: builtin ``sum`` of floats is compensated from
+    Python 3.12 on, which would change the search's trajectory."""
+    exp = math.exp
     peak = max(values)
-    return peak + tau * math.log(sum(math.exp((v - peak) / tau) for v in values))
+    total = 0.0
+    for v in values:
+        total += exp((v - peak) / tau)
+    return peak + tau * math.log(total)
 
 
 class _SearchProblem:
@@ -419,6 +426,10 @@ class _SearchProblem:
                 position[key, index] = self.weight_count
                 self.weight_count += 1
             self.size += len(indices) - 1
+        # The groups the softmax acts on; a group of one is forced to 1.
+        self._free_groups = [
+            (first, first + size) for first, size in self.groups if size > 1
+        ]
         self.slots = [
             (
                 position[beta, index],
@@ -436,26 +447,33 @@ class _SearchProblem:
         ]
 
     def weights(self, logits: Sequence[float]) -> list[float]:
-        """The group softmaxes of ``logits``, one logit per weight, flat."""
+        """The group softmaxes of ``logits``, one logit per weight, flat.
+        Each total is a left fold, as in :func:`_smoothed_max`."""
+        exp = math.exp
         weights = [1.0] * self.weight_count
-        for first, size in self.groups:
-            if size > 1:
-                group = logits[first : first + size]
-                peak = max(group)
-                exps = [math.exp(v - peak) for v in group]
-                total = sum(exps)
-                weights[first : first + size] = [v / total for v in exps]
+        for first, stop in self._free_groups:
+            group = logits[first:stop]
+            peak = max(group)
+            exps = [exp(v - peak) for v in group]
+            total = 0.0
+            for e in exps:
+                total += e
+            weights[first:stop] = [e / total for e in exps]
         return weights
 
     def margins(self, weights: Sequence[float]) -> tuple[list[float], list[float]]:
         """Each slot's margin ``nu * |f_beta| - theta`` and its threshold
-        ``theta = prod (mu_alpha f_alpha / lambda_alpha) ** lambda_alpha``."""
+        ``theta = prod (mu_alpha f_alpha / lambda_alpha) ** lambda_alpha``,
+        with each mu clamped below at 1e-300."""
+        log, exp = math.log, math.exp
         values, thresholds = [], []
         for nu_index, abs_inner, terms in self.slots:
             log_theta = 0.0
             for mu_index, lam, constant in terms:
-                log_theta += lam * (math.log(max(weights[mu_index], 1e-300)) + constant)
-            threshold = math.exp(log_theta)
+                mu = weights[mu_index]
+                # ``max(mu, 1e-300)`` without the call, NaN included
+                log_theta += lam * (log(1e-300 if mu < 1e-300 else mu) + constant)
+            threshold = exp(log_theta)
             values.append(weights[nu_index] * abs_inner - threshold)
             thresholds.append(threshold)
         return values, thresholds
@@ -466,20 +484,23 @@ class _SearchProblem:
         values: Sequence[float],
         thresholds: Sequence[float],
         tau: float,
+        smoothed: float,
     ) -> list[float]:
         """Gradient in the split weights of the smoothed maximum of the
         margins, by reverse mode through the forward pass that gave these
-        values.  The entries of forced weights (groups of one) are never
-        used."""
-        smoothed = _smoothed_max(values, tau)
+        values.  ``smoothed`` is ``_smoothed_max(values, tau)``, which the
+        caller has already computed.  The entries of forced weights (groups
+        of one) are never used."""
+        exp = math.exp
         upstream = [0.0] * self.weight_count
         for (nu_index, abs_inner, terms), v, threshold in zip(self.slots, values, thresholds):
-            share = math.exp((v - smoothed) / tau)
+            share = exp((v - smoothed) / tau)
             upstream[nu_index] += share * abs_inner
+            pull = share * threshold
             for mu_index, lam, _ in terms:
                 mu = weights[mu_index]
                 if mu > 1e-300:  # the clamp in ``margins`` is flat below
-                    upstream[mu_index] -= share * threshold * lam / mu
+                    upstream[mu_index] -= pull * lam / mu
         return upstream
 
 
@@ -487,7 +508,10 @@ def _optimize(problem: _SearchProblem) -> tuple[float, list[float]]:
     """Best hard margin found and the split weights that reach it, by one
     entropic mirror descent run from the uniform split: each step takes the
     weight-space gradient, times a step length that halves until the
-    smoothed maximum does not rise, off the logits of the group softmaxes."""
+    smoothed maximum does not rise, off the logits of the group softmaxes.
+    The smoothed maximum is computed once per forward pass, and once more
+    at each change of temperature: the accepted trial's value is the next
+    step's level and goes into its gradient."""
     scale = max(abs_inner for _, abs_inner, _ in problem.slots)
     last_phase = len(_TAUS) - 1
     logits = [0.0] * problem.weight_count
@@ -500,9 +524,10 @@ def _optimize(problem: _SearchProblem) -> tuple[float, list[float]]:
         if best_margin <= 1e-10 or stalled >= _PHASE + 60:
             break
         phase = min(iteration // _PHASE, last_phase)
-        tau = _TAUS[phase] * scale
-        gradient = problem.gradient(weights, values, thresholds, tau)
-        level = _smoothed_max(values, tau)
+        if iteration == phase * _PHASE:  # the first step at a new temperature
+            tau = _TAUS[phase] * scale
+            level = _smoothed_max(values, tau)
+        gradient = problem.gradient(weights, values, thresholds, tau, level)
         while True:
             trial = [v - step * g for v, g in zip(logits, gradient)]
             weights = problem.weights(trial)
@@ -515,6 +540,7 @@ def _optimize(problem: _SearchProblem) -> tuple[float, list[float]]:
             step /= 2
         logits = trial
         step *= 2 if smoothed < level else 1
+        level = smoothed
         current = max(values)
         # Only the last phase counts steps that hardly improve the margin.
         progress = current < best_margin - 1e-7 * max(1.0, scale)

@@ -22,6 +22,12 @@ from .report import analyze, render_text, report_to_dict
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    if args.max_params < 0:
+        print(
+            f"error: --max-params must be at least 0, got {args.max_params}",
+            file=sys.stderr,
+        )
+        return 1
     try:
         form = load_form_file(args.file)
     except (OSError, SonckitError) as error:

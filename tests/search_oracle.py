@@ -9,11 +9,16 @@ per weight.  ``adam_optimize`` is the optimiser the search ran before
 mirror descent: Adam on group softmaxes with the first logit of each group
 pinned at 0, from four seeded starts; ``softmax_weights`` and
 ``softmax_gradient`` are its layout and its gradient.
+``reference_optimize`` is the mirror descent as it ran before each step
+computed the smoothed maximum once: the gradient, the level and every
+backtracking trial each evaluate it afresh.  Its sums are left folds, as
+builtin ``sum`` of floats was before Python 3.12.
 """
 
 import math
 import random
 
+from sonckit import certify
 from sonckit.forms import grlex_key
 
 
@@ -105,7 +110,9 @@ def softmax_weights(problem, theta):
 def softmax_gradient(problem, weights, values, thresholds, tau):
     """Gradient in theta: the weight-space gradient through each group's
     softmax Jacobian."""
-    upstream = problem.gradient(weights, values, thresholds, tau)
+    upstream = problem.gradient(
+        weights, values, thresholds, tau, certify._smoothed_max(values, tau)
+    )
     gradient = [0.0] * problem.size
     for offset, first, size in _offsets(problem):
         if size > 1:
@@ -157,4 +164,90 @@ def adam_optimize(problem):
             # Allow one smoothing-phase change before giving up on a start.
             if since_improvement > phase + 60:
                 break
+    return best_margin, best_weights
+
+
+def _left_sum(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _smoothed_max(values, tau):
+    peak = max(values)
+    return peak + tau * math.log(_left_sum(math.exp((v - peak) / tau) for v in values))
+
+
+def _weights(problem, logits):
+    weights = [1.0] * problem.weight_count
+    for first, size in problem.groups:
+        if size > 1:
+            group = logits[first : first + size]
+            peak = max(group)
+            exps = [math.exp(v - peak) for v in group]
+            total = _left_sum(exps)
+            weights[first : first + size] = [v / total for v in exps]
+    return weights
+
+
+def _margins(problem, weights):
+    values, thresholds = [], []
+    for nu_index, abs_inner, terms in problem.slots:
+        log_theta = 0.0
+        for mu_index, lam, constant in terms:
+            log_theta += lam * (math.log(max(weights[mu_index], 1e-300)) + constant)
+        threshold = math.exp(log_theta)
+        values.append(weights[nu_index] * abs_inner - threshold)
+        thresholds.append(threshold)
+    return values, thresholds
+
+
+def _gradient(problem, weights, values, thresholds, tau):
+    smoothed = _smoothed_max(values, tau)
+    upstream = [0.0] * problem.weight_count
+    for (nu_index, abs_inner, terms), v, threshold in zip(problem.slots, values, thresholds):
+        share = math.exp((v - smoothed) / tau)
+        upstream[nu_index] += share * abs_inner
+        for mu_index, lam, _ in terms:
+            mu = weights[mu_index]
+            if mu > 1e-300:
+                upstream[mu_index] -= share * threshold * lam / mu
+    return upstream
+
+
+def reference_optimize(problem):
+    """Best hard margin found and the split weights that reach it."""
+    taus = (0.3, 0.03, 0.003, 0.0003)
+    phase_steps = 300
+    scale = max(abs_inner for _, abs_inner, _ in problem.slots)
+    last_phase = len(taus) - 1
+    logits = [0.0] * problem.weight_count
+    weights = _weights(problem, logits)
+    values, thresholds = _margins(problem, weights)
+    best_margin, best_weights = max(values), weights
+    step = 3 * taus[0] / scale
+    stalled = 0
+    for iteration in range(25_000):
+        if best_margin <= 1e-10 or stalled >= phase_steps + 60:
+            break
+        phase = min(iteration // phase_steps, last_phase)
+        tau = taus[phase] * scale
+        gradient = _gradient(problem, weights, values, thresholds, tau)
+        level = _smoothed_max(values, tau)
+        while True:
+            trial = [v - step * g for v, g in zip(logits, gradient)]
+            weights = _weights(problem, trial)
+            values, thresholds = _margins(problem, weights)
+            smoothed = _smoothed_max(values, tau)
+            if smoothed <= level or not step:
+                break
+            step /= 2
+        logits = trial
+        step *= 2 if smoothed < level else 1
+        current = max(values)
+        progress = current < best_margin - 1e-7 * max(1.0, scale)
+        stalled = 0 if phase < last_phase or progress else stalled + 1
+        if current < best_margin:
+            best_margin, best_weights = current, weights
     return best_margin, best_weights

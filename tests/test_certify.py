@@ -1,6 +1,8 @@
 """Necessary condition, corollary, decomposition verification, and search."""
 
+import functools
 import math
+import operator
 import random
 from fractions import Fraction
 from unittest import mock
@@ -363,7 +365,9 @@ def _random_weights(rng, problem, logit):
 
 def _assert_gradient_matches_oracle(problem, weights, tau):
     values, thresholds = problem.margins(weights)
-    analytic = problem.gradient(weights, values, thresholds, tau)
+    analytic = problem.gradient(
+        weights, values, thresholds, tau, certify._smoothed_max(values, tau)
+    )
     # Richardson extrapolation over steps h and h/2 cancels the h**2
     # truncation error of central differences, which exceeds the tolerance
     # where two margins cross at the smallest tau.
@@ -471,6 +475,29 @@ def test_search_gradient_matches_central_difference_hypothesis(
     )
     scale = max(abs_inner for _, abs_inner, _ in problem.slots)
     _assert_gradient_matches_oracle(problem, problem.weights(logits), phase * scale)
+
+
+def test_search_sums_are_left_folds():
+    # From Python 3.12 on, builtin sum of floats is compensated.  One 1.0
+    # and many terms below half its ulp tell the two apart: a left fold
+    # stays at 1.0, a compensated sum does not.
+    tiny = math.log(1e-16)
+    values = [0.0] + [tiny] * 10
+    exps = [math.exp(v) for v in values]
+    left = functools.reduce(operator.add, exps)
+    assert left == 1.0 and math.fsum(exps) != left
+    # peak 0 and tau 1: the smoothed maximum is log(left) = 0
+    assert certify._smoothed_max(values, 1.0) == 0.0
+
+    problem = _search_problem(FORM_BUILDERS["motzkin_tilde"]())
+    first, size = max(problem.groups, key=lambda group: group[1])
+    logits = [0.0] * problem.weight_count
+    logits[first + 1 : first + size] = [tiny] * (size - 1)
+    exps = [math.exp(v) for v in logits[first : first + size]]
+    left = functools.reduce(operator.add, exps)
+    assert math.fsum(exps) != left
+    weights = problem.weights(logits)
+    assert weights[first : first + size] == [e / left for e in exps]
 
 
 def test_search_stops_when_the_slope_overflows():
@@ -812,6 +839,64 @@ def test_search_certifies_random_cancellation_free_sums(random_sums):
     assert open_forms == [
         "4/3*x1^4 - 8/3*x1^3*x2 + 4/3*x1^2*x2^2 + x2^4 - 2*x2^3*x3 + x2^2*x3^2"
     ]
+
+
+# ---------------------------------------------------------------------------
+# the mirror descent against its former step, which recomputed the
+# smoothed maximum for the gradient, the level and every trial
+# ---------------------------------------------------------------------------
+
+def _assert_descent_matches_reference(problem):
+    # Exact float equality: the search's trajectory is unchanged.
+    assert certify._optimize(problem) == search_oracle.reference_optimize(problem)
+
+
+def test_search_descent_matches_reference_on_corpus(corpus_problems):
+    searched = 0
+    for name, _, problem in corpus_problems:
+        if problem.size <= 9:
+            assert certify._optimize(problem) == search_oracle.reference_optimize(
+                problem
+            ), name
+            searched += 1
+    assert searched == 7
+
+
+@settings(max_examples=30, deadline=None)
+@given(c=st.fractions(min_value=Fraction(1, 20), max_value=8, max_denominator=50))
+def test_search_descent_matches_reference_on_trinomial_family(c):
+    _assert_descent_matches_reference(_search_problem(_trinomial_family_form(c)))
+
+
+def test_search_descent_matches_reference_on_random_sums(random_sums):
+    for total in random_sums:
+        problem = _search_problem(total)
+        if problem.size:
+            _assert_descent_matches_reference(problem)
+
+
+def test_search_computes_one_smoothed_maximum_per_forward_pass():
+    calls = {"smoothed": 0, "margins": 0}
+
+    def counting(name, function):
+        def counted(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return counted
+
+    for name in ("robinson1", "separator_ternary"):
+        problem = _search_problem(FORM_BUILDERS[name]())
+        calls.update(smoothed=0, margins=0)
+        with mock.patch.object(
+            certify, "_smoothed_max", counting("smoothed", certify._smoothed_max)
+        ), mock.patch.object(
+            _SearchProblem, "margins", counting("margins", _SearchProblem.margins)
+        ):
+            certify._optimize(problem)
+        # One per forward pass, and one more at each change of temperature.
+        assert calls["margins"] > 0, name
+        assert calls["smoothed"] <= calls["margins"] + len(certify._TAUS), (name, calls)
 
 
 def test_reduction_transforms_preserve_exact_disproofs():

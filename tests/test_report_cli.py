@@ -409,6 +409,14 @@ def test_cli_analyze_search_budget_is_max_params_only(capsys):
         assert gone not in out
 
 
+@pytest.mark.parametrize("flags", [["--search"], []])
+def test_cli_analyze_rejects_a_negative_budget(motzkin_file, capsys, flags):
+    assert main(["analyze", motzkin_file, "--max-params", "-1", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--max-params" in captured.err
+
+
 @pytest.mark.parametrize("command", [["analyze"], ["grid", "--grid", "X"]])
 def test_cli_rejects_a_file_that_is_not_utf8(tmp_path, capsys, command):
     path = tmp_path / "latin.poly"
