@@ -226,9 +226,14 @@ def verify_decomposition(f: SparseForm, d: SoncDecomposition) -> VerificationRes
 @dataclass(frozen=True)
 class SearchBudget:
     """Largest number of free split weights the search takes on; larger
-    problems raise :class:`BudgetExceeded` before any work."""
+    problems raise :class:`BudgetExceeded` before any work.  A negative
+    budget raises :class:`ValueError`."""
 
     max_params: int = 6
+
+    def __post_init__(self) -> None:
+        if self.max_params < 0:
+            raise ValueError(f"max_params must be at least 0, got {self.max_params}")
 
 
 #: Best margin above which a numeric search reports infeasibility.

@@ -62,7 +62,9 @@ def _pivot(
     over ``previous``, of the row brought to scale ``previous``, so the
     division is exact by Sylvester's identity.  A row with
     ``row[col] == 0`` keeps its rational values under this pivot, so it
-    is skipped and keeps its scale.
+    is skipped and keeps its scale.  Every changed row is rebound to a
+    new list, never mutated in place, so a caller that pivots shallow
+    copies of ``rows`` and ``scales`` leaves the originals intact.
     """
     pivot_row = rows[top]
     if scales[top] != previous:

@@ -4,8 +4,11 @@ Provides Newton-polytope vertices, the monomial-square / remainder support
 partition, barycentric coordinates, enumeration of covering simplex
 families, lattice points of simplices, and half-support candidates for
 sum-of-squares summands.  Vertex detection and hull membership run on the
-exact rational LP from :mod:`sonckit.exactlp`; nothing here touches
-floating point.
+exact rational LP from :mod:`sonckit.exactlp`.  The covering simplices of
+an inner exponent ``beta`` are the positive circuits of the vectors
+``p - beta``; one depth-first walk finds them, pivoting each linearly
+independent prefix once on the same fraction-free kernel.  Nothing here
+touches floating point.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .errors import (
 from .exactlp import (
     EchelonSolver,
     _eliminate,
+    _pivot,
     integer_numerators,
     matrix_rank,
     point_in_hull,
@@ -162,16 +166,27 @@ def enumerate_simplices(
     cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> list[Simplex]:
     """All simplices spanned by candidate points that contain ``beta`` in
-    their relative interior.
+    their relative interior, ordered by size and then by their vertex
+    indices in the graded-lex sorted pool, as ``itertools.combinations``
+    would list them.
 
-    Subsets of size 1 up to the pool's affine rank plus one (larger ones
-    are dependent) are enumerated in graded-lex order on sorted vertex
-    lists.  A subset must first reach ``beta`` in every coordinate from
-    below and from above: each point carries the bitmask of coordinates
-    where it is at most ``beta`` and of those where it is at least
-    ``beta``, and the ORs over the subset must be full.  The barycentric
-    solve then rejects dependent subsets and gives each survivor its
-    coordinates.  Candidates strictly above the cap raise
+    A point set S is such a simplex exactly when the vectors
+    ``d_p = p - beta`` for p in S form a circuit, a minimally dependent
+    set, whose kernel vector is strictly positive; the kernel vector
+    scaled to sum one is the barycentric weights.  One depth-first walk
+    over the pool finds them.  It grows prefixes whose d-vectors are
+    linearly independent, holding their fraction-free Gauss--Jordan form
+    over all pool columns, so each prefix costs one pivot.  A later point
+    ``j`` whose ``d_j`` lies in the span of the prefix, ``d_j = sum c_k
+    d_k``, closes a simplex exactly when every ``c_k`` is negative, and
+    the walk never goes past it: every larger set is dependent but not
+    minimally so.  (``p = beta`` has ``d_p = 0`` and is a simplex of one
+    point.)  Two rules prune the walk.  It descends only into independent
+    prefixes, and only while ``beta`` can still be reached in every
+    coordinate from below and from above: each point carries the bitmask
+    of coordinates where it is at most ``beta`` and of those where it is
+    at least ``beta``, and the OR over the prefix and all later points
+    must be full.  Candidates strictly above the cap raise
     :class:`CapExceeded`, candidates of another length than ``beta``
     :class:`DimensionMismatch`.
     """
@@ -190,31 +205,48 @@ def enumerate_simplices(
         raise CapExceeded(
             f"{len(pool)} candidate points for {beta} exceed the cap of {cap}"
         )
-    rank = matrix_rank([[a - b for a, b in zip(point, pool[0])] for point in pool[1:]])
     # Bit i: coordinate i at most beta's; bit n + i: at least beta's.
-    n = len(beta)
+    n, size = len(beta), len(pool)
     full = (1 << 2 * n) - 1
     masks = [
         sum(1 << i for i in range(n) if point[i] <= beta[i])
         | sum(1 << n + i for i in range(n) if point[i] >= beta[i])
         for point in pool
     ]
-    found: list[Simplex] = []
-    for size in range(1, rank + 2):
-        for subset in itertools.combinations(range(len(pool)), size):
-            covered = 0
-            for j in subset:
-                covered |= masks[j]
-            if covered != full:
-                continue
-            vertices = tuple(pool[j] for j in subset)
-            try:
-                weights = barycentric_coordinates(beta, vertices)
-            except AffinelyDependentInput:
-                continue
-            if weights is not None:
-                found.append(Simplex(vertices=vertices, barycentric=weights))
-    return found
+    # later[j]: OR of the masks of pool[j:].
+    later = [0] * (size + 1)
+    for j in range(size - 1, -1, -1):
+        later[j] = later[j + 1] | masks[j]
+    found: list[tuple[tuple[int, ...], tuple[Fraction, ...]]] = []
+
+    def walk(prefix, pivot_rows, rows, scales, previous, covered):
+        # Column k of ``rows`` is d_k; pivot_rows[i] holds the pivot of
+        # column prefix[i], every other row is zero on the prefix columns.
+        free = [r for r in range(len(rows)) if r not in pivot_rows]
+        for j in range(prefix[-1] + 1 if prefix else 0, size):
+            top = next((r for r in free if rows[r][j]), None)
+            if top is None:
+                # d_j = sum c_k d_k with c_k = rows[r][j] / rows[r][k].
+                pairs = [(rows[r][j], rows[r][k]) for r, k in zip(pivot_rows, prefix)]
+                if all(a * b < 0 for a, b in pairs):
+                    total = Fraction(1) - sum(Fraction(a, b) for a, b in pairs)
+                    weights = (*(Fraction(-a, b) / total for a, b in pairs), 1 / total)
+                    found.append(((*prefix, j), weights))
+            elif covered | masks[j] | later[j + 1] == full:
+                # _pivot rebinds every row it changes, so copies of the
+                # two lists leave this level's form intact.
+                child_rows, child_scales = rows[:], scales[:]
+                pivot = _pivot(child_rows, child_scales, top, j, previous)
+                walk((*prefix, j), (*pivot_rows, top), child_rows, child_scales,
+                     pivot, covered | masks[j])
+
+    rows = [[point[i] - beta[i] for point in pool] for i in range(n)]
+    walk((), (), rows, [1] * n, 1, 0)
+    found.sort(key=lambda item: (len(item[0]), item[0]))
+    return [
+        Simplex(vertices=tuple(pool[j] for j in subset), barycentric=weights)
+        for subset, weights in found
+    ]
 
 
 def support_partition(

@@ -13,8 +13,8 @@ capped subset sizes at the pool's affine rank: subsets of every size up to
 ``n + 1``, each given a bounding-box test by ``min`` and ``max``, a rank
 test and a barycentric solve by the ``Fraction`` Gauss--Jordan solver on
 ``[M | I]`` above.  Nothing in it calls the integer kernel, so it checks
-the bitmask filter and the one-shot ``[M | b]`` solve of the current
-enumeration against an independent method.
+the depth-first circuit walk of the current enumeration, its pruning and
+the weights it reads off its pivots, against an independent method.
 """
 
 from __future__ import annotations

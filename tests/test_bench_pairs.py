@@ -146,3 +146,29 @@ def test_unhealthy_runs_are_named_and_fail_after_the_bench_file(monkeypatch, tmp
         "runs with correct false or failed > 0: corpus parent seed 7 traced,"
         " corpus change seed 2"
     )
+
+
+def test_a_crashed_run_is_named_with_its_stderr(monkeypatch, tmp_path, capsys):
+    """A ``perfbench/run.py`` that exits nonzero stops the tool with exit
+    status 1; stderr names the side, workload, seed and trace flag and
+    repeats the end of the child's traceback."""
+    module = _load()
+    sides = _fake_checkouts(tmp_path)
+    traceback = [f"  frame {k}" for k in range(30)] + ["ZeroDivisionError: boom"]
+
+    def fake_run(command, cwd, env, **kwargs):
+        assert not kwargs.get("check")
+        stderr = "Traceback (most recent call last):\n" + "\n".join(traceback) + "\n"
+        return subprocess.CompletedProcess(command, 1, stdout="", stderr=stderr)
+
+    monkeypatch.setattr(module.subprocess, "run", fake_run)
+    with pytest.raises(SystemExit) as exit_info:
+        module.main([
+            "--parent", str(sides["parent"]), "--change", str(sides["change"]),
+            "--workload", "corpus=2", "--first-seed", "5", "--pr", "1",
+            "--summary", "s", "--out", str(tmp_path / "BENCH.json"),
+        ])
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "parent run of corpus seed 5 trace 0 exited with status 1; its stderr ends:"
+    assert err[1:] == traceback[-module.CRASH_TAIL_LINES:]

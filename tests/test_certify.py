@@ -261,6 +261,12 @@ def test_search_budget_exceeded():
         )
 
 
+def test_negative_search_budget_is_an_input_error():
+    with pytest.raises(ValueError, match="at least 0, got -1"):
+        SearchBudget(max_params=-1)
+    assert SearchBudget(max_params=0).max_params == 0
+
+
 def test_search_uncovered_inner_exponent():
     f = parse_form("x1^4 + 1/2*x1^3*x2")
     with pytest.raises(UncoveredInnerExponent):

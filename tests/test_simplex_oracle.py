@@ -1,14 +1,20 @@
 """Differential tests: ``geometry.enumerate_simplices`` against the
 enumeration it replaced, kept in ``fraction_oracle``.
 
-The current enumeration computes the affine rank of the candidate pool
-once, tries subset sizes only up to that rank plus one, and lets the
-barycentric solve reject dependent subsets.  The oracle tries every size
-up to ``n + 1`` and gives each subset a rank test first.  Both must return
-the same simplices in the same order with the same weights: on pools that
-lose dimensions to zeros in ``beta``, on non-homogeneous point sets, on
-duplicate candidates and single-point pools, and at the candidate cap.
-Seeded loops and derandomised hypothesis generate the instances.
+The current enumeration walks the pool depth first: it grows prefixes of
+points whose vectors ``p - beta`` are linearly independent, one
+fraction-free pivot per prefix, and reads each covering simplex off a
+later point whose vector lies in the prefix's span with all coefficients
+negative.  It prunes independent prefixes that can no longer reach
+``beta`` in every coordinate and never extends a dependent one.  The
+oracle tries every subset of size up to ``n + 1`` with a box test, a rank
+test and a ``Fraction`` barycentric solve.  Both must return the same
+simplices in the same order with the same weights: on pools that lose
+dimensions to zeros in ``beta``, on non-homogeneous point sets, on
+duplicate candidates and single-point pools, at the candidate cap, and on
+pools shaped like the benchmark's (5--6 variables, 8--16 even exponents of
+one degree, some with three collinear points).  Seeded loops and
+derandomised hypothesis generate the instances.
 """
 
 import itertools
@@ -120,20 +126,73 @@ def test_cap_boundary(num_vars, degree, beta):
             enumerate_(beta, pool)
 
 
-def test_one_rank_and_no_independence_test(monkeypatch):
-    ranks = []
-    rank = geometry.matrix_rank
+def _benchmark_like(rng, collinear):
+    """A (beta, candidates) pair like the benchmark's random forms: 8--16
+    even exponents of one degree in 5 or 6 variables plus duplicates, and
+    beta the midpoint of two of them or a lattice point of that degree.
+    With ``collinear`` the pool holds three points on a line, so the walk
+    meets a dependent prefix that it must not extend."""
+    num_vars = rng.randint(5, 6)
+    degree = rng.choice([4, 6, 8])
+    universe = _even_exponents(num_vars, degree)
+    pool = rng.sample(universe, rng.randint(8, min(16, len(universe))))
+    if collinear:
+        j = rng.randrange(num_vars)
+        i = rng.choice([k for k in range(num_vars) if k != j])
+        start = rng.choice([p for p in universe if p[j] >= 4])
+        step = [2 * (k == i) - 2 * (k == j) for k in range(num_vars)]
+        pool[:3] = [tuple(a + t * s for a, s in zip(start, step)) for t in range(3)]
+    if rng.random() < 0.5:
+        s, t = rng.sample(pool, 2)
+        beta = tuple((a + b) // 2 for a, b in zip(s, t))
+    else:
+        beta = [0] * num_vars
+        for _ in range(degree):
+            beta[rng.randrange(num_vars)] += 1
+        beta = tuple(beta)
+    candidates = pool + rng.choices(pool, k=rng.randint(1, 4))
+    rng.shuffle(candidates)
+    return beta, candidates
 
-    def counting_rank(rows):
-        ranks.append(rows)
-        return rank(rows)
 
-    def no_independence_test(points):
-        raise AssertionError("the barycentric solve decides independence")
+def test_matches_oracle_on_benchmark_like_pools():
+    rng = random.Random(1414)
+    found = 0
+    for k in range(24):
+        found += len(_assert_same(*_benchmark_like(rng, collinear=k % 2 == 0)))
+    assert found > 40
 
-    monkeypatch.setattr(geometry, "matrix_rank", counting_rank)
-    monkeypatch.setattr(geometry, "affinely_independent", no_independence_test)
+
+@settings(derandomize=True, max_examples=16, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), collinear=st.booleans())
+def test_matches_oracle_on_benchmark_like_pools_hypothesis(seed, collinear):
+    _assert_same(*_benchmark_like(random.Random(seed), collinear))
+
+
+def test_collinear_points_close_no_simplex_through_their_line():
+    # (4,4,0,0,0) is the midpoint of (8,0,0,0,0) and (0,8,0,0,0): the
+    # prefix of the two endpoints spans it with coefficients of both signs.
+    pool = [(8, 0, 0, 0, 0), (4, 4, 0, 0, 0), (0, 8, 0, 0, 0), (0, 0, 8, 0, 0),
+            (0, 0, 0, 4, 4), (2, 2, 2, 2, 0), (4, 0, 0, 4, 0), (0, 4, 0, 0, 4)]
+    assert _assert_same((3, 3, 1, 0, 1), pool + pool[:2])
+    midpoint = _assert_same((4, 4, 0, 0, 0), pool)
+    assert [s.vertices for s in midpoint[:2]] == [
+        ((4, 4, 0, 0, 0),), ((0, 8, 0, 0, 0), (8, 0, 0, 0, 0))
+    ]
+
+
+def test_walk_needs_no_rank_test_and_no_solve(monkeypatch):
+    """The walk decides independence and reads the weights off its own
+    pivots: no rank, independence test, barycentric solve or
+    ``EchelonSolver`` runs."""
     pool = _even_exponents(3, 6)
-    simplices = enumerate_simplices((2, 2, 2), pool)
-    assert len(simplices) > 1
-    assert len(ranks) == 1
+    expected = oracle.enumerate_simplices((2, 2, 2), pool)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the walk called a separate solver")
+
+    for name in ("matrix_rank", "affinely_independent", "barycentric_coordinates",
+                 "EchelonSolver"):
+        monkeypatch.setattr(geometry, name, forbidden)
+    assert len(expected) > 1
+    assert enumerate_simplices((2, 2, 2), pool) == expected

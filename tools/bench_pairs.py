@@ -20,7 +20,9 @@ pairs in which the change's value is strictly better, in the direction
 ``BENCHMARK.json`` gives for the metric.  ``notes`` is left empty for the
 reader's account of the numbers.  If any run, traced or not, reports
 ``correct: false`` or ``failed > 0``, the BENCH file is still written,
-those runs are named on stderr and the exit status is 1.
+those runs are named on stderr and the exit status is 1.  A run that
+exits nonzero stops the tool at once with exit status 1, after naming the
+run and repeating the end of its stderr.
 """
 
 from __future__ import annotations
@@ -36,23 +38,32 @@ from pathlib import Path
 
 #: Seed of the traced runs, the same in every BENCH file.
 TRACE_SEED = 7
+#: Lines of a crashed run's stderr repeated on the tool's own stderr.
+CRASH_TAIL_LINES = 20
 
 
 def run_bench(
-    checkout: Path, workload: str, seed: int, seconds: float, trace: int, cache: Path
+    side: str, checkout: Path, workload: str, seed: int, seconds: float, trace: int,
+    cache: Path,
 ) -> tuple[dict, dict]:
-    """One benchmark run; returns its ``info`` and its result line.
+    """One benchmark run of ``side``; returns its ``info`` and its result line.
 
     Bytecode is looked up only in the empty directory ``cache`` and
     written nowhere, so a ``__pycache__`` left in one checkout cannot make
-    that side's imports cheaper.
+    that side's imports cheaper.  A run that exits nonzero is named on
+    stderr with the last lines of its own stderr, and the tool exits 1.
     """
     env = {**os.environ, "PYTHONPYCACHEPREFIX": str(cache), "PYTHONDONTWRITEBYTECODE": "1"}
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=checkout, env=env, capture_output=True, text=True, check=True,
+        cwd=checkout, env=env, capture_output=True, text=True,
     )
+    if done.returncode:
+        tail = "\n".join(done.stderr.splitlines()[-CRASH_TAIL_LINES:])
+        print(f"{side} run of {workload} seed {seed} trace {trace} exited with status "
+              f"{done.returncode}; its stderr ends:\n{tail}", file=sys.stderr)
+        raise SystemExit(1)
     *_, info, result = done.stdout.strip().splitlines()
     return json.loads(info)["info"], json.loads(result)
 
@@ -84,7 +95,7 @@ def bench_workload(
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
             info, result = run_bench(
-                sides[side], name, args.first_seed + k, seconds, 0, cache
+                side, sides[side], name, args.first_seed + k, seconds, 0, cache
             )
             results[side].append(result)
             print(f"{name} seed {args.first_seed + k} {side}: "
@@ -103,7 +114,8 @@ def bench_workload(
         for side, runs in results.items()
     }
     traced = {
-        side: run_bench(sides[side], name, TRACE_SEED, seconds, 1, cache) for side in sides
+        side: run_bench(side, sides[side], name, TRACE_SEED, seconds, 1, cache)
+        for side in sides
     }
     layers = {
         metric: {
