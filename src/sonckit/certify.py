@@ -144,7 +144,11 @@ def corollary_check(f: SparseForm, partition: SupportPartition) -> CorollaryRepo
 
     For every used square exponent and inner exponent, the coefficient
     must reach ``min_k lambda^k * |f_beta|``; strict failures are
-    returned as violations.
+    returned as violations, by used square and then by inner exponent,
+    both in descending graded-lex order.  The bound is zero unless
+    ``alpha`` is a vertex of every simplex in the family of ``beta``, and
+    a used square has a positive coefficient, so one pass over each
+    family, over the vertices all its simplices share, finds them all.
     """
     inner_sum = sum((abs(f.terms[b]) for b in partition.i_set), _ZERO)
     outer_sum = sum((f.terms[a] for a in partition.s_set - partition.r_set), _ZERO)
@@ -153,12 +157,14 @@ def corollary_check(f: SparseForm, partition: SupportPartition) -> CorollaryRepo
             "corollary applies only when the inner and outer sums agree"
         )
     violations = []
-    used = sorted(partition.s_set - partition.r_set, key=grlex_key, reverse=True)
-    inners = sorted(partition.i_set, key=grlex_key, reverse=True)
-    for alpha in used:
-        for beta in inners:
-            weights = per_simplex_weights(partition, alpha, beta)
-            bound = min(weights) * abs(f.terms[beta])
+    for beta in partition.i_set:
+        first, *rest = partition.simplex_families[beta]
+        lowest = dict(zip(first.vertices, first.barycentric))
+        for simplex in rest:
+            weights = dict(zip(simplex.vertices, simplex.barycentric))
+            lowest = {a: min(w, weights[a]) for a, w in lowest.items() if a in weights}
+        for alpha, weight in lowest.items():
+            bound = weight * abs(f.terms[beta])
             if f.terms[alpha] < bound:
                 violations.append(
                     CorollaryViolation(
@@ -168,6 +174,7 @@ def corollary_check(f: SparseForm, partition: SupportPartition) -> CorollaryRepo
                         coefficient=f.terms[alpha],
                     )
                 )
+    violations.sort(key=lambda v: (grlex_key(v.alpha), grlex_key(v.beta)), reverse=True)
     return CorollaryReport(violations=tuple(violations))
 
 

@@ -15,7 +15,10 @@ No floating point, no tolerances.  Problem sizes are tiny (dimension
 <= 6 at desk scale), so dense textbook methods fit: Bareiss elimination
 for ranks, Gauss--Jordan for linear systems, and a phase-one simplex
 with Bland's rule, which guarantees termination, for convex-hull
-membership queries.
+membership queries.  The simplex tableau holds only the structural
+columns: the artificial variables survive as basis labels, and the loop
+stops at the first basis where no structural column can enter, which
+decides feasibility and returns the same point as the full tableau.
 """
 
 from __future__ import annotations
@@ -187,6 +190,17 @@ def simplex_feasible(
     pivot at which it was last rewritten, so each sign and ratio test
     agrees with the rational one and the pivots and the returned weights
     are those of rational arithmetic.
+
+    The artificial columns are never stored.  Their labels start as the
+    basis, for Bland's tie-break, but only structural columns enter, and
+    the loop stops once none of them has a negative reduced cost.  Up to
+    there the pivots are those of the full tableau, which lists the
+    structural columns first.  At that stop the duals ``y`` satisfy
+    ``y A <= 0``, so any ``x >= 0`` with ``A x = b`` would give the
+    objective ``y b = y A x <= 0``: a positive objective proves the
+    system infeasible.  A zero one is the minimum, and any further pivot
+    of the full tableau, on an artificial column or not, is degenerate
+    and leaves ``x`` as it is.
     """
     nrows = len(a_rows)
     ncols = len(a_rows[0]) if nrows else 0
@@ -208,20 +222,21 @@ def simplex_feasible(
         if beta < 0:
             beta = -beta
             coeffs = [-v for v in coeffs]
-        tableau.append(coeffs + [int(i == k) for k in range(nrows)] + [beta])
-    total_cols = ncols + nrows
-    # Last row: reduced costs of the objective (zero on the artificial
-    # columns) and minus its value, kept up to date by the same pivots.
+        tableau.append(coeffs + [beta])
+    # Last row: reduced costs of the objective and minus its value, kept
+    # up to date by the same pivots.
     sums = [sum(column) for column in zip(*tableau)]
-    tableau.append([-s for s in sums[:ncols]] + [0] * nrows + [-sums[-1]])
+    tableau.append([-s for s in sums[:ncols]] + [-sums[-1]])
+    # The artificial columns are not stored; their labels ncols + i stay
+    # in the basis until they leave, for Bland's tie-break.
     basis = list(range(ncols, ncols + nrows))
     scales = [1] * (nrows + 1)
     previous = 1
 
     while True:
         costs = tableau[nrows]
-        # Bland: first negative reduced cost.
-        entering = next((j for j in range(total_cols) if costs[j] < 0), -1)
+        # Bland: first negative reduced cost of a structural column.
+        entering = next((j for j in range(ncols) if costs[j] < 0), -1)
         if entering < 0:
             break
         leaving = -1
@@ -259,15 +274,14 @@ def point_in_hull(
 
     Decides membership in the convex hull by exact LP feasibility of
     ``point = sum mu_g g`` with ``mu >= 0`` and ``sum mu = 1``; returns the
-    weights or ``None``.  A generator whose length differs from the
-    point's raises :class:`DimensionMismatch`.
+    weights or ``None``.  No generators is one LP with no columns, which
+    is infeasible.  A generator whose length differs from the point's
+    raises :class:`DimensionMismatch`.
     """
     generators = list(generators)
     dim = len(point)
     if any(len(g) != dim for g in generators):
         raise DimensionMismatch(f"a generator differs in length from {tuple(point)}")
-    if not generators:
-        return None
     rows: list[list[Fraction | int]] = [
         [g[coordinate] for g in generators] for coordinate in range(dim)
     ]

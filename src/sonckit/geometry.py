@@ -96,6 +96,34 @@ def monomial_square_support(f: SparseForm) -> frozenset[Exponent]:
     )
 
 
+def _face(
+    point: Sequence[Fraction | int], generators: list[Sequence[Fraction | int]]
+) -> list[Sequence[Fraction | int]]:
+    """The generators that can carry weight in a convex combination equal
+    to ``point``.
+
+    Where ``point`` attains the minimum or the maximum of the generators'
+    coordinate ``i``, a combination ``sum mu_q q = point`` has
+    ``sum mu_q (q_i - point_i) = 0`` with terms of one sign, so every
+    ``q`` with ``mu_q > 0`` has ``q_i = point_i``; the others go, and the
+    scan repeats until nothing goes.  A coordinate outside the range
+    leaves no generator.  So ``point`` is in the hull of the result
+    exactly when it is in the hull of ``generators``.
+    """
+    while generators:
+        size = len(generators)
+        for i, value in enumerate(point):
+            column = [q[i] for q in generators]
+            low, high = min(column), max(column)
+            if value < low or value > high:
+                return []
+            if value == low or value == high:
+                generators = [q for q in generators if q[i] == value]
+        if len(generators) == size:
+            break
+    return generators
+
+
 def hull_vertices(points: Iterable[Exponent]) -> frozenset[Exponent]:
     """Vertices of the convex hull of a finite point set.
 
@@ -105,19 +133,25 @@ def hull_vertices(points: Iterable[Exponent]) -> frozenset[Exponent]:
     alive; a point found inside leaves the alive set.  That keeps the
     hull, since a non-vertex is a convex combination of vertices alone
     and no vertex ever leaves, so each test is infeasible exactly when
-    its point is a vertex, and later LPs get fewer columns.  Points of
-    different lengths raise :class:`DimensionMismatch`.
+    its point is a vertex, and later LPs get fewer columns.  Each LP
+    sees only the alive points on the point's coordinate face
+    (:func:`_face`): exponents are sparse, so a point at the low or high
+    end of a coordinate is tested against the few points that share that
+    value, often none.  Points of different lengths raise
+    :class:`DimensionMismatch`.
     """
     unique = canonical_points(points)
     if not unique:
         raise ValueError("empty point set")
+    if any(len(point) != len(unique[0]) for point in unique):
+        raise DimensionMismatch(f"the points {unique} differ in length")
     if len(unique) == 1:
         return frozenset(unique)
     alive = unique
     vertices = []
     for point in unique:
         others = [q for q in alive if q != point]
-        if point_in_hull(point, others) is None:
+        if point_in_hull(point, _face(point, others)) is None:
             vertices.append(point)
         else:
             alive = others
@@ -333,12 +367,13 @@ def lattice_points(simplex_vertices: Sequence[Exponent]) -> frozenset[Exponent]:
 
 def hull_lattice_points(points: Sequence[Exponent]) -> frozenset[Exponent]:
     """Integer points of conv(points), each candidate decided by the exact
-    LP; for nonempty point sets that may be affinely dependent."""
+    LP against the points on its coordinate face (:func:`_face`); for
+    nonempty point sets that may be affinely dependent."""
     unique = canonical_points(points)
     return frozenset(
         candidate
         for candidate in _integer_candidates(unique)
-        if point_in_hull(candidate, unique) is not None
+        if point_in_hull(candidate, _face(candidate, unique)) is not None
     )
 
 

@@ -1,6 +1,7 @@
 """Necessary condition, corollary, decomposition verification, and search."""
 
 import functools
+import itertools
 import math
 import operator
 import random
@@ -22,6 +23,7 @@ from sonckit.errors import (
 )
 from sonckit.certify import (
     ConditionVerdict,
+    CorollaryViolation,
     _SearchProblem,
     SearchBudget,
     SearchStatus,
@@ -33,7 +35,7 @@ from sonckit.certify import (
     verify_decomposition,
 )
 from sonckit.circuits import Circuit, detect_circuit
-from sonckit.forms import make_form, parse_form
+from sonckit.forms import grlex_key, make_form, parse_form
 from sonckit.geometry import support_partition
 from sonckit.report import analyze, render_text, report_to_dict
 from sonckit.corpus import (
@@ -154,6 +156,64 @@ def test_corollary_zero_weight_pairs_never_violate():
     assert min(weights) == 0
     report = corollary_check(f, partition)
     assert ((6, 0), (3, 3)) not in {(v.alpha, v.beta) for v in report.violations}
+
+
+def _pairwise_corollary_violations(f, partition):
+    """The corollary over every (used square, inner exponent) pair, each
+    bound the minimum of its per-simplex weights, zeros included."""
+    used = sorted(partition.s_set - partition.r_set, key=grlex_key, reverse=True)
+    inners = sorted(partition.i_set, key=grlex_key, reverse=True)
+    violations = []
+    for alpha in used:
+        for beta in inners:
+            bound = min(per_simplex_weights(partition, alpha, beta)) * abs(f.terms[beta])
+            if f.terms[alpha] < bound:
+                violations.append(CorollaryViolation(alpha, beta, bound, f.terms[alpha]))
+    return tuple(violations)
+
+
+def _equality_forms(rng, count):
+    """Seeded forms with the inner coefficients scaled so that both sums
+    agree: even squares of one degree with random positive coefficients,
+    and negative terms at midpoints of pairs of them, which their segment
+    covers."""
+    for index in range(count):
+        n, degree = rng.randint(2, 4), rng.choice([4, 6])
+        evens = [
+            e for e in itertools.product(range(0, degree + 1, 2), repeat=n)
+            if sum(e) == degree
+        ]
+        squares = rng.sample(evens, min(len(evens), rng.randint(3, 8)))
+        inner = {
+            tuple((a + b) // 2 for a, b in zip(*rng.sample(squares, 2)))
+            for _ in range(rng.randint(1, 4))
+        } - set(squares)
+        terms = {e: Fraction(rng.randint(1, 9)) for e in squares}
+        terms.update({e: Fraction(-rng.randint(1, 9)) for e in inner})
+        partition = support_partition(make_form(n, terms))
+        if not partition.i_set or partition.uncovered_inner:
+            continue
+        inner_sum = sum(-terms[b] for b in partition.i_set)
+        outer_sum = sum(terms[a] for a in partition.s_set - partition.r_set)
+        for beta in partition.i_set:
+            terms[beta] *= outer_sum / inner_sum
+        yield make_form(n, terms, name=f"equality_{index}")
+
+
+def test_corollary_matches_pairwise_bounds():
+    forms = [p_family(n, 6) for n in range(2, 8)] + [p_family(3, 8)]
+    forms += [b() for b in FORM_BUILDERS.values()]
+    forms += _equality_forms(random.Random(15), 200)
+    checked = violated = 0
+    for f in forms:
+        partition = support_partition(f)
+        report = necessary_condition(f, partition)
+        if report.verdict is not ConditionVerdict.EQUALITY:
+            continue
+        expected = _pairwise_corollary_violations(f, partition)
+        assert corollary_check(f, partition).violations == expected, f.name
+        checked, violated = checked + 1, violated + bool(expected)
+    assert checked > 100 and violated > 20
 
 
 def test_corollary_requires_equality():

@@ -1,9 +1,12 @@
 """Newton-polytope geometry: hull vertices, simplex families, lattice points."""
 
+import importlib.util
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +37,7 @@ from sonckit.geometry import (
 from sonckit.corpus import (
     FORM_BUILDERS,
     motzkin,
+    p_family,
     robinson2,
     separator_ternary,
 )
@@ -199,6 +203,95 @@ def test_hull_vertices_rejects_points_of_another_length():
     for points in ([(2, 0), (0, 2, 0)], [(0, 2, 0), (2, 0)], [(1, 1), (2, 0), (0, 2, 4)]):
         with pytest.raises(DimensionMismatch):
             hull_vertices(points)
+
+
+# ---------------------------------------------------------------------------
+# face restriction of the hull LPs
+# ---------------------------------------------------------------------------
+
+def _sparse_forms():
+    """``perfbench/sparse_forms.py``, the benchmark's random forms."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "sparse_forms.py"
+    spec = importlib.util.spec_from_file_location("sparse_forms", path)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclass looks its module up in sys.modules.
+    sys.modules.setdefault(spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _unrestricted_hull_vertices(points):
+    """The points that are no convex combination of all the others, one
+    LP each over every other point: no face, no alive set."""
+    unique = canonical_points(points)
+    return frozenset(
+        p for p in unique if point_in_hull(p, [q for q in unique if q != p]) is None
+    )
+
+
+def _assert_face_decides_like_all_others(points, targets):
+    for p in targets:
+        others = [q for q in points if q != p]
+        face = geometry._face(p, others)
+        assert set(face) <= set(others)
+        assert (point_in_hull(p, face) is None) == (point_in_hull(p, others) is None), p
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_hull_vertices_of_p_family(n):
+    support = p_family(n, 6).support
+    vertices = hull_vertices(support)
+    assert vertices == _unrestricted_hull_vertices(support)
+    # The brute-force oracle tries every subset of up to n + 1 points;
+    # it takes seconds from n = 5 on.
+    if n <= 4:
+        assert vertices == hull_vertices_oracle(support)
+    _assert_face_decides_like_all_others(canonical_points(support), support)
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_hull_vertices_of_benchmark_random_forms(seed):
+    for spec in _sparse_forms().random_forms(seed):
+        support = canonical_points(spec.terms)
+        assert hull_vertices(support) == _unrestricted_hull_vertices(support), spec.name
+        _assert_face_decides_like_all_others(support, support)
+
+
+def test_face_decides_hull_membership_seeded():
+    """Sparse points with shared zeros and shared extreme values, integer
+    and halved, tested at the points themselves, at midpoints and at
+    points of the box, inside the hull or not."""
+    rng = random.Random(15)
+    for trial in range(300):
+        n, top = rng.randint(1, 5), rng.randint(1, 6)
+        points = [
+            tuple(rng.choice([0, 0, top, rng.randint(0, top)]) for _ in range(n))
+            for _ in range(rng.randint(1, 9))
+        ]
+        targets = points + [
+            tuple(Fraction(a + b, 2) for a, b in zip(*rng.sample(points * 2, 2))),
+            tuple(rng.choice([0, top, rng.randint(0, top)]) for _ in range(n)),
+        ]
+        if trial % 2:
+            points = [tuple(Fraction(v, 2) for v in p) for p in points]
+            targets = [tuple(Fraction(v, 2) for v in p) for p in targets]
+        _assert_face_decides_like_all_others(points, targets)
+
+
+@st.composite
+def _face_point_sets(draw):
+    """Point sets whose coordinates are mostly 0 or one shared maximum, so
+    many points sit on a coordinate face of the set."""
+    n, top = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    value = st.one_of(st.just(0), st.just(top), st.integers(0, top))
+    return draw(st.lists(st.tuples(*[value] * n), min_size=1, max_size=7))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_face_point_sets())
+def test_hull_vertices_on_coordinate_faces_match_oracle_hypothesis(points):
+    assert hull_vertices(points) == hull_vertices_oracle(points)
+    _assert_face_decides_like_all_others(points, points)
 
 
 # ---------------------------------------------------------------------------

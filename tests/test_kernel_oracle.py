@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
+from sonckit import exactlp
 from sonckit.corpus import FORM_BUILDERS, _check_sampling_nonneg, _sampling_coordinates
 from sonckit.errors import DimensionMismatch
 from sonckit.exactlp import (
@@ -132,6 +133,50 @@ def test_lp_degenerate_cases():
     _assert_lp_agrees([[0, 0]], [0])
     _assert_lp_agrees([[0, 0]], [1])
     _assert_lp_agrees([[Fraction(1, 2), Fraction(1, 3)], [1, 1]], [Fraction(-1, 6), 1])
+
+
+def _entering_columns(monkeypatch, rows, rhs):
+    """``simplex_feasible(rows, rhs)`` and the column of each pivot it made."""
+    columns, pivot = [], exactlp._pivot
+
+    def recording(tableau, scales, top, col, previous, start=0):
+        columns.append(col)
+        return pivot(tableau, scales, top, col, previous, start)
+
+    monkeypatch.setattr(exactlp, "_pivot", recording)
+    return simplex_feasible(rows, rhs), columns
+
+
+# On these two systems Bland's rule over a tableau that stores the
+# artificial columns pivots on columns 0 and 1 and then brings an
+# artificial column back in (column 2 and column 4); without those
+# columns the loop stops after the same first two pivots.
+_INFEASIBLE_REENTRY = ([[-1, 0], [1, 1], [-1, 1]], [-1, 2, 1])
+_DEGENERATE_REENTRY = ([[1, 0], [0, -2], [-1, 1]], [2, -2, -1])
+
+
+def test_lp_stops_before_an_artificial_column_would_reenter(monkeypatch):
+    rows, rhs = _INFEASIBLE_REENTRY
+    assert oracle.simplex_feasible(rows, rhs) is None
+    assert _entering_columns(monkeypatch, rows, rhs) == (None, [0, 1])
+    rows, rhs = _DEGENERATE_REENTRY
+    expected = oracle.simplex_feasible(rows, rhs)
+    assert expected == [Fraction(2), Fraction(1)]
+    assert _entering_columns(monkeypatch, rows, rhs) == (expected, [0, 1])
+
+
+def test_point_in_hull_of_no_generators_runs_one_lp(monkeypatch):
+    calls = []
+
+    def counting(rows, rhs):
+        weights = simplex_feasible(rows, rhs)
+        calls.append(weights)
+        return weights
+
+    monkeypatch.setattr(exactlp, "simplex_feasible", counting)
+    assert point_in_hull((1, 2), []) is None
+    assert point_in_hull((), []) is None
+    assert calls == [None, None]
 
 
 def test_point_in_hull_matches_oracle_on_boundaries():
