@@ -14,6 +14,7 @@ from .forms import (
     add_forms,
     embed_variables,
     evaluate,
+    evaluate_columns,
     evaluate_float,
     evaluate_many,
     format_form,

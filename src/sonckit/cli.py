@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from fractions import Fraction
 
 from .errors import InternalInvariantViolation, SonckitError
 from .certify import SearchBudget
 from .corpus import GRIDS, run_corpus
-from .forms import evaluate, load_form_file
+from .forms import evaluate_many, load_form_file
 from .mediated import maximal_mediated_set
 from .report import analyze, render_text, report_to_dict
 
@@ -57,6 +59,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
+    if args.filter is not None:
+        try:
+            re.compile(args.filter)
+        except re.error as error:
+            print(f"error: invalid --filter regex: {error}", file=sys.stderr)
+            return 1
     rows = run_corpus(name_filter=args.filter)
     if args.json:
         print(
@@ -138,13 +146,11 @@ def _cmd_grid(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    zeros = 0
-    for point in grid:
-        value = evaluate(form, point)
-        marker = "zero" if value == 0 else "nonzero"
-        zeros += value == 0
-        print(f"{point}  {value}  [{marker}]")
-    print(f"{zeros}/{len(grid)} grid points vanish")
+    values, denominator = evaluate_many(form, grid)
+    for point, value in zip(grid, values):
+        marker = "nonzero" if value else "zero"
+        print(f"{point}  {Fraction(value, denominator)}  [{marker}]")
+    print(f"{values.count(0)}/{len(grid)} grid points vanish")
     return 0
 
 

@@ -16,6 +16,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Callable, Iterable
 
 from .certify import (
@@ -39,6 +40,7 @@ from .forms import (
     add_forms,
     embed_variables,
     evaluate,
+    evaluate_columns,
     evaluate_float,
     evaluate_many,
     form_power,
@@ -234,7 +236,7 @@ FORM_BUILDERS: dict[str, Callable[[], SparseForm]] = {
     "q1_tilde": q1_tilde,
 }
 
-#: Points per ``evaluate_many`` call in the sampling check; bounds the
+#: Points per ``evaluate_columns`` call in the sampling check; bounds the
 #: integer lists held at once.
 _SAMPLING_BATCH = 1000
 
@@ -372,14 +374,13 @@ def _check_mms_oracle(f: SparseForm, report: AnalysisReport, arg: str) -> str:
 
 def _check_grid(f: SparseForm, report: AnalysisReport, arg: str) -> str:
     grid = GRIDS[arg]
-    zeros = 0
-    nonzero: list[str] = []
-    for point in grid:
-        value = evaluate(f, point)
-        if value == 0:
-            zeros += 1
-        else:
-            nonzero.append(f"{_fmt_exp(point)}={value}")
+    values, denominator = evaluate_many(f, grid)
+    zeros = values.count(0)
+    nonzero = [
+        f"{_fmt_exp(point)}={Fraction(value, denominator)}"
+        for point, value in zip(grid, values)
+        if value
+    ]
     return f"zeros={zeros};" + (";".join(nonzero) if nonzero else "all-zero")
 
 
@@ -428,39 +429,55 @@ def _check_no_not_sonc(f: SparseForm, report: AnalysisReport, arg: str) -> str:
     return "ok" if not bad else ";".join(sorted(bad))
 
 
+#: ``bytes.translate`` table: the top byte ``b`` of a 32-bit Mersenne word
+#: becomes ``b >> 2``, the word's top 6 bits.
+_TOP_SIX_BITS = bytes(b >> 2 for b in range(256))
+#: The top bytes whose top 6 bits are 49 or more: rejected draws.
+_REJECTED_BYTES = bytes(range(49 << 2, 256))
+
+
 def _sampling_coordinates(rng: random.Random, k: int) -> list[int]:
     """``[rng.randint(-24, 24) for _ in range(k)]``, drawn without ``randint``.
 
     CPython's ``randint(-24, 24)`` is ``-24 + rng._randbelow(49)``, which
     draws ``getrandbits(6)`` (49 has 6 bits) and redraws while the value
-    is 49 or more.  Each round below makes exactly as many draws as
-    coordinates are still missing, so the kept values and the generator's
-    final state are those of the ``randint`` loop.
+    is 49 or more.  In CPython 3.10-3.13, ``getrandbits(k)`` for
+    ``k <= 32`` takes one 32-bit Mersenne word and keeps its top ``k``
+    bits, and ``getrandbits(32 * m)`` takes ``m`` words, the first as the
+    least significant 32 bits.  So each round below takes one word for
+    each coordinate still missing, reads the top byte of every word
+    (byte ``3`` of each little-endian 4-byte group), deletes the bytes
+    that give 49 or more and keeps ``(byte >> 2) - 24`` of the rest: the
+    kept values and the generator's final state are those of the
+    ``randint`` loop.
     """
     coordinates: list[int] = []
     while len(coordinates) < k:
-        draws = map(rng.getrandbits, [6] * (k - len(coordinates)))
-        coordinates += [v - 24 for v in draws if v < 49]
+        m = k - len(coordinates)
+        words = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
+        kept = words[3::4].translate(_TOP_SIX_BITS, _REJECTED_BYTES)
+        coordinates += map(sub, kept, itertools.repeat(24))
     return coordinates
 
 
 def _check_sampling_nonneg(f: SparseForm, report: AnalysisReport, arg: str) -> str:
     """Seeded points ``p / 8`` with integer ``p`` in ``[-24, 24]``.  By
     homogeneity ``f(p / 8)`` has the sign of ``f(p)``, so the integer
-    points are evaluated in batches and ``Fraction``s are built only for
-    the first negative one.  The coordinates come from
-    :func:`_sampling_coordinates`, point by point, in the order and with
-    the values of ``rng.randint(-24, 24)``."""
+    points are evaluated in batches, straight from the coordinate columns
+    of the flat draw, and ``Fraction``s are built only for the first
+    negative one.  The coordinates come from :func:`_sampling_coordinates`,
+    point by point, in the order and with the values of
+    ``rng.randint(-24, 24)``."""
     count = int(arg)
     rng = random.Random(f"sampling:{f.name}")
     n = f.num_vars
     for start in range(0, count, _SAMPLING_BATCH):
-        flat = _sampling_coordinates(rng, n * min(_SAMPLING_BATCH, count - start))
-        points = list(zip(*[iter(flat)] * n))
-        values, _ = evaluate_many(f, points)
-        for point, value in zip(points, values):
-            if value < 0:
-                return f"negative at {tuple(Fraction(v, 8) for v in point)}"
+        size = min(_SAMPLING_BATCH, count - start)
+        flat = _sampling_coordinates(rng, n * size)
+        values, _ = evaluate_columns(f, [flat[i::n] for i in range(n)], size)
+        if min(values) < 0:
+            j = next(j for j, value in enumerate(values) if value < 0)
+            return f"negative at {tuple(Fraction(v, 8) for v in flat[j * n:(j + 1) * n])}"
     return "ok"
 
 

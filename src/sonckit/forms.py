@@ -3,10 +3,12 @@
 A form is stored as a map from exponent tuples to nonzero ``Fraction``
 coefficients.  All arithmetic is exact; floating point enters only through
 the explicitly approximate ``evaluate_float``.  Exact evaluation has one
-kernel, ``evaluate_many``: it clears denominators once per batch of points,
-computes each power of a coordinate column once for all the terms that
-share it, and returns integer numerators over one denominator;
-``evaluate`` is that kernel on a batch of one.
+kernel, ``evaluate_columns``: it evaluates a batch of integer points held
+as coordinate columns, computes each power of a column once for all the
+terms that share it, and returns integer values over the coefficients'
+common denominator.  ``evaluate_many`` writes a batch of rational points
+over one denominator and slices it into columns for the kernel;
+``evaluate`` is ``evaluate_many`` on a batch of one.
 
 Variables are written ``x1, x2, ...`` in text.  The grammar (whitespace
 ignored) is:
@@ -25,6 +27,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, NotHomogeneous, ParseError
@@ -304,6 +308,45 @@ def save_form_file(path: str, f: SparseForm) -> None:
 # evaluation
 # ---------------------------------------------------------------------------
 
+def evaluate_columns(
+    f: SparseForm, columns: Sequence[Sequence[int]], size: int
+) -> tuple[list[int], int]:
+    """Values of ``f`` at ``size`` integer points given column by column.
+
+    ``columns[i][j]`` is coordinate ``i`` of point ``j``; the size is
+    passed because a form in no variables has no column to read it from.
+    Returns ``(values, denominator)`` with
+    ``f(point j) == Fraction(values[j], denominator)``, where
+    ``denominator > 0`` is the least common denominator of the
+    coefficients, cleared once per call.  Each (variable, power) column is
+    computed once per call and shared by every term with that pair; a
+    power-1 column is the input column itself.  A term starts from its
+    first power column, multiplies in the others, and is scaled by its
+    coefficient only when that is not 1; products and sums run over whole
+    columns through ``map``, in Python ints.
+    """
+    coefficients, denominator = integer_numerators(list(f.terms.values()))
+    powers: dict[tuple[int, int], Sequence[int]] = {}
+    totals = [0] * size
+    for exponent, coefficient in zip(f.terms, coefficients):
+        term: Iterable[int] | None = None
+        for i, power in enumerate(exponent):
+            if power:
+                column = powers.get((i, power))
+                if column is None:
+                    column = columns[i]
+                    if power > 1:
+                        column = list(map(pow, column, repeat(power)))
+                    powers[(i, power)] = column
+                term = column if term is None else list(map(mul, term, column))
+        if term is None:
+            term = [coefficient] * size
+        elif coefficient != 1:
+            term = map(mul, term, repeat(coefficient))
+        totals = list(map(add, totals, term))
+    return totals, denominator
+
+
 def evaluate_many(
     f: SparseForm, points: Sequence[Sequence[RationalLike]]
 ) -> tuple[list[int], int]:
@@ -312,13 +355,10 @@ def evaluate_many(
     Returns ``(numerators, denominator)`` with
     ``f(points[i]) == Fraction(numerators[i], denominator)`` and
     ``denominator > 0``, so signs and zeros can be read off the ints.
-    The coefficients are cleared to integer numerators once per call and
-    every coordinate of the batch is written over one common denominator
-    ``D``; homogeneity gives ``f(p / D) = f(p) / D**degree``.  Each power
-    column ``v**power`` of a (variable, power) pair is computed once per
-    batch and shared by every term with that pair; each term is then
-    multiplied out over the whole batch, one column at a time, in Python
-    ints; no ``Fraction`` is built.
+    Every coordinate of the batch is written over one common denominator
+    ``D``; homogeneity gives ``f(p / D) = f(p) / D**degree``, and
+    :func:`evaluate_columns` evaluates the integer points ``p``, sliced
+    into coordinate columns.  No ``Fraction`` is built.
     """
     n = f.num_vars
     for point in points:
@@ -327,20 +367,8 @@ def evaluate_many(
                 f"point has {len(point)} coordinates, form has {n} variables"
             )
     flat, point_denominator = integer_numerators([v for point in points for v in point])
-    columns = [flat[i::n] for i in range(n)]
-    powers: dict[tuple[int, int], list[int]] = {}
-    coefficients, denominator = integer_numerators(list(f.terms.values()))
-    totals = [0] * len(points)
-    for exponent, coefficient in zip(f.terms, coefficients):
-        term = [coefficient] * len(points)
-        for i, power in enumerate(exponent):
-            if power:
-                column = powers.get((i, power))
-                if column is None:
-                    column = powers[(i, power)] = [v**power for v in columns[i]]
-                term = [t * v for t, v in zip(term, column)]
-        totals = [s + t for s, t in zip(totals, term)]
-    return totals, denominator * point_denominator**f.degree
+    values, denominator = evaluate_columns(f, [flat[i::n] for i in range(n)], len(points))
+    return values, denominator * point_denominator**f.degree
 
 
 def evaluate(f: SparseForm, point: Sequence[RationalLike]) -> Fraction:

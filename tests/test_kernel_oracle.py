@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
@@ -24,7 +24,7 @@ from sonckit.exactlp import (
     point_in_hull,
     simplex_feasible,
 )
-from sonckit.forms import evaluate, evaluate_many, make_form, parse_form
+from sonckit.forms import evaluate, evaluate_columns, evaluate_many, make_form, parse_form
 from sonckit.report import analyze
 
 
@@ -302,7 +302,13 @@ def _sampling(f, count):
     return _check_sampling_nonneg(f, analyze(f), str(count))
 
 
-@pytest.mark.parametrize("name", ["motzkin", "choi_lam_q1", "neg", "needle"])
+#: The first four Mersenne words of this seed all give 49 or more, so
+#: every round of a draw of one or two coordinates rejects all it drew,
+#: more than once in a row.
+_REJECTING = "rejects119"
+
+
+@pytest.mark.parametrize("name", ["motzkin", "choi_lam_q1", "neg", "needle", _REJECTING])
 @pytest.mark.parametrize("k", [0, 1, 2999, 3000, 3001, 50000])
 def test_sampling_draws_are_those_of_randint(name, k):
     # k = 3000 is one batch of three-variable points; 50 000 coordinates
@@ -315,12 +321,19 @@ def test_sampling_draws_are_those_of_randint(name, k):
 
 def test_sampling_draws_continue_across_batches():
     # The check draws one batch of 1000 three-variable points per call.
-    rng = random.Random("sampling:needle")
-    reference = random.Random("sampling:needle")
-    drawn = []
-    while len(drawn) < 50000:
-        drawn += _sampling_coordinates(rng, min(3000, 50000 - len(drawn)))
-    assert drawn == [reference.randint(-24, 24) for _ in range(50000)]
+    for name in ("needle", _REJECTING):
+        rng = random.Random(f"sampling:{name}")
+        reference = random.Random(f"sampling:{name}")
+        drawn = []
+        while len(drawn) < 50000:
+            drawn += _sampling_coordinates(rng, min(3000, 50000 - len(drawn)))
+        assert drawn == [reference.randint(-24, 24) for _ in range(50000)]
+    # One coordinate per call: each call makes five rounds or more at first.
+    rng = random.Random(f"sampling:{_REJECTING}")
+    reference = random.Random(f"sampling:{_REJECTING}")
+    drawn = [_sampling_coordinates(rng, 1)[0] for _ in range(200)]
+    assert drawn == [reference.randint(-24, 24) for _ in range(200)]
+    assert rng.getstate() == reference.getstate()
 
 
 def test_sampling_check_matches_oracle_on_corpus_forms():
@@ -459,4 +472,53 @@ def test_evaluate_matches_oracle_hypothesis(case):
 @given(_forms_and_batches())
 def test_evaluate_many_matches_oracle_hypothesis(case):
     f, points = case
+    _assert_many_agrees(f, points)
+
+
+@st.composite
+def _column_cases(draw):
+    """A form with coefficients 1 and -1 among other rationals and
+    exponents 1 among higher ones, in 0-4 variables, with a batch of 0-8
+    integer points for :func:`evaluate_columns` and one of 0-8 points
+    mixing ints and ``Fraction``s for :func:`evaluate_many`."""
+    num_vars = draw(st.integers(0, 4))
+    degree = draw(st.integers(0, 6)) if num_vars else 0
+    monomials = st.lists(
+        st.integers(0, max(num_vars - 1, 0)), min_size=degree, max_size=degree
+    )
+    coefficients = st.one_of(st.sampled_from([1, -1]), _rationals)
+    terms = draw(st.lists(st.tuples(monomials, coefficients), max_size=6))
+    f = make_form(
+        num_vars,
+        [(tuple(m.count(i) for i in range(num_vars)), c) for m, c in terms],
+        zero_degree=degree,
+    )
+    integer_point = st.lists(st.integers(-24, 24), min_size=num_vars, max_size=num_vars)
+    integer_points = draw(st.lists(integer_point, max_size=8))
+    return f, integer_points, draw(st.lists(_points(f), max_size=8))
+
+
+_TERMS_OF_EVERY_KIND = parse_form("x1*x2^2 - 3/2*x1^2*x3 + x3^3 - x2*x3^2 + 2/7*x2^3")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_column_cases())
+@example((make_form(3, {}, zero_degree=4), [], []))  # zero form, empty batches
+@example((make_form(2, {}, zero_degree=2), [[1, -2], [0, 3]], [[1, Fraction(1, 2)]]))
+@example((make_form(0, {(): Fraction(-7, 3)}), [[], []], [[]]))  # no variables
+@example((make_form(2, {(0, 0): 5}), [[1, 2]], [[Fraction(1, 3), 4], [0, -1]]))
+@example((
+    _TERMS_OF_EVERY_KIND,
+    [[1, -2, 3], [0, 24, -24], [-1, -1, -1]],
+    [[1, Fraction(-2, 3), 5], [Fraction(1, 4), 0, Fraction(-7, 2)], [0, 0, 0]],
+))
+def test_evaluate_columns_and_many_match_oracle(case):
+    f, integer_points, points = case
+    columns = [[point[i] for point in integer_points] for i in range(f.num_vars)]
+    inputs = [list(column) for column in columns]
+    values, denominator = evaluate_columns(f, columns, len(integer_points))
+    assert columns == inputs  # power-1 columns are shared, never written
+    assert denominator > 0 and len(values) == len(integer_points)
+    for point, value in zip(integer_points, values):
+        assert Fraction(value, denominator) == oracle.evaluate(f, point)
     _assert_many_agrees(f, points)

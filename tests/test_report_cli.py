@@ -316,6 +316,13 @@ def test_cli_corpus_empty_filter(capsys):
     assert "0/0 checks passed" in capsys.readouterr().out
 
 
+def test_cli_corpus_invalid_filter(capsys):
+    assert main(["corpus", "--filter", "["]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: invalid --filter regex: ")
+    assert captured.out == ""
+
+
 def test_cli_corpus_mismatch_exit_code(monkeypatch, capsys):
     from sonckit import cli as cli_mod
     from sonckit.corpus import CorpusRow
