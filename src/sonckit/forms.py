@@ -73,9 +73,6 @@ class SparseForm:
     def support(self) -> tuple[Exponent, ...]:
         return tuple(self.terms.keys())
 
-    def coefficient(self, exponent: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(exponent), _ZERO)
-
     def __str__(self) -> str:
         return format_form(self)
 

@@ -283,9 +283,7 @@ def enumerate_simplices(
     ]
 
 
-def support_partition(
-    f: SparseForm, cap: int = DEFAULT_CANDIDATE_CAP
-) -> SupportPartition:
+def support_partition(f: SparseForm) -> SupportPartition:
     """Full support partition with covering simplex families per inner
     exponent; raises :class:`ZeroFormInput` on the zero form."""
     if f.is_zero:
@@ -297,7 +295,7 @@ def support_partition(
     families: dict[Exponent, tuple[Simplex, ...]] = {}
     used: set[Exponent] = set()
     for beta in sorted(i_set, key=grlex_key):
-        family = tuple(enumerate_simplices(beta, s_set, cap=cap))
+        family = tuple(enumerate_simplices(beta, s_set))
         families[beta] = family
         for simplex in family:
             used.update(simplex.vertices)

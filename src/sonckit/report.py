@@ -7,12 +7,15 @@ feasibility search, then condenses everything into tagged verdicts.
 The support partition computes the Newton polytope vertices; every later
 stage reads them from there.  Every verdict carries its certificate kind:
 ``exact`` conclusions rest on exact rational arithmetic, ``numeric`` ones
-come from the margin-reporting search.  The JSON records the verdicts with
-their reasons and the data behind them (partition, coefficient sums,
-corollary violations, circuit weights, mediated set, search status), but
-not yet every certificate needed to replay an exact verdict; see ROADMAP
-item 5.  JSON output is schema-versioned and serializes all rationals as
-``p/q`` strings.
+come from the margin-reporting search.  Four rules assemble the verdicts:
+the first reason found for a conclusion wins; "not nonnegative" implies
+"not SONC"; a numeric verdict never overrides an exact opposite; and
+contradictory exact verdicts raise :class:`InternalInvariantViolation`
+(exit 2).  The JSON records the verdicts with their reasons and the data
+behind them (partition, coefficient sums, corollary violations, circuit
+weights, mediated set, search status), but not yet every certificate
+needed to replay an exact verdict; see ROADMAP item 5.  JSON output is
+schema-versioned and serializes all rationals as ``p/q`` strings.
 """
 
 from __future__ import annotations
@@ -109,96 +112,59 @@ def analyze(
     )
     if f.is_zero:
         return report
-    verdicts: list[Verdict] = []
+    # One verdict per conclusion, in the order first concluded.
+    verdicts: dict[str, Verdict] = {}
+
+    def conclude(conclusion: str, reason: str) -> None:
+        verdicts.setdefault(conclusion, Verdict(conclusion, "exact", reason))
+        if conclusion == "not nonnegative":
+            conclude("not SONC", "not nonnegative, hence in no nonnegativity cone")
 
     report.partition = partition = support_partition(f)
-    report.precheck_witness = non_square_vertex(partition.vertices, partition.s_set)
-    if report.precheck_witness is not None:
-        witness = report.precheck_witness
-        verdicts.append(
-            Verdict(
-                "not nonnegative",
-                "exact",
-                f"Newton polytope vertex {witness} is not a monomial square",
-            )
-        )
-        verdicts.append(
-            Verdict(
-                "not SONC",
-                "exact",
-                "not nonnegative, hence in no nonnegativity cone",
-            )
+    report.precheck_witness = witness = non_square_vertex(
+        partition.vertices, partition.s_set
+    )
+    if witness is not None:
+        conclude(
+            "not nonnegative",
+            f"Newton polytope vertex {witness} is not a monomial square",
         )
 
-    report.circuit = detect_circuit(f, vertices=partition.vertices)
-    if isinstance(report.circuit, Circuit):
-        circuit = report.circuit
-        verdict = decide_circuit_nonnegativity(circuit)
-        report.circuit_nonnegative = verdict.is_nonnegative
-        report.circuit_boundary = verdict.boundary
+    report.circuit = circuit = detect_circuit(f, vertices=partition.vertices)
+    if isinstance(circuit, Circuit):
+        decision = decide_circuit_nonnegativity(circuit)
+        report.circuit_nonnegative = decision.is_nonnegative
+        report.circuit_boundary = decision.boundary
         if circuit.kind is CircuitKind.PROPER:
             report.circuit_theta_float = circuit_number(circuit).float_value
-        if verdict.is_nonnegative:
-            flavor = "boundary" if verdict.boundary else "strictly above the threshold"
-            verdicts.append(
-                Verdict(
-                    "nonnegative",
-                    "exact",
-                    f"nonnegative circuit ({flavor})",
-                )
-            )
-            verdicts.append(
-                Verdict("SONC", "exact", "a nonnegative circuit form")
-            )
+        if decision.is_nonnegative:
+            flavor = "boundary" if decision.boundary else "strictly above the threshold"
+            conclude("nonnegative", f"nonnegative circuit ({flavor})")
+            conclude("SONC", "a nonnegative circuit form")
             if circuit.kind is CircuitKind.MONOMIAL_SQUARE_SUM:
                 report.circuit_sos = True
-                verdicts.append(
-                    Verdict("SOS", "exact", "sum of monomial squares")
-                )
+                conclude("SOS", "sum of monomial squares")
             else:
                 report.mediated = mediated_set_of_circuit(circuit)
-                report.circuit_sos = circuit_is_sos(circuit, report.mediated)
+                report.circuit_sos = sos = circuit_is_sos(circuit, report.mediated)
                 assert circuit.inner is not None
-                inner = circuit.inner[0]
-                if report.circuit_sos:
-                    verdicts.append(
-                        Verdict(
-                            "SOS",
-                            "exact",
-                            f"inner exponent {inner} lies in the maximal mediated set",
-                        )
-                    )
-                else:
-                    verdicts.append(
-                        Verdict(
-                            "not SOS",
-                            "exact",
-                            f"inner exponent {inner} is outside the maximal mediated set",
-                        )
-                    )
+                conclude(
+                    "SOS" if sos else "not SOS",
+                    f"inner exponent {circuit.inner[0]}"
+                    f" {'lies in' if sos else 'is outside'} the maximal mediated set",
+                )
         else:
-            verdicts.append(
-                Verdict(
-                    "not nonnegative",
-                    "exact",
-                    "inner coefficient magnitude exceeds the circuit number",
-                )
-            )
-            verdicts.append(
-                Verdict(
-                    "not SONC",
-                    "exact",
-                    "not nonnegative, hence in no nonnegativity cone",
-                )
+            conclude(
+                "not nonnegative",
+                "inner coefficient magnitude exceeds the circuit number",
             )
 
     if not partition.i_set:
-        # Circuit forms keep their reasons above; _dedupe drops these.
-        reason = "a sum of monomial squares with positive coefficients"
-        verdicts.extend(Verdict(c, "exact", reason) for c in ("nonnegative", "SONC", "SOS"))
+        # Circuit forms keep their reasons above.
+        for conclusion in ("nonnegative", "SONC", "SOS"):
+            conclude(conclusion, "a sum of monomial squares with positive coefficients")
 
-    report.necessary = necessary_condition(f, partition)
-    necessary = report.necessary
+    report.necessary = necessary = necessary_condition(f, partition)
     if necessary.rules_out_sonc:
         if necessary.uncovered_inner:
             uncovered = sorted(necessary.uncovered_inner, key=grlex_key)
@@ -217,60 +183,47 @@ def analyze(
                 f"equality case forces coefficient of {violation.alpha} to be"
                 f" at least {violation.bound}, found {violation.coefficient}"
             )
-        verdicts.append(Verdict("not SONC", "exact", reason))
+        conclude("not SONC", reason)
 
     if search:
         try:
-            report.feasibility = sonc_feasibility_search(
-                f, partition, budget
-            )
+            report.feasibility = sonc_feasibility_search(f, partition, budget)
         except (BudgetExceeded, UncoveredInnerExponent) as error:
             report.feasibility_note = f"{type(error).__name__}: {error}"
         else:
-            outcome = report.feasibility
-            kind = "exact" if outcome.exact else "numeric"
-            # Numeric conclusions never override exact ones; the raw search
-            # outcome stays visible in the feasibility field either way.
-            exact_conclusions = {
-                v.conclusion for v in verdicts if v.certificate == "exact"
-            }
-            if outcome.status is SearchStatus.FEASIBLE:
-                count = (
-                    len(outcome.decomposition.circuits)
-                    if outcome.decomposition is not None
-                    else 0
-                )
-                reason = (
-                    f"verified cancellation-free decomposition into {count} circuits"
-                    if outcome.exact
-                    else "numerically feasible weights; exact rounding failed"
-                )
-                if outcome.exact or "not SONC" not in exact_conclusions:
-                    verdicts.append(Verdict("SONC", kind, reason))
-            elif outcome.status is SearchStatus.INFEASIBLE:
-                if outcome.exact or "SONC" not in exact_conclusions:
-                    verdicts.append(
-                        Verdict(
-                            "not SONC",
-                            kind,
-                            "no cancellation-free decomposition;"
-                            f" margin {outcome.margin:.6g}",
-                        )
-                    )
+            verdict = _search_verdict(report.feasibility, verdicts)
+            if verdict is not None:
+                verdicts.setdefault(verdict.conclusion, verdict)
 
-    report.verdicts = _dedupe(verdicts)
+    report.verdicts = list(verdicts.values())
     _enforce_consistency(report.verdicts)
     return report
 
 
-def _dedupe(verdicts: list[Verdict]) -> list[Verdict]:
-    seen: set[str] = set()
-    out = []
-    for verdict in verdicts:
-        if verdict.conclusion not in seen:
-            seen.add(verdict.conclusion)
-            out.append(verdict)
-    return out
+def _search_verdict(
+    outcome: SearchOutcome, verdicts: dict[str, Verdict]
+) -> Verdict | None:
+    """The SONC verdict the search outcome adds to ``verdicts``, if any.
+
+    Every verdict before the search is exact, and a numeric verdict never
+    overrides an exact opposite; the raw outcome stays visible in the
+    report's feasibility field either way."""
+    if outcome.status is SearchStatus.FEASIBLE:
+        conclusion, opposite = "SONC", "not SONC"
+        if outcome.exact:
+            decomposition = outcome.decomposition
+            count = 0 if decomposition is None else len(decomposition.circuits)
+            reason = f"verified cancellation-free decomposition into {count} circuits"
+        else:
+            reason = "numerically feasible weights; exact rounding failed"
+    elif outcome.status is SearchStatus.INFEASIBLE:
+        conclusion, opposite = "not SONC", "SONC"
+        reason = f"no cancellation-free decomposition; margin {outcome.margin:.6g}"
+    else:
+        return None
+    if outcome.exact:
+        return Verdict(conclusion, "exact", reason)
+    return None if opposite in verdicts else Verdict(conclusion, "numeric", reason)
 
 
 def _enforce_consistency(verdicts: list[Verdict]) -> None:
@@ -288,6 +241,10 @@ def _enforce_consistency(verdicts: list[Verdict]) -> None:
 
 def _exponent_list(exponent) -> list[int]:
     return [int(v) for v in exponent]
+
+
+def _sorted_exponents(exponents) -> list[list[int]]:
+    return [_exponent_list(e) for e in sorted(exponents, key=grlex_key)]
 
 
 def report_to_dict(report: AnalysisReport) -> dict[str, Any]:
@@ -310,14 +267,10 @@ def report_to_dict(report: AnalysisReport) -> dict[str, Any]:
     if report.partition is not None:
         partition = report.partition
         data["partition"] = {
-            "squares": [_exponent_list(e) for e in sorted(partition.s_set, key=grlex_key)],
-            "inner": [_exponent_list(e) for e in sorted(partition.i_set, key=grlex_key)],
-            "vertices": [
-                _exponent_list(e) for e in sorted(partition.vertices, key=grlex_key)
-            ],
-            "unused_squares": [
-                _exponent_list(e) for e in sorted(partition.r_set, key=grlex_key)
-            ],
+            "squares": _sorted_exponents(partition.s_set),
+            "inner": _sorted_exponents(partition.i_set),
+            "vertices": _sorted_exponents(partition.vertices),
+            "unused_squares": _sorted_exponents(partition.r_set),
             "family_sizes": {
                 str(tuple(beta)): len(family)
                 for beta, family in sorted(partition.simplex_families.items())
@@ -329,10 +282,7 @@ def report_to_dict(report: AnalysisReport) -> dict[str, Any]:
             "inner_sum": format_rational(necessary.inner_sum),
             "outer_sum": format_rational(necessary.outer_sum),
             "verdict": necessary.verdict.value,
-            "uncovered_inner": [
-                _exponent_list(e)
-                for e in sorted(necessary.uncovered_inner, key=grlex_key)
-            ],
+            "uncovered_inner": _sorted_exponents(necessary.uncovered_inner),
             "corollary_violations": None
             if necessary.corollary is None
             else [
@@ -370,8 +320,8 @@ def report_to_dict(report: AnalysisReport) -> dict[str, Any]:
     if report.mediated is not None:
         mediated = report.mediated
         data["mediated_set"] = {
-            "generators": [_exponent_list(e) for e in sorted(mediated.delta, key=grlex_key)],
-            "star": [_exponent_list(e) for e in sorted(mediated.star, key=grlex_key)],
+            "generators": _sorted_exponents(mediated.delta),
+            "star": _sorted_exponents(mediated.star),
             "classification": mediated.classification.value,
         }
     if report.feasibility is not None:
@@ -389,18 +339,32 @@ def report_to_dict(report: AnalysisReport) -> dict[str, Any]:
     return data
 
 
-def verdicts_from_dict(data: dict[str, Any]) -> list[Verdict]:
-    """Re-ingest the verdict list of a serialized report."""
+def verdicts_from_dict(data: Any) -> list[Verdict]:
+    """Re-ingest the verdict list of a serialized report; raises
+    :class:`ValueError` naming the first malformed part."""
+    if not isinstance(data, dict):
+        raise ValueError("report must be a JSON object")
     if data.get("schema") != JSON_SCHEMA_VERSION:
         raise ValueError(f"unsupported schema {data.get('schema')!r}")
-    return [
-        Verdict(
-            conclusion=item["conclusion"],
-            certificate=item["certificate"],
-            reason=item["reason"],
+    items = data.get("verdicts")
+    if not isinstance(items, list):
+        raise ValueError("'verdicts' must be a list")
+    verdicts = []
+    for index, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise ValueError(f"verdict {index} must be a JSON object")
+        for key in ("conclusion", "certificate", "reason"):
+            if not isinstance(item.get(key), str):
+                raise ValueError(f"verdict {index} needs a string {key!r}")
+        if item["certificate"] not in ("exact", "numeric"):
+            raise ValueError(
+                f"verdict {index} has certificate {item['certificate']!r},"
+                " not 'exact' or 'numeric'"
+            )
+        verdicts.append(
+            Verdict(item["conclusion"], item["certificate"], item["reason"])
         )
-        for item in data["verdicts"]
-    ]
+    return verdicts
 
 
 def render_text(report: AnalysisReport) -> str:

@@ -126,6 +126,101 @@ def test_json_rationals_as_strings():
     assert payload["necessary_condition"]["inner_sum"] == "4"
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([], "report must be a JSON object"),
+        ({"schema": 2, "verdicts": []}, "unsupported schema 2"),
+        ({"schema": 1}, "'verdicts' must be a list"),
+        ({"schema": 1, "verdicts": None}, "'verdicts' must be a list"),
+        ({"schema": 1, "verdicts": ["SONC"]}, "verdict 0 must be a JSON object"),
+        (
+            {"schema": 1, "verdicts": [{"certificate": "exact", "reason": "r"}]},
+            "verdict 0 needs a string 'conclusion'",
+        ),
+        (
+            {"schema": 1, "verdicts": [{"conclusion": "SONC", "reason": "r"}]},
+            "verdict 0 needs a string 'certificate'",
+        ),
+        (
+            {
+                "schema": 1,
+                "verdicts": [
+                    {"conclusion": "SONC", "certificate": "exact", "reason": 3}
+                ],
+            },
+            "verdict 0 needs a string 'reason'",
+        ),
+        (
+            {
+                "schema": 1,
+                "verdicts": [
+                    {"conclusion": "SONC", "certificate": "exact", "reason": "r"},
+                    {"conclusion": "SOS", "certificate": "bogus", "reason": "r"},
+                ],
+            },
+            "verdict 1 has certificate 'bogus', not 'exact' or 'numeric'",
+        ),
+    ],
+)
+def test_verdicts_from_dict_rejects_malformed_input(data, message):
+    with pytest.raises(ValueError) as caught:
+        verdicts_from_dict(data)
+    assert str(caught.value) == message
+
+
+# ---------------------------------------------------------------------------
+# verdict precedence around the search
+# ---------------------------------------------------------------------------
+
+_MOTZKIN_VERDICTS = [("nonnegative", "exact"), ("SONC", "exact"), ("not SOS", "exact")]
+
+
+@pytest.mark.parametrize(
+    "name, status, exact, expected",
+    [
+        # An exact verdict before the search stands against a numeric one;
+        # an exact search verdict against it is a contradiction (None).
+        ("robinson1", "FEASIBLE", False, [("not SONC", "exact")]),
+        ("robinson1", "FEASIBLE", True, None),
+        ("robinson1", "INFEASIBLE", False, [("not SONC", "exact")]),
+        ("robinson1", "INFEASIBLE", True, [("not SONC", "exact")]),
+        ("robinson1", "INCONCLUSIVE", False, [("not SONC", "exact")]),
+        ("robinson1", "INCONCLUSIVE", True, [("not SONC", "exact")]),
+        ("motzkin", "FEASIBLE", False, _MOTZKIN_VERDICTS),
+        ("motzkin", "FEASIBLE", True, _MOTZKIN_VERDICTS),
+        ("motzkin", "INFEASIBLE", False, _MOTZKIN_VERDICTS),
+        ("motzkin", "INFEASIBLE", True, None),
+        ("motzkin", "INCONCLUSIVE", False, _MOTZKIN_VERDICTS),
+        ("motzkin", "INCONCLUSIVE", True, _MOTZKIN_VERDICTS),
+        # No verdict before the search: its own verdict is the only one.
+        ("schmuedgen", "FEASIBLE", False, [("SONC", "numeric")]),
+        ("schmuedgen", "FEASIBLE", True, [("SONC", "exact")]),
+        ("schmuedgen", "INFEASIBLE", False, [("not SONC", "numeric")]),
+        ("schmuedgen", "INFEASIBLE", True, [("not SONC", "exact")]),
+        ("schmuedgen", "INCONCLUSIVE", False, []),
+        ("schmuedgen", "INCONCLUSIVE", True, []),
+    ],
+)
+def test_analyze_search_verdict_precedence(monkeypatch, name, status, exact, expected):
+    from sonckit import report as report_mod
+    from sonckit.certify import SearchOutcome, SearchStatus
+    from sonckit.errors import InternalInvariantViolation
+
+    outcome = SearchOutcome(SearchStatus[status], 0.5, None, exact)
+    monkeypatch.setattr(
+        report_mod, "sonc_feasibility_search", lambda *args, **kwargs: outcome
+    )
+    f = FORM_BUILDERS[name]()
+    if expected is None:
+        with pytest.raises(InternalInvariantViolation):
+            analyze(f, search=True)
+        return
+    report = analyze(f, search=True)
+    assert report.feasibility is outcome
+    assert [(v.conclusion, v.certificate) for v in report.verdicts] == expected
+
+
 # ---------------------------------------------------------------------------
 # one analysis per form
 # ---------------------------------------------------------------------------

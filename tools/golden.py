@@ -11,6 +11,8 @@ must leave unchanged:
   form;
 - ``corpus_reports_search.json``: the same with ``search=True`` and
   ``SearchBudget(max_params=9)``;
+- ``corpus_text.json``: the lines of ``render_text`` for each corpus form,
+  without (``analyze``) and with (``search``) the same search;
 - ``p_family.json``: the reports of ``p_family(n, 6)`` for n = 3..9;
 - ``random_forms.json``: the reports of the benchmark's seed-7 random
   sparse forms (``perfbench/sparse_forms.random_forms(7)``);
@@ -71,7 +73,7 @@ def compute() -> dict[str, Any]:
     from sonckit.certify import SearchBudget
     from sonckit.corpus import FORM_BUILDERS, p_family, run_corpus
     from sonckit.forms import make_form
-    from sonckit.report import analyze, report_to_dict
+    from sonckit.report import analyze, render_text, report_to_dict
 
     families: dict[str, Any] = {}
 
@@ -84,6 +86,7 @@ def compute() -> dict[str, Any]:
         return out
 
     corpus_forms = [builder() for builder in FORM_BUILDERS.values()]
+    budget = SearchBudget(max_params=9)
     random_forms = [
         make_form(
             spec.num_vars, {e: Fraction(c) for e, c in spec.terms.items()}, name=spec.name
@@ -94,8 +97,17 @@ def compute() -> dict[str, Any]:
         "corpus_rows.json": [dataclasses.asdict(row) for row in run_corpus()],
         "corpus_reports.json": reports(corpus_forms),
         "corpus_reports_search.json": reports(
-            corpus_forms, search=True, budget=SearchBudget(max_params=9)
+            corpus_forms, search=True, budget=budget
         ),
+        "corpus_text.json": {
+            f.name: {
+                "analyze": render_text(analyze(f)).splitlines(),
+                "search": render_text(
+                    analyze(f, search=True, budget=budget)
+                ).splitlines(),
+            }
+            for f in corpus_forms
+        },
         "p_family.json": reports([p_family(n, 6) for n in range(3, 10)]),
         "random_forms.json": reports(random_forms),
         "simplex_families.json": families,
