@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import fraction_oracle as oracle
 from sonckit import exactlp
 from sonckit.corpus import FORM_BUILDERS, _check_sampling_nonneg, _sampling_coordinates
-from sonckit.errors import DimensionMismatch
+from sonckit.errors import AffinelyDependentInput, DimensionMismatch
 from sonckit.exactlp import (
     EchelonSolver,
     integer_numerators,
@@ -25,6 +25,7 @@ from sonckit.exactlp import (
     simplex_feasible,
 )
 from sonckit.forms import evaluate, evaluate_columns, evaluate_many, make_form, parse_form
+from sonckit.geometry import barycentric_coordinates
 from sonckit.report import analyze
 
 
@@ -203,6 +204,92 @@ def test_hull_lp_on_halved_supports_matches_oracle():
         halved = [tuple(Fraction(e, 2) for e in exponent) for exponent in f.terms]
         for point in f.terms:
             assert point_in_hull(point, halved) == oracle.point_in_hull(point, halved)
+
+
+def _weighted_point(vertices, weights):
+    """``(beta, scaled)`` with ``beta = sum w_i v_i`` and every vertex scaled
+    by ``sum(w)``, so that ``beta`` has the weights ``w / sum(w)`` over the
+    scaled vertices; it is in their relative interior exactly when every
+    ``w_i`` is positive."""
+    total = sum(weights)
+    beta = tuple(
+        sum(w * v[i] for w, v in zip(weights, vertices)) for i in range(len(vertices[0]))
+    )
+    return beta, [tuple(total * x for x in v) for v in vertices]
+
+
+def _assert_barycentric_agrees(beta, vertices):
+    """The weights of ``beta`` equal the ``Fraction`` oracle's, and a
+    dependent vertex list raises; returns the weights, or ``"dependent"``."""
+    if not oracle.affinely_independent(vertices):
+        with pytest.raises(AffinelyDependentInput):
+            barycentric_coordinates(beta, vertices)
+        return "dependent"
+    expected = oracle.barycentric_coordinates(beta, vertices)
+    assert barycentric_coordinates(beta, vertices) == expected
+    return expected
+
+
+def test_barycentric_coordinates_match_oracle_seeded():
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(2, 5)
+        vertices = [
+            tuple(rng.randint(0, 6) for _ in range(n)) for _ in range(rng.randint(1, n + 1))
+        ]
+        k = len(vertices)
+        kind = rng.choice(
+            ["interior", "off", "dependent"] + (["boundary", "outside"] if k > 1 else [])
+        )
+        weights = [rng.randint(1, 4) for _ in range(k)]
+        if kind == "boundary":
+            weights[rng.randrange(k)] = 0
+        elif kind == "outside":
+            i, j = rng.sample(range(k), 2)
+            weights[i], weights[j] = -weights[i], weights[j] + 2 * weights[i]
+        beta, scaled = _weighted_point(vertices, weights)
+        if kind == "off":
+            beta = tuple(rng.randint(0, 12) for _ in range(n))
+        elif kind == "dependent":
+            a, b = rng.choice(scaled), rng.choice(scaled)
+            scaled.insert(rng.randint(0, k), tuple(2 * x - y for x, y in zip(a, b)))
+        result = _assert_barycentric_agrees(beta, scaled)
+        if kind == "dependent":
+            assert result == "dependent"
+        elif result != "dependent" and kind != "off":
+            total = sum(weights)
+            interior = tuple(Fraction(w, total) for w in weights)
+            assert result == (interior if kind == "interior" else None), (beta, scaled)
+        seen.add((kind, result is None))
+    assert {("interior", False), ("boundary", True), ("outside", True)} <= seen
+    assert {("off", True), ("off", False), ("dependent", False)} <= seen
+
+
+@st.composite
+def _barycentric_cases(draw):
+    """Integer vertices in 2-5 variables, one more than an affinely
+    independent set now and then, and a point with integer weights over
+    them (some zero or negative) or an arbitrary integer point."""
+    n = draw(st.integers(2, 5))
+    entry = st.integers(0, 6)
+    vertices = draw(st.lists(st.tuples(*[entry] * n), min_size=1, max_size=n + 2))
+    weights = draw(st.lists(st.integers(-2, 4), min_size=len(vertices), max_size=len(vertices)))
+    if sum(weights) > 0:
+        return _weighted_point(vertices, weights)
+    return draw(st.tuples(*[st.integers(0, 12)] * n)), vertices
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_barycentric_cases())
+@example(((2, 2), [(0, 0), (4, 0), (0, 4)]))  # relative interior
+@example(((2, 2), [(0, 0), (4, 0), (0, 4), (4, 4)]))  # dependent
+@example(((2, 0), [(0, 0), (4, 0), (0, 4)]))  # boundary
+@example(((3, 3), [(0, 0), (4, 0), (0, 4)]))  # off the hull
+@example(((1, 1, 1), [(0, 0, 0), (2, 2, 0)]))  # off the affine hull
+def test_barycentric_coordinates_match_oracle_hypothesis(case):
+    beta, vertices = case
+    _assert_barycentric_agrees(beta, vertices)
 
 
 def test_evaluate_matches_oracle_seeded():

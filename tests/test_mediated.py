@@ -134,7 +134,9 @@ def test_mms_non_simplicial_generators_allowed():
     assert sheared.star  # still computed for non-simplicial generators
 
 
-def _random_even_simplicial_sets(count, seed, max_entry=6, max_lattice=60):
+def _random_even_simplicial_sets(count, seed, max_entry=6, max_lattice=60, dependent=0):
+    """``count`` affinely independent sets of even points, then
+    ``dependent`` affinely dependent ones of 3 to n + 2 points."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -151,12 +153,38 @@ def _random_even_simplicial_sets(count, seed, max_entry=6, max_lattice=60):
         if len(polytope_lattice_points(points)) > max_lattice:
             continue
         out.append(points)
+    while len(out) < count + dependent:
+        n = rng.randint(2, 4)
+        points = sorted(
+            {
+                tuple(2 * rng.randint(0, max_entry // 2) for _ in range(n))
+                for _ in range(rng.randint(3, n + 2))
+            }
+        )
+        if len(points) < 3 or affinely_independent(points):
+            continue
+        if len(polytope_lattice_points(points)) > max_lattice:
+            continue
+        out.append(points)
     return out
 
 
 def test_fixpoint_matches_naive_oracle_on_random_sets():
-    for delta in _random_even_simplicial_sets(50, seed=51):
-        assert maximal_mediated_set(delta).star == naive_mediated_fixpoint(delta), delta
+    simplicial = []
+    for delta in _random_even_simplicial_sets(50, seed=51, dependent=25):
+        mediated = maximal_mediated_set(delta)
+        assert mediated.star == naive_mediated_fixpoint(delta), delta
+        simplicial.append(mediated.classification is not SimplexClass.NOT_SIMPLICIAL)
+        # Mediated, checked pair by pair: every non-generator is the
+        # midpoint of two distinct even points of the set.
+        even = [p for p in mediated.star if all(v % 2 == 0 for v in p)]
+        for q in mediated.star - mediated.delta:
+            assert any(
+                s != t and all(a + b == 2 * c for a, b, c in zip(s, t, q))
+                for s in even
+                for t in even
+            ), (delta, q)
+    assert simplicial == [True] * 50 + [False] * 25
 
 
 def test_fixpoint_order_independence():
