@@ -23,6 +23,7 @@ from typing import Sequence
 
 from .errors import (
     AffinelyDependentInput,
+    DimensionMismatch,
     InternalInvariantViolation,
     MonomialSquareSumHasNoCircuitNumber,
     NotNonnegativeCircuit,
@@ -311,9 +312,12 @@ def logs_affinely_independent(
 ) -> bool:
     """Whether the coordinatewise log-absolute images of the points are
     affinely independent, in floats: a pivoted modified Gram--Schmidt on
-    their differences to the first keeps every pivot norm above ``tolerance``."""
+    their differences to the first keeps every pivot norm above ``tolerance``.
+    Points of different lengths raise :class:`DimensionMismatch`."""
     if not points:
         return False
+    if any(len(point) != len(points[0]) for point in points):
+        raise DimensionMismatch(f"the points {points} differ in length")
     for point in points:
         if any(value == 0 for value in point):
             raise ZeroCoordinate(f"point {tuple(point)} has a zero coordinate")

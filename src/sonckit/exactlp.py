@@ -4,23 +4,25 @@ Inputs and results are integers or ``Fraction``s, but the work runs on
 Python ints: each routine scales its input to integers once
 (:func:`integer_numerators`) and then eliminates fraction-free, after
 E. H. Bareiss, "Sylvester's identity and multistep integer-preserving
-Gaussian elimination", Math. Comp. 22 (1968).  Each row carries its
-own scale, the pivot at which it was last rewritten, and holds that
-scale times its rational row.  A pivot rewrites only the rows with a
-nonzero entry in its column; every other row keeps its rational values,
-so skipping it is exact, and it is brought up to date, exactly, when a
-later pivot does touch it.  Each division is exact, no gcd is taken
-inside a loop, and a ``Fraction`` is built only for a returned value.
-No floating point, no tolerances.  Problem sizes are tiny (dimension
-<= 6 at desk scale), so dense textbook methods fit: Bareiss elimination
-for ranks, Gauss--Jordan for linear systems, and a phase-one simplex
-with Bland's rule, which guarantees termination, for convex-hull
-membership queries.  The simplex tableau holds only the structural
-columns: the artificial variables survive as basis labels, and the loop
-stops at the first basis where no structural column can enter, which
-decides feasibility and returns the same point as the full tableau.
+Gaussian elimination", Math. Comp. 22 (1968).  Two routines do the
+work, and both pivot with :func:`_pivot`, which the simplex walk of
+:mod:`sonckit.geometry` shares.  Each row carries its own scale, the
+pivot at which it was last rewritten, and holds that scale times its
+rational row.  A pivot rewrites only the rows with a nonzero entry in
+its column; every other row keeps its rational values, so skipping it
+is exact, and it is brought up to date, exactly, when a later pivot
+does touch it.  Each division is exact, no gcd is taken inside a loop,
+and a ``Fraction`` is built only for a returned value.  No floating
+point, no tolerances.  Problem sizes are tiny (dimension <= 6 at desk
+scale), so dense textbook methods fit.  One fraction-free Gauss--Jordan
+routine, :class:`EchelonSolver`, answers every rank
+(:func:`matrix_rank`) and every linear solve.  A phase-one simplex with
+Bland's rule, which guarantees termination, decides convex-hull
+membership.  Its tableau holds only the structural columns: the
+artificial variables survive as basis labels, and the loop stops at the
+first basis where no structural column can enter, which decides
+feasibility and returns the same point as the full tableau.
 """
-
 from __future__ import annotations
 
 import itertools
@@ -53,14 +55,14 @@ def integer_numerators(values: Sequence[Fraction | int]) -> tuple[list[int], int
 
 
 def _pivot(
-    rows: list[list[int]], scales: list[int], top: int, col: int, previous: int, start: int = 0
+    rows: list[list[int]], scales: list[int], top: int, col: int, previous: int
 ) -> int:
     """Fraction-free pivot on ``rows[top][col]``; returns the pivot ``p``.
 
     Row ``r`` holds ``scales[r]`` times its rational row, its scale being
     the pivot that last rewrote it.  The pivot row is first brought,
     exactly, to the scale ``previous`` of the last pivot.  Every other
-    row from ``start`` on with a nonzero ``row[col]`` becomes
+    row with a nonzero ``row[col]`` becomes
     ``(p * row - row[col] * rows[top]) // scales[r]``: the Bareiss update,
     over ``previous``, of the row brought to scale ``previous``, so the
     division is exact by Sylvester's identity.  A row with
@@ -73,7 +75,7 @@ def _pivot(
     if scales[top] != previous:
         pivot_row = rows[top] = [a * previous // scales[top] for a in pivot_row]
     p = scales[top] = pivot_row[col]
-    for r in range(start, len(rows)):
+    for r in range(len(rows)):
         row = rows[r]
         factor = row[col]
         if factor and r != top:
@@ -83,44 +85,9 @@ def _pivot(
     return p
 
 
-def _eliminate(
-    m: list[list[int]], ncols: int, jordan: bool
-) -> tuple[list[tuple[int, int]], int]:
-    """Bareiss elimination in place on the first ``ncols`` columns of ``m``.
-
-    Returns the ``(row, col)`` pivots, first nonzero entry first, and the
-    last pivot.  Without ``jordan`` only the rows below each pivot are
-    cleared, which settles the rank; with it every other row is, and then
-    every row ends at the scale of the last pivot, so every pivot entry
-    equals it.
-    """
-    pivots: list[tuple[int, int]] = []
-    scales = [1] * len(m)
-    previous = 1
-    for col in range(ncols):
-        row = len(pivots)
-        if row == len(m):
-            break
-        pivot = next((r for r in range(row, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        scales[row], scales[pivot] = scales[pivot], scales[row]
-        previous = _pivot(m, scales, row, col, previous, start=0 if jordan else row + 1)
-        pivots.append((row, col))
-    if jordan:
-        for r, scale in enumerate(scales):
-            if scale != previous:
-                m[r] = [a * previous // scale for a in m[r]]
-    return pivots, previous
-
-
 def matrix_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    """Rank over the rationals by Bareiss elimination over the integers."""
-    m = [integer_numerators(row)[0] for row in rows]
-    if not m:
-        return 0
-    return len(_eliminate(m, len(m[0]), jordan=False)[0])
+    """Rank over the rationals: that of :class:`EchelonSolver`, 0 for no rows."""
+    return EchelonSolver(rows).rank if rows else 0
 
 
 class EchelonSolver:
@@ -143,16 +110,35 @@ class EchelonSolver:
         if not scaled:
             raise ValueError("empty coefficient matrix")
         self.nrows, self.ncols = len(scaled), len(scaled[0][0])
+        if any(len(numerators) != self.ncols for numerators, _ in scaled):
+            raise ValueError("ragged coefficient matrix")
         # Row i of the transform starts as scale_i * e_i, so right sides
         # get the same row scaling as the matrix.
-        augmented = [
+        m = [
             numerators + [scale if i == j else 0 for j in range(self.nrows)]
             for i, (numerators, scale) in enumerate(scaled)
         ]
-        pivots, previous = _eliminate(augmented, self.ncols, jordan=True)
-        sign = 1 if previous > 0 else -1
-        self.denominator = sign * previous
-        self.transform = [[sign * v for v in current[self.ncols :]] for current in augmented]
+        pivots: list[tuple[int, int]] = []
+        scales = [1] * self.nrows
+        previous = 1
+        for col in range(self.ncols):
+            row = len(pivots)
+            if row == self.nrows:
+                break
+            pivot = next((r for r in range(row, self.nrows) if m[r][col]), None)
+            if pivot is None:
+                continue
+            m[row], m[pivot] = m[pivot], m[row]
+            scales[row], scales[pivot] = scales[pivot], scales[row]
+            previous = _pivot(m, scales, row, col, previous)
+            pivots.append((row, col))
+        # Every row brought to the scale |last pivot| has its pivot entry
+        # equal to it: one positive denominator for every solution.
+        self.denominator = abs(previous)
+        self.transform = [
+            [v * self.denominator // scale for v in current[self.ncols :]]
+            for current, scale in zip(m, scales)
+        ]
         self.pivots = pivots
         self.rank = len(pivots)
         self.unique = self.rank == self.ncols

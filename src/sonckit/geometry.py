@@ -13,7 +13,6 @@ touches floating point.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,14 +25,7 @@ from .errors import (
     OddDegree,
     ZeroFormInput,
 )
-from .exactlp import (
-    EchelonSolver,
-    _eliminate,
-    _pivot,
-    integer_numerators,
-    matrix_rank,
-    point_in_hull,
-)
+from .exactlp import EchelonSolver, _pivot, matrix_rank, point_in_hull
 from .forms import Exponent, SparseForm, grlex_key
 
 #: Hard cap on candidate points per inner exponent during simplex
@@ -80,8 +72,11 @@ def canonical_points(points: Iterable[Exponent]) -> list[Exponent]:
 
 
 def affinely_independent(points: Sequence[Exponent]) -> bool:
-    """Rank test on difference vectors, exact over the rationals."""
+    """Rank test on difference vectors, exact over the rationals.  Points
+    of different lengths raise :class:`DimensionMismatch`."""
     points = list(points)
+    if any(len(p) != len(points[0]) for p in points):
+        raise DimensionMismatch(f"the points {points} differ in length")
     if len(points) <= 1:
         return bool(points)
     base = points[0]
@@ -165,33 +160,25 @@ def barycentric_coordinates(
     ``vertices``, or ``None`` when ``beta`` is not in the relative
     interior of their hull.
 
-    Solves ``[vertices; all-ones] * lam = [beta; 1]`` by one Gauss--Jordan
-    elimination of the augmented matrix ``[M | b]``.  ``M`` has full
-    column rank exactly when the vertices are affinely independent, and
-    :class:`AffinelyDependentInput` is raised otherwise; a nonzero entry
-    of ``b`` left below the pivots means ``beta`` is off their affine
+    Solves ``[vertices; all-ones] * lam = [beta; 1]`` with
+    :class:`EchelonSolver`.  The matrix has full column rank exactly when
+    the vertices are affinely independent, and
+    :class:`AffinelyDependentInput` is raised otherwise or for no
+    vertices; an inconsistent system means ``beta`` is off their affine
     hull.  A vertex whose length differs from ``beta``'s raises
     :class:`DimensionMismatch`.
     """
-    vertices = [tuple(v) for v in vertices]
     if any(len(v) != len(beta) for v in vertices):
         raise DimensionMismatch(f"a vertex of {vertices} differs in length from {beta}")
-    n, k = len(beta), len(vertices)
-    # One denominator for all coordinates: each row of [M | b] scales alike.
-    flat, _ = integer_numerators([*itertools.chain.from_iterable(vertices), *beta])
-    m = [flat[i : k * n : n] + [flat[k * n + i]] for i in range(n)]
-    m.append([1] * (k + 1))
-    pivots, last = _eliminate(m, k, jordan=True)
-    # An empty vertex list has full column rank but spans nothing.
-    if not k or len(pivots) < k:
+    rows: list[list[int]] = [[v[i] for v in vertices] for i in range(len(beta))]
+    rows.append([1] * len(vertices))
+    solver = EchelonSolver(rows)
+    if not vertices or not solver.unique:
         raise AffinelyDependentInput(f"{vertices} is affinely dependent")
-    if any(row[k] for row in m[k:]):
+    solution = solver.solve([*beta, 1])
+    if solution is None or any(weight <= 0 for weight in solution):
         return None
-    # Gauss--Jordan leaves every pivot entry equal to ``last``, so the
-    # weight of vertex j is m[j][k] / last.
-    if any(m[j][k] * last <= 0 for j in range(k)):
-        return None
-    return tuple(Fraction(m[j][k], last) for j in range(k))
+    return tuple(solution)
 
 
 def enumerate_simplices(

@@ -61,10 +61,11 @@ def mid_set(points: Iterable[Exponent]) -> frozenset[Exponent]:
 def maximal_mediated_set(delta: Iterable[Exponent]) -> MediatedSet:
     """Fixpoint computation of the maximal mediated set.
 
-    Starts from all lattice points of ``conv(delta)`` and repeatedly
-    deletes non-generators without a surviving midpoint witness; a
-    worklist re-examines only points whose witnessing pairs died.  The
-    fixpoint is independent of deletion order.  Generators are
+    Starts from all lattice points of ``conv(delta)``; each round keeps
+    the generators and the points of ``mid_set`` of the survivors, until
+    a round deletes nothing.  The operator is monotone, since a deletion
+    never adds a witness, so the rounds reach the same greatest fixpoint
+    as deleting one point at a time in any order.  Generators are
     ``NotSimplicial`` when :func:`lattice_points` finds them dependent;
     their lattice points then come from :func:`hull_lattice_points`.
     """
@@ -78,41 +79,9 @@ def maximal_mediated_set(delta: Iterable[Exponent]) -> MediatedSet:
         lattice, simplicial = lattice_points(sorted(generators)), True
     except AffinelyDependentInput:
         lattice, simplicial = hull_lattice_points(sorted(generators)), False
-    alive: set[Exponent] = set(lattice)
-    even_alive = {p for p in alive if _is_even(p)}
-
-    # Witness pairs per point: q is mediated while some pair (s, t) of
-    # distinct even survivors has midpoint q.
-    witnesses: dict[Exponent, set[tuple[Exponent, Exponent]]] = {
-        q: set() for q in alive
-    }
-    uses: dict[Exponent, set[Exponent]] = {e: set() for e in even_alive}
-    even_sorted = sorted(even_alive)
-    for i, s in enumerate(even_sorted):
-        for t in even_sorted[i + 1 :]:
-            mid = tuple((a + b) // 2 for a, b in zip(s, t))
-            if mid in witnesses:
-                witnesses[mid].add((s, t))
-                uses[s].add(mid)
-                uses[t].add(mid)
-
-    queue = [q for q in alive if q not in generators and not witnesses[q]]
-    while queue:
-        q = queue.pop()
-        if q not in alive:
-            continue
-        alive.discard(q)
-        if not _is_even(q):
-            continue
-        for affected in uses.get(q, ()):  # pairs involving q are now void
-            if affected not in alive:
-                continue
-            remaining = {pair for pair in witnesses[affected] if q not in pair}
-            witnesses[affected] = remaining
-            if not remaining and affected not in generators:
-                queue.append(affected)
-
-    star = frozenset(alive)
+    star = lattice
+    while (kept := generators | (star & mid_set(star))) != star:
+        star = kept
     mid_delta = mid_set(generators)
     lower = generators | mid_delta
     if not simplicial:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from sonckit.errors import (
+    DimensionMismatch,
     MonomialSquareSumHasNoCircuitNumber,
     NotNonnegativeCircuit,
     ZeroCoordinate,
@@ -293,6 +294,12 @@ def test_logs_affinely_independent_examples():
     assert not logs_affinely_independent([(1, 2, 3), (1, 2, 3)])
     with pytest.raises(ZeroCoordinate):
         logs_affinely_independent([(0.0, 1.0, 1.0)])
+
+
+def test_logs_affinely_independent_rejects_points_of_another_length():
+    # Used to return True, reading two coordinates of each point.
+    with pytest.raises(DimensionMismatch):
+        logs_affinely_independent([(1.0, 2.0), (3.0, 5.0, 7.0)])
 
 
 def test_detect_circuit_permutation_invariance():

@@ -23,6 +23,19 @@ def test_matrix_rank():
     assert matrix_rank([[2, 4, 6]]) == 1
 
 
+@pytest.mark.parametrize(
+    "routine, rows",
+    [
+        (matrix_rank, [[0], [0, 1]]),  # used to read rank 0
+        (EchelonSolver, [[1, 2], [3]]),  # used to report rank 2, unique
+        (matrix_rank, [[1, 2], [3]]),  # used to raise IndexError
+    ],
+)
+def test_ragged_coefficient_matrix_is_rejected(routine, rows):
+    with pytest.raises(ValueError, match="ragged coefficient matrix"):
+        routine(rows)
+
+
 def test_solve_unique_system():
     solution = EchelonSolver([[2, 1], [1, -1]]).solve([5, 1])
     assert solution == [Fraction(2), Fraction(1)]

@@ -493,6 +493,14 @@ def test_lattice_points_rejects_vertices_of_another_length():
             polytope_lattice_points(vertices)
 
 
+def test_affinely_independent_rejects_points_of_another_length():
+    # The first used to return True, reading one coordinate of each point;
+    # the second raised IndexError.
+    for points in ([(0,), (1, 1)], [(0, 0, 0), (1, 1)]):
+        with pytest.raises(DimensionMismatch):
+            affinely_independent(points)
+
+
 def test_lattice_points_rejects_dependent():
     with pytest.raises(AffinelyDependentInput):
         lattice_points([(0, 0), (1, 1), (2, 2)])

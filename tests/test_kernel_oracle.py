@@ -140,9 +140,9 @@ def _entering_columns(monkeypatch, rows, rhs):
     """``simplex_feasible(rows, rhs)`` and the column of each pivot it made."""
     columns, pivot = [], exactlp._pivot
 
-    def recording(tableau, scales, top, col, previous, start=0):
+    def recording(tableau, scales, top, col, previous):
         columns.append(col)
-        return pivot(tableau, scales, top, col, previous, start)
+        return pivot(tableau, scales, top, col, previous)
 
     monkeypatch.setattr(exactlp, "_pivot", recording)
     return simplex_feasible(rows, rhs), columns
