@@ -23,6 +23,7 @@ artificial variables survive as basis labels, and the loop stops at the
 first basis where no structural column can enter, which decides
 feasibility and returns the same point as the full tableau.
 """
+
 from __future__ import annotations
 
 import itertools
