@@ -13,16 +13,21 @@ smoothed maximum of the circuit margins, which is convex in the weights.  A
 numeric result never certifies -- feasible weights are rounded to rationals
 and re-verified exactly, and infeasibility is only reported with an
 explicit margin: the smallest margin a first-order method found for a
-convex objective; numeric, not a bound.
+convex objective; numeric, not a bound.  Each search compiles its
+problem's forward pass and gradient into straight-line Python on first
+use, with every float operation of the former interpreted loops in the
+same order, so the trajectory is bit for bit the same.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from types import FunctionType, SimpleNamespace
+from typing import Iterable, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -410,6 +415,15 @@ class _SearchProblem:
     ``size`` is the number of free weights, the sum of group size - 1.  An
     inner exponent with no covering simplex raises
     :class:`UncoveredInnerExponent`.
+
+    The passes are generated from this layout as straight-line source,
+    every group, slot and term unrolled with weights and margins in
+    locals, and compiled on first use (``_kernel`` for the search,
+    ``_passes`` for :meth:`weights` and :meth:`margins`), so a problem
+    over the budget or settled exactly at size 0 compiles nothing; no
+    kernel is shared between problems.  Their results equal those of the
+    interpreted loops they replace (kept as oracles in the tests) bit for
+    bit.
     """
 
     def __init__(self, f: SparseForm, partition: SupportPartition):
@@ -442,6 +456,8 @@ class _SearchProblem:
         self._free_groups = [
             (first, first + size) for first, size in self.groups if size > 1
         ]
+        # The weights that have a logit in the search.
+        self._free = [k for first, stop in self._free_groups for k in range(first, stop)]
         self.slots = [
             (
                 position[beta, index],
@@ -458,37 +474,26 @@ class _SearchProblem:
             for index, (beta, simplex) in enumerate(self.circuits)
         ]
 
+    @functools.cached_property
+    def _kernel(self) -> SimpleNamespace:
+        """The search's compiled ``gradient``, ``forward`` and ``descend``."""
+        return _compile(self._gradient_source() + self._search_source())
+
+    @functools.cached_property
+    def _passes(self) -> SimpleNamespace:
+        """The compiled ``weights`` and ``margins`` at any logits and weights."""
+        return _compile(self._pass_source())
+
     def weights(self, logits: Sequence[float]) -> list[float]:
         """The group softmaxes of ``logits``, one logit per weight, flat.
         Each total is a left fold, as in :func:`_smoothed_max`."""
-        exp = math.exp
-        weights = [1.0] * self.weight_count
-        for first, stop in self._free_groups:
-            group = logits[first:stop]
-            peak = max(group)
-            exps = [exp(v - peak) for v in group]
-            total = 0.0
-            for e in exps:
-                total += e
-            weights[first:stop] = [e / total for e in exps]
-        return weights
+        return self._passes.weights(logits)
 
     def margins(self, weights: Sequence[float]) -> tuple[list[float], list[float]]:
         """Each slot's margin ``nu * |f_beta| - theta`` and its threshold
         ``theta = prod (mu_alpha f_alpha / lambda_alpha) ** lambda_alpha``,
         with each mu clamped below at 1e-300."""
-        log, exp = math.log, math.exp
-        values, thresholds = [], []
-        for nu_index, abs_inner, terms in self.slots:
-            log_theta = 0.0
-            for mu_index, lam, constant in terms:
-                mu = weights[mu_index]
-                # ``max(mu, 1e-300)`` without the call, NaN included
-                log_theta += lam * (log(1e-300 if mu < 1e-300 else mu) + constant)
-            threshold = exp(log_theta)
-            values.append(weights[nu_index] * abs_inner - threshold)
-            thresholds.append(threshold)
-        return values, thresholds
+        return self._passes.margins(weights)
 
     def gradient(
         self,
@@ -501,19 +506,143 @@ class _SearchProblem:
         """Gradient in the split weights of the smoothed maximum of the
         margins, by reverse mode through the forward pass that gave these
         values.  ``smoothed`` is ``_smoothed_max(values, tau)``, which the
-        caller has already computed.  The entries of forced weights (groups
-        of one) are never used."""
-        exp = math.exp
-        upstream = [0.0] * self.weight_count
-        for (nu_index, abs_inner, terms), v, threshold in zip(self.slots, values, thresholds):
-            share = exp((v - smoothed) / tau)
-            upstream[nu_index] += share * abs_inner
-            pull = share * threshold
-            for mu_index, lam, _ in terms:
-                mu = weights[mu_index]
-                if mu > 1e-300:  # the clamp in ``margins`` is flat below
-                    upstream[mu_index] -= pull * lam / mu
-        return upstream
+        caller has already computed.  A weight below the 1e-300 clamp gets
+        0.  The entries of forced weights (groups of one) are never used by
+        the search."""
+        return self._kernel.gradient(weights, values, thresholds, tau, smoothed)
+
+    # The generated source.  Weight ``k`` is the local ``w{k}``, its logit
+    # ``l{k}`` and its gradient entry ``g{k}``; slot ``i`` has margin
+    # ``v{i}`` and threshold ``th{i}``.  Each float operation of the loops
+    # these passes replace is kept, in the same order, but for a few that
+    # are exact:
+    # - a left fold's leading ``0.0 +``: softmax totals, the smoothed
+    #   maximum and a nu's gradient entry (each weight gets one term) add
+    #   terms that are never -0.0, and a ``log theta`` fold only feeds
+    #   ``exp``, to which the sign of a zero makes no difference;
+    # - in ``forward`` a forced weight is 1.0: ``1.0 * |f_beta|`` is
+    #   ``|f_beta|``, and a forced mu's term ``lambda * (log(1.0) + c)``
+    #   is computed here by the same operations.
+
+    def _softmax_source(self) -> list[str]:
+        lines = []
+        for first, stop in self._free_groups:
+            group = range(first, stop)
+            # ``max`` keeps the first of equal items, as this chain does.
+            lines.append(f"p = l{first}")
+            lines += [f"p = l{k} if l{k} > p else p" for k in group[1:]]
+            lines += [f"e{k} = exp(l{k} - p)" for k in group]
+            lines.append(f"t = {' + '.join(f'e{k}' for k in group)}")
+            lines += [f"w{k} = e{k} / t" for k in group]
+        return lines
+
+    def _margin_source(self, forced: bool) -> list[str]:
+        """``th{i}`` and ``v{i}`` per slot; with ``forced``, the weights
+        of groups of one are the constant 1.0."""
+        variable = set(self._free) if forced else range(self.weight_count)
+        lines = []
+        for i, (nu_index, abs_inner, terms) in enumerate(self.slots):
+            parts = [
+                f"{lam!r} * (log(1e-300 if w{k} < 1e-300 else w{k}) + {constant!r})"
+                if k in variable
+                else repr(lam * (math.log(1.0) + constant))
+                for k, lam, constant in terms
+            ]
+            lines.append(f"th{i} = exp({' + '.join(parts)})")
+            nu = f"w{nu_index} * " if nu_index in variable else ""
+            lines.append(f"v{i} = {nu}{abs_inner!r} - th{i}")
+        return lines
+
+    def _weight_list(self) -> str:
+        free = set(self._free)
+        return _listed(f"w{k}" if k in free else "1.0" for k in range(self.weight_count))
+
+    def _pass_source(self) -> list[str]:
+        every = range(self.weight_count)
+        values = _listed(f"v{i}" for i in range(len(self.slots)))
+        thresholds = _listed(f"th{i}" for i in range(len(self.slots)))
+        return [
+            "def weights(logits):",
+            *_unpack((f"l{k}" for k in every), "logits"),
+            *self._softmax_source(),
+            f"return {self._weight_list()}",
+            "def margins(weights):",
+            *_unpack((f"w{k}" for k in every), "weights"),
+            *self._margin_source(forced=False),
+            f"return {values}, {thresholds}",
+        ]
+
+    def _gradient_source(self) -> list[str]:
+        """Every weight has exactly one term: as the nu of one slot or as
+        a mu of one slot."""
+        count = range(len(self.slots))
+        lines = [
+            "def gradient(weights, values, thresholds, tau, smoothed):",
+            *_unpack((f"w{k}" for k in range(self.weight_count)), "weights"),
+            *_unpack((f"v{i}" for i in count), "values"),
+            *_unpack((f"th{i}" for i in count), "thresholds"),
+        ]
+        for i, (nu_index, abs_inner, terms) in enumerate(self.slots):
+            lines += [
+                f"s = exp((v{i} - smoothed) / tau)",
+                f"g{nu_index} = s * {abs_inner!r}",
+                f"p = s * th{i}",
+                *(
+                    f"g{k} = 0.0 - p * {lam!r} / w{k} if w{k} > 1e-300 else 0.0"
+                    for k, lam, _ in terms
+                ),
+            ]
+        lines.append(f"return {_listed(f'g{k}' for k in range(self.weight_count))}")
+        return lines
+
+    def _search_source(self) -> list[str]:
+        """``forward(logits, tau)``, from the logits of the free weights
+        only, to the weights, margins, thresholds, smoothed maximum and
+        hard maximum; ``descend(logits, gradient, step)``, the trial
+        logits.  Empty without free weights, where there is no search."""
+        if not self._free:
+            return []
+        logits = [f"l{k}" for k in self._free]
+        values = [f"v{i}" for i in range(len(self.slots))]
+        exps = " + ".join(f"exp(({v} - m) / tau)" for v in values)
+        return [
+            "def forward(logits, tau):",
+            *_unpack(logits, "logits"),
+            *self._softmax_source(),
+            *self._margin_source(forced=True),
+            "m = v0",
+            *(f"m = {v} if {v} > m else m" for v in values[1:]),
+            f"s = m + tau * log({exps})",
+            f"return {self._weight_list()}, {_listed(values)}, "
+            f"{_listed(f'th{i}' for i in range(len(self.slots)))}, s, m",
+            "def descend(logits, gradient, step):",
+            *_unpack(logits, "logits"),
+            f"return {_listed(f'l{k} - step * gradient[{k}]' for k in self._free)}",
+        ]
+
+
+def _listed(names: Iterable[str]) -> str:
+    return f"[{', '.join(names)}]"
+
+
+def _unpack(names: Iterable[str], source: str) -> list[str]:
+    names = list(names)
+    return [f"{', '.join(names)}, = {source}"] if names else []
+
+
+def _compile(source: list[str]) -> SimpleNamespace:
+    """The functions of generated ``source`` (``def`` lines at the left
+    margin, every other line in their bodies), over ``exp`` and ``log``.
+    The source holds only local names, integers and floats written by
+    ``repr``, which round-trips them exactly; each float is finite, since
+    ``float`` of a ``Fraction`` raises rather than overflow."""
+    text = "\n".join(line if line.startswith("def ") else "    " + line for line in source)
+    namespace = {"exp": math.exp, "log": math.log}
+    exec(compile(text, "<search kernel>", "exec"), namespace)
+    functions = {
+        name: value for name, value in namespace.items() if isinstance(value, FunctionType)
+    }
+    return SimpleNamespace(**functions)
 
 
 def _optimize(problem: _SearchProblem) -> tuple[float, list[float]]:
@@ -521,15 +650,18 @@ def _optimize(problem: _SearchProblem) -> tuple[float, list[float]]:
     entropic mirror descent run from the uniform split: each step takes the
     weight-space gradient, times a step length that halves until the
     smoothed maximum does not rise, off the logits of the group softmaxes.
-    The smoothed maximum is computed once per forward pass, and once more
+    Only free weights have logits.  The kernel's ``forward`` computes the
+    smoothed maximum once per pass; :func:`_smoothed_max` runs once more
     at each change of temperature: the accepted trial's value is the next
     step's level and goes into its gradient."""
+    kernel = problem._kernel
+    forward, descend, gradient_of = kernel.forward, kernel.descend, problem.gradient
     scale = max(abs_inner for _, abs_inner, _ in problem.slots)
     last_phase = len(_TAUS) - 1
-    logits = [0.0] * problem.weight_count
-    weights = problem.weights(logits)
-    values, thresholds = problem.margins(weights)
-    best_margin, best_weights = max(values), weights
+    logits = [0.0] * len(problem._free)
+    tau = _TAUS[0] * scale
+    weights, values, thresholds, _, best_margin = forward(logits, tau)
+    best_weights = weights
     step = 3 * _TAUS[0] / scale
     stalled = 0
     for iteration in range(_ITERATIONS):
@@ -539,21 +671,18 @@ def _optimize(problem: _SearchProblem) -> tuple[float, list[float]]:
         if iteration == phase * _PHASE:  # the first step at a new temperature
             tau = _TAUS[phase] * scale
             level = _smoothed_max(values, tau)
-        gradient = problem.gradient(weights, values, thresholds, tau, level)
+        gradient = gradient_of(weights, values, thresholds, tau, level)
         while True:
-            trial = [v - step * g for v, g in zip(logits, gradient)]
-            weights = problem.weights(trial)
-            values, thresholds = problem.margins(weights)
+            trial = descend(logits, gradient, step)
+            weights, values, thresholds, smoothed, current = forward(trial, tau)
             # A short enough step leaves the logits, and the level, as they
             # are; only a slope that overflowed can run the step down to 0.
-            smoothed = _smoothed_max(values, tau)
             if smoothed <= level or not step:
                 break
             step /= 2
         logits = trial
         step *= 2 if smoothed < level else 1
         level = smoothed
-        current = max(values)
         # Only the last phase counts steps that hardly improve the margin.
         progress = current < best_margin - 1e-7 * max(1.0, scale)
         stalled = 0 if phase < last_phase or progress else stalled + 1

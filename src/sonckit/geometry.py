@@ -71,12 +71,17 @@ def canonical_points(points: Iterable[Exponent]) -> list[Exponent]:
     return sorted({tuple(p) for p in points}, key=grlex_key)
 
 
+def check_common_length(points: Sequence[Exponent]) -> None:
+    """Raise :class:`DimensionMismatch` unless all points have one length."""
+    if any(len(p) != len(points[0]) for p in points):
+        raise DimensionMismatch(f"the points {list(points)} differ in length")
+
+
 def affinely_independent(points: Sequence[Exponent]) -> bool:
     """Rank test on difference vectors, exact over the rationals.  Points
     of different lengths raise :class:`DimensionMismatch`."""
     points = list(points)
-    if any(len(p) != len(points[0]) for p in points):
-        raise DimensionMismatch(f"the points {points} differ in length")
+    check_common_length(points)
     if len(points) <= 1:
         return bool(points)
     base = points[0]
@@ -332,10 +337,8 @@ def lattice_points(simplex_vertices: Sequence[Exponent]) -> frozenset[Exponent]:
     vertices = [tuple(v) for v in simplex_vertices]
     if not vertices:
         raise ValueError("empty vertex list")
-    dim = len(vertices[0])
-    if any(len(v) != dim for v in vertices):
-        raise DimensionMismatch(f"the vertices {vertices} differ in length")
-    rows: list[list[int]] = [[v[i] for v in vertices] for i in range(dim)]
+    check_common_length(vertices)
+    rows: list[list[int]] = [[v[i] for v in vertices] for i in range(len(vertices[0]))]
     rows.append([1] * len(vertices))
     # Full column rank of [vertices; 1] is affine independence.
     solver = EchelonSolver(rows)
@@ -353,8 +356,13 @@ def lattice_points(simplex_vertices: Sequence[Exponent]) -> frozenset[Exponent]:
 def hull_lattice_points(points: Sequence[Exponent]) -> frozenset[Exponent]:
     """Integer points of conv(points), each candidate decided by the exact
     LP against the points on its coordinate face (:func:`_face`); for
-    nonempty point sets that may be affinely dependent."""
+    point sets that may be affinely dependent.  An empty set raises
+    :class:`ValueError`, points of different lengths
+    :class:`DimensionMismatch`."""
     unique = canonical_points(points)
+    if not unique:
+        raise ValueError("empty point set")
+    check_common_length(unique)
     return frozenset(
         candidate
         for candidate in _integer_candidates(unique)

@@ -20,7 +20,11 @@ from .errors import AffinelyDependentInput, NotNonnegativeCircuit, OddPointInDel
 from .circuits import Circuit, CircuitKind, decide_circuit_nonnegativity
 from .forms import Exponent
 from .geometry import (
-    canonical_points, hull_lattice_points, lattice_points, polytope_lattice_points
+    canonical_points,
+    check_common_length,
+    hull_lattice_points,
+    lattice_points,
+    polytope_lattice_points,
 )
 
 
@@ -49,8 +53,11 @@ def _is_even(point: Exponent) -> bool:
 
 def mid_set(points: Iterable[Exponent]) -> frozenset[Exponent]:
     """Midpoints of distinct pairs of even points; odd points contribute
-    nothing."""
-    even = [p for p in canonical_points(points) if _is_even(p)]
+    nothing.  Points of different lengths raise
+    :class:`DimensionMismatch`."""
+    unique = canonical_points(points)
+    check_common_length(unique)
+    even = [p for p in unique if _is_even(p)]
     mids = set()
     for i, s in enumerate(even):
         for t in even[i + 1 :]:

@@ -172,3 +172,43 @@ def test_a_crashed_run_is_named_with_its_stderr(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err[0] == "parent run of corpus seed 5 trace 0 exited with status 1; its stderr ends:"
     assert err[1:] == traceback[-module.CRASH_TAIL_LINES:]
+
+
+@pytest.mark.parametrize(
+    "stdout",
+    [
+        "",
+        '{"metrics": {}}\n',
+        '{"info": {}}\nwall_s 0.2\n',
+        '[1, 2]\n{"metrics": {}}\n',
+        'progress\n{"metrics": {}}\n',
+    ],
+)
+def test_a_run_without_its_json_lines_is_named_with_its_stderr(
+    monkeypatch, tmp_path, capsys, stdout
+):
+    """A run that exits 0 but whose stdout does not end with the info and
+    result lines stops the tool like a crashed run, not with a traceback."""
+    module = _load()
+    sides = _fake_checkouts(tmp_path)
+    stderr = [f"warning {k}" for k in range(25)]
+
+    def fake_run(command, cwd, env, **kwargs):
+        return subprocess.CompletedProcess(
+            command, 0, stdout=stdout, stderr="\n".join(stderr) + "\n"
+        )
+
+    monkeypatch.setattr(module.subprocess, "run", fake_run)
+    with pytest.raises(SystemExit) as exit_info:
+        module.main([
+            "--parent", str(sides["parent"]), "--change", str(sides["change"]),
+            "--workload", "corpus=2", "--first-seed", "5", "--pr", "1",
+            "--summary", "s", "--out", str(tmp_path / "BENCH.json"),
+        ])
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == (
+        "parent run of corpus seed 5 trace 0 exited with status 0 but did not end "
+        "with its info and result lines; its stderr ends:"
+    )
+    assert err[1:] == stderr[-module.CRASH_TAIL_LINES:]

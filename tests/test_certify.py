@@ -942,27 +942,133 @@ def test_search_descent_matches_reference_on_random_sums(random_sums):
 
 
 def test_search_computes_one_smoothed_maximum_per_forward_pass():
-    calls = {"smoothed": 0, "margins": 0}
-
-    def counting(name, function):
-        def counted(*args):
-            calls[name] += 1
-            return function(*args)
-
-        return counted
-
+    # The compiled forward pass returns one smoothed maximum per call;
+    # ``_smoothed_max`` runs only at each change of temperature, and the
+    # search never goes through the public ``weights``/``margins``.
     for name in ("robinson1", "separator_ternary"):
         problem = _search_problem(FORM_BUILDERS[name]())
-        calls.update(smoothed=0, margins=0)
+        kernel = problem._kernel
+        calls = {"forward": 0, "smoothed": 0, "weights": 0, "margins": 0}
+
+        def counting(key, function):
+            def counted(*args):
+                calls[key] += 1
+                return function(*args)
+
+            return counted
+
         with mock.patch.object(
+            kernel, "forward", counting("forward", kernel.forward)
+        ), mock.patch.object(
             certify, "_smoothed_max", counting("smoothed", certify._smoothed_max)
+        ), mock.patch.object(
+            _SearchProblem, "weights", counting("weights", _SearchProblem.weights)
         ), mock.patch.object(
             _SearchProblem, "margins", counting("margins", _SearchProblem.margins)
         ):
             certify._optimize(problem)
+        evaluations = calls["forward"] + calls["smoothed"]
         # One per forward pass, and one more at each change of temperature.
-        assert calls["margins"] > 0, name
-        assert calls["smoothed"] <= calls["margins"] + len(certify._TAUS), (name, calls)
+        assert calls["forward"] > 0, name
+        assert evaluations <= calls["forward"] + len(certify._TAUS), (name, calls)
+        assert calls["weights"] == calls["margins"] == 0, (name, calls)
+
+
+# ---------------------------------------------------------------------------
+# the compiled passes against the interpreted loops they replace, bitwise
+# ---------------------------------------------------------------------------
+
+def _bits(values):
+    """Floats as hex strings: equal exactly when equal bit for bit, the
+    sign of a zero included."""
+    return [value.hex() for value in values]
+
+
+def _assert_kernel_matches_oracle(problem, logits, tau):
+    weights = search_oracle._weights(problem, logits)
+    values, thresholds = search_oracle._margins(problem, weights)
+    gradient = search_oracle._gradient(problem, weights, values, thresholds, tau)
+    assert _bits(problem.weights(logits)) == _bits(weights)
+    assert _bits(problem.margins(weights)[0]) == _bits(values)
+    assert _bits(problem.margins(weights)[1]) == _bits(thresholds)
+    smoothed = search_oracle._smoothed_max(values, tau)
+    assert _bits(problem.gradient(weights, values, thresholds, tau, smoothed)) == _bits(
+        gradient
+    )
+    if not problem.size:
+        return
+    free = [logits[k] for k in problem._free]
+    forward = problem._kernel.forward(free, tau)
+    assert _bits(forward[0]) == _bits(weights)
+    assert _bits(forward[1]) == _bits(values)
+    assert _bits(forward[2]) == _bits(thresholds)
+    assert _bits(forward[3:]) == _bits([smoothed, max(values)])
+    # The trial update of the free logits, as a step over every logit.
+    step = 0.37 / tau
+    trial = [v - step * g for v, g in zip(logits, gradient)]
+    assert _bits(problem._kernel.descend(free, gradient, step)) == _bits(
+        [trial[k] for k in problem._free]
+    )
+
+
+def _kernel_problems(corpus_problems):
+    """Every corpus problem with free weights, a size-1 trinomial, and a
+    one-slot problem (motzkin, size 0)."""
+    one_slot = _search_problem(motzkin())
+    assert len(one_slot.slots) == 1 and one_slot.size == 0
+    trinomial = _search_problem(_trinomial_family_form(Fraction(3, 4)))
+    assert trinomial.size == 1
+    return [problem for _, _, problem in corpus_problems] + [trinomial, one_slot]
+
+
+def test_search_kernel_matches_oracle_bitwise_seeded(corpus_problems):
+    rng = random.Random(20)
+    draws = (
+        lambda r: r.uniform(-3.0, 3.0),
+        # the clamp region: splits under 1e-300 or exactly 0
+        lambda r: r.choice((-800.0, -700.0, 700.0, r.uniform(-1.0, 1.0))),
+    )
+    clamped = 0
+    for problem in _kernel_problems(corpus_problems):
+        scale = max(abs_inner for _, abs_inner, _ in problem.slots)
+        for draw in draws:
+            for factor in _TAU_PHASES:
+                logits = [draw(rng) for _ in range(problem.weight_count)]
+                _assert_kernel_matches_oracle(problem, logits, factor * scale)
+                clamped += min(problem.weights(logits)) < 1e-300
+    assert clamped >= 20
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), phase=st.sampled_from(_TAU_PHASES))
+def test_search_kernel_matches_oracle_bitwise_hypothesis(corpus_problems, data, phase):
+    problem = data.draw(st.sampled_from(_kernel_problems(corpus_problems)))
+    logit = st.one_of(
+        st.floats(min_value=-8.0, max_value=8.0),
+        st.sampled_from((-800.0, -700.0, 700.0)),
+    )
+    logits = data.draw(
+        st.lists(logit, min_size=problem.weight_count, max_size=problem.weight_count)
+    )
+    scale = max(abs_inner for _, abs_inner, _ in problem.slots)
+    _assert_kernel_matches_oracle(problem, logits, phase * scale)
+
+
+def test_search_compiles_no_kernel_unless_it_descends():
+    # Over the budget, or settled exactly at size 0, the search compiles
+    # nothing; a descent compiles its problem's kernel once.
+    with mock.patch.object(certify, "_compile", side_effect=AssertionError("compiled")):
+        f = schmuedgen()
+        with pytest.raises(BudgetExceeded):
+            sonc_feasibility_search(f, support_partition(f))
+        f = motzkin()
+        outcome = sonc_feasibility_search(f, support_partition(f))
+        assert outcome.status is SearchStatus.FEASIBLE and outcome.exact
+    with mock.patch.object(certify, "_compile", wraps=certify._compile) as compiled:
+        f = square_trinomial()
+        outcome = sonc_feasibility_search(f, support_partition(f))
+    assert outcome.status is SearchStatus.INFEASIBLE
+    assert compiled.call_count == 1
 
 
 def test_reduction_transforms_preserve_exact_disproofs():

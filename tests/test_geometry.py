@@ -28,6 +28,7 @@ from sonckit.geometry import (
     canonical_points,
     enumerate_simplices,
     half_newton_support,
+    hull_lattice_points,
     hull_vertices,
     lattice_points,
     polytope_lattice_points,
@@ -491,6 +492,15 @@ def test_lattice_points_rejects_vertices_of_another_length():
             lattice_points(vertices)
         with pytest.raises(DimensionMismatch):
             polytope_lattice_points(vertices)
+
+
+def test_hull_lattice_points_rejects_mixed_lengths_and_no_points():
+    # Both used to raise IndexError.
+    for points in ([(0, 0), (2,)], [(2,), (0, 0)], [(0, 0), (2, 0), (0, 2, 1)]):
+        with pytest.raises(DimensionMismatch):
+            hull_lattice_points(points)
+    with pytest.raises(ValueError, match="empty point set"):
+        hull_lattice_points([])
 
 
 def test_affinely_independent_rejects_points_of_another_length():

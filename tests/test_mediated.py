@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sonckit.errors import NotNonnegativeCircuit, OddPointInDelta
+from sonckit.errors import DimensionMismatch, NotNonnegativeCircuit, OddPointInDelta
 from sonckit.circuits import detect_circuit
 from sonckit.forms import parse_form
 from sonckit.geometry import affinely_independent, polytope_lattice_points
@@ -34,6 +34,14 @@ def test_mid_set_motzkin_vertices():
 def test_mid_set_singleton_and_triangle():
     assert mid_set([(2, 4)]) == frozenset()
     assert mid_set([(0, 0), (2, 0), (0, 2)]) == {(1, 0), (0, 1), (1, 1)}
+
+
+def test_mid_set_rejects_points_of_another_length():
+    # The first used to return {(1,)}, pairing coordinates through zip; an
+    # odd point of another length is rejected too.
+    for points in ([(0, 0), (2,)], [(0, 0), (2, 0), (1, 1, 1)]):
+        with pytest.raises(DimensionMismatch):
+            mid_set(points)
 
 
 def test_mid_set_ignores_odd_points():

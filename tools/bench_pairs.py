@@ -21,8 +21,9 @@ pairs in which the change's value is strictly better, in the direction
 reader's account of the numbers.  If any run, traced or not, reports
 ``correct: false`` or ``failed > 0``, the BENCH file is still written,
 those runs are named on stderr and the exit status is 1.  A run that
-exits nonzero stops the tool at once with exit status 1, after naming the
-run and repeating the end of its stderr.
+exits nonzero, or whose stdout does not end with its info and result
+lines, stops the tool at once with exit status 1, after naming the run
+and repeating the end of its stderr.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NoReturn
 
 #: Seed of the traced runs, the same in every BENCH file.
 TRACE_SEED = 7
@@ -50,8 +52,10 @@ def run_bench(
 
     Bytecode is looked up only in the empty directory ``cache`` and
     written nowhere, so a ``__pycache__`` left in one checkout cannot make
-    that side's imports cheaper.  A run that exits nonzero is named on
-    stderr with the last lines of its own stderr, and the tool exits 1.
+    that side's imports cheaper.  A run that exits nonzero, or exits 0
+    without an info and a result line of JSON at the end of its stdout,
+    is named on stderr with the last lines of its own stderr, and the
+    tool exits 1.
     """
     env = {**os.environ, "PYTHONPYCACHEPREFIX": str(cache), "PYTHONDONTWRITEBYTECODE": "1"}
     done = subprocess.run(
@@ -59,13 +63,22 @@ def run_bench(
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, env=env, capture_output=True, text=True,
     )
+    run = f"{side} run of {workload} seed {seed} trace {trace}"
     if done.returncode:
-        tail = "\n".join(done.stderr.splitlines()[-CRASH_TAIL_LINES:])
-        print(f"{side} run of {workload} seed {seed} trace {trace} exited with status "
-              f"{done.returncode}; its stderr ends:\n{tail}", file=sys.stderr)
-        raise SystemExit(1)
-    *_, info, result = done.stdout.strip().splitlines()
-    return json.loads(info)["info"], json.loads(result)
+        _give_up(f"{run} exited with status {done.returncode}", done.stderr)
+    try:
+        *_, info, result = done.stdout.strip().splitlines()
+        return json.loads(info)["info"], json.loads(result)
+    except (ValueError, KeyError, TypeError):  # JSONDecodeError is a ValueError
+        _give_up(f"{run} exited with status 0 but did not end with its info and "
+                 "result lines", done.stderr)
+
+
+def _give_up(what: str, stderr: str) -> NoReturn:
+    """Name a failed run with the last lines of its stderr, and exit 1."""
+    tail = "\n".join(stderr.splitlines()[-CRASH_TAIL_LINES:])
+    print(f"{what}; its stderr ends:\n{tail}", file=sys.stderr)
+    raise SystemExit(1)
 
 
 def spread(values: list[float]) -> dict:
