@@ -34,7 +34,7 @@ from sonckit.certify import (
     sonc_feasibility_search,
     verify_decomposition,
 )
-from sonckit.circuits import Circuit, detect_circuit
+from sonckit.circuits import Circuit, decide_circuit_nonnegativity, detect_circuit
 from sonckit.forms import grlex_key, make_form, parse_form
 from sonckit.geometry import support_partition
 from sonckit.report import analyze, render_text, report_to_dict
@@ -381,6 +381,36 @@ def test_search_zero_parameter_infeasibility_is_exact():
     assert outcome.status is SearchStatus.INFEASIBLE
     assert outcome.exact
     assert outcome.margin is not None and abs(outcome.margin - 1.0) < 1e-9
+
+
+def _motzkin_shaped(c1, c2, c3, inner):
+    return make_form(
+        3,
+        {(4, 2, 0): c1, (2, 4, 0): c2, (0, 0, 6): c3, (2, 2, 2): -inner},
+        name="motzkin_shaped",
+    )
+
+
+def test_search_zero_parameter_margin_matches_oracle_bitwise():
+    # No corpus form reaches this path (its size-0 problems are all
+    # feasible), so this pins the reported margin against the interpreted
+    # margins at the forced split, bit for bit.
+    rng = random.Random(21)
+    ratio = lambda: Fraction(rng.randint(1, 40), rng.randint(1, 12))  # noqa: E731
+    forms = [parse_form("x1^4*x2^2 + x1^2*x2^4 - 4*x1^2*x2^2*x3^2 + x3^6")]
+    forms += [_motzkin_shaped(ratio(), ratio(), ratio(), 4 * ratio()) for _ in range(200)]
+    checked = 0
+    for f in forms:
+        if decide_circuit_nonnegativity(detect_circuit(f)).is_nonnegative:
+            continue
+        problem = _search_problem(f)
+        assert problem.size == 0
+        outcome = sonc_feasibility_search(f, support_partition(f))
+        assert outcome.status is SearchStatus.INFEASIBLE and outcome.exact, f
+        values, _ = search_oracle._margins(problem, [1.0] * problem.weight_count)
+        assert outcome.margin.hex() == max(values).hex(), f
+        checked += 1
+    assert checked >= 100
 
 
 def test_search_pure_square_sum():
