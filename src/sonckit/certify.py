@@ -13,10 +13,11 @@ smoothed maximum of the circuit margins, which is convex in the weights.  A
 numeric result never certifies -- feasible weights are rounded to rationals
 and re-verified exactly, and infeasibility is only reported with an
 explicit margin: the smallest margin a first-order method found for a
-convex objective; numeric, not a bound.  Each search compiles its
-problem's forward pass and gradient into straight-line Python on first
-use, with every float operation of the former interpreted loops in the
-same order, so the trajectory is bit for bit the same.
+convex objective; numeric, not a bound.  Each search compiles one kernel
+for its problem on first use: its forward pass, gradient and step as
+straight-line Python, with every float operation of the former
+interpreted loops in the same order, so the trajectory is bit for bit the
+same.  Every float the search reports comes from that kernel.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     BudgetExceeded,
+    FloatRangeExceeded,
     PreconditionNotEquality,
     UncoveredInnerExponent,
     ZeroFormInput,
@@ -362,8 +364,8 @@ def sonc_feasibility_search(
         if decomposition is not None and verify_decomposition(f, decomposition).valid:
             return SearchOutcome(SearchStatus.FEASIBLE, 0.0, decomposition, exact=True)
         # Floats for the report only; the infeasibility itself is exact.
-        values, _ = problem.margins([1.0] * problem.weight_count)
-        return SearchOutcome(SearchStatus.INFEASIBLE, max(values), None, exact=True)
+        margin = problem._kernel.forward([], 1.0)[4]  # the hard maximum, at any tau
+        return SearchOutcome(SearchStatus.INFEASIBLE, margin, None, exact=True)
 
     best_margin, best_weights = _optimize(problem)
     if best_margin <= 1e-6:
@@ -387,19 +389,6 @@ def sonc_feasibility_search(
     return SearchOutcome(SearchStatus.INCONCLUSIVE, best_margin, None, exact=False)
 
 
-def _smoothed_max(values: Sequence[float], tau: float) -> float:
-    """``peak + tau * log sum exp((v - peak) / tau)``, the search's objective.
-
-    The sum is a left fold: builtin ``sum`` of floats is compensated from
-    Python 3.12 on, which would change the search's trajectory."""
-    exp = math.exp
-    peak = max(values)
-    total = 0.0
-    for v in values:
-        total += exp((v - peak) / tau)
-    return peak + tau * math.log(total)
-
-
 class _SearchProblem:
     """The weight-splitting problem of a support partition, laid out once
     as flat index lists for the float search and the exact gate.
@@ -414,15 +403,15 @@ class _SearchProblem:
     [(mu index, lambda, log f_alpha - log lambda)])`` per circuit slot.
     ``size`` is the number of free weights, the sum of group size - 1.  An
     inner exponent with no covering simplex raises
-    :class:`UncoveredInnerExponent`.
+    :class:`UncoveredInnerExponent`, and a coefficient the slots need
+    that is out of the float range raises :class:`FloatRangeExceeded`.
 
-    The passes are generated from this layout as straight-line source,
-    every group, slot and term unrolled with weights and margins in
-    locals, and compiled on first use (``_kernel`` for the search,
-    ``_passes`` for :meth:`weights` and :meth:`margins`), so a problem
-    over the budget or settled exactly at size 0 compiles nothing; no
-    kernel is shared between problems.  Their results equal those of the
-    interpreted loops they replace (kept as oracles in the tests) bit for
+    One kernel, ``_kernel``, is generated from this layout as
+    straight-line source, every group, slot and term unrolled with weights
+    and margins in locals, and compiled on first use, so a problem over
+    the budget or settled as feasible at size 0 compiles nothing; no
+    kernel is shared between problems.  Its results equal those of the
+    interpreted loops it replaces (kept as oracles in the tests) bit for
     bit.
     """
 
@@ -461,12 +450,12 @@ class _SearchProblem:
         self.slots = [
             (
                 position[beta, index],
-                float(abs(f.terms[beta])),
+                _magnitude(f, beta),
                 [
                     (
                         position[alpha, index],
                         float(lam),
-                        math.log(float(f.terms[alpha])) - math.log(float(lam)),
+                        math.log(_magnitude(f, alpha)) - math.log(float(lam)),
                     )
                     for alpha, lam in zip(simplex.vertices, simplex.barycentric)
                 ],
@@ -476,53 +465,30 @@ class _SearchProblem:
 
     @functools.cached_property
     def _kernel(self) -> SimpleNamespace:
-        """The search's compiled ``gradient``, ``forward`` and ``descend``."""
+        """The search's compiled functions.  ``forward(logits, tau)`` maps
+        the logits of the free weights to the weights (forced ones 1.0),
+        each slot's margin ``nu * |f_beta| - theta`` and threshold ``theta =
+        prod (mu_alpha f_alpha / lambda_alpha) ** lambda_alpha`` (each mu
+        clamped below at 1e-300), the smoothed maximum ``peak + tau * log
+        sum exp((v - peak) / tau)`` and the hard maximum.  ``gradient``
+        takes the reverse mode through such a pass to the weights (0 below
+        the clamp), and ``descend`` gives the trial logits."""
         return _compile(self._gradient_source() + self._search_source())
-
-    @functools.cached_property
-    def _passes(self) -> SimpleNamespace:
-        """The compiled ``weights`` and ``margins`` at any logits and weights."""
-        return _compile(self._pass_source())
-
-    def weights(self, logits: Sequence[float]) -> list[float]:
-        """The group softmaxes of ``logits``, one logit per weight, flat.
-        Each total is a left fold, as in :func:`_smoothed_max`."""
-        return self._passes.weights(logits)
-
-    def margins(self, weights: Sequence[float]) -> tuple[list[float], list[float]]:
-        """Each slot's margin ``nu * |f_beta| - theta`` and its threshold
-        ``theta = prod (mu_alpha f_alpha / lambda_alpha) ** lambda_alpha``,
-        with each mu clamped below at 1e-300."""
-        return self._passes.margins(weights)
-
-    def gradient(
-        self,
-        weights: Sequence[float],
-        values: Sequence[float],
-        thresholds: Sequence[float],
-        tau: float,
-        smoothed: float,
-    ) -> list[float]:
-        """Gradient in the split weights of the smoothed maximum of the
-        margins, by reverse mode through the forward pass that gave these
-        values.  ``smoothed`` is ``_smoothed_max(values, tau)``, which the
-        caller has already computed.  A weight below the 1e-300 clamp gets
-        0.  The entries of forced weights (groups of one) are never used by
-        the search."""
-        return self._kernel.gradient(weights, values, thresholds, tau, smoothed)
 
     # The generated source.  Weight ``k`` is the local ``w{k}``, its logit
     # ``l{k}`` and its gradient entry ``g{k}``; slot ``i`` has margin
     # ``v{i}`` and threshold ``th{i}``.  Each float operation of the loops
-    # these passes replace is kept, in the same order, but for a few that
+    # this kernel replaces is kept, in the same order, but for a few that
     # are exact:
     # - a left fold's leading ``0.0 +``: softmax totals, the smoothed
     #   maximum and a nu's gradient entry (each weight gets one term) add
     #   terms that are never -0.0, and a ``log theta`` fold only feeds
     #   ``exp``, to which the sign of a zero makes no difference;
-    # - in ``forward`` a forced weight is 1.0: ``1.0 * |f_beta|`` is
-    #   ``|f_beta|``, and a forced mu's term ``lambda * (log(1.0) + c)``
-    #   is computed here by the same operations.
+    # - a forced weight is 1.0: ``1.0 * |f_beta|`` is ``|f_beta|``, and a
+    #   forced mu's term ``lambda * (log(1.0) + c)`` is computed here by the
+    #   same operations.
+    # Every sum is a left fold: builtin ``sum`` of floats is compensated
+    # from Python 3.12 on, which would change the search's trajectory.
 
     def _softmax_source(self) -> list[str]:
         lines = []
@@ -536,41 +502,21 @@ class _SearchProblem:
             lines += [f"w{k} = e{k} / t" for k in group]
         return lines
 
-    def _margin_source(self, forced: bool) -> list[str]:
-        """``th{i}`` and ``v{i}`` per slot; with ``forced``, the weights
-        of groups of one are the constant 1.0."""
-        variable = set(self._free) if forced else range(self.weight_count)
+    def _margin_source(self) -> list[str]:
+        """``th{i}`` and ``v{i}`` per slot."""
+        free = set(self._free)
         lines = []
         for i, (nu_index, abs_inner, terms) in enumerate(self.slots):
             parts = [
                 f"{lam!r} * (log(1e-300 if w{k} < 1e-300 else w{k}) + {constant!r})"
-                if k in variable
+                if k in free
                 else repr(lam * (math.log(1.0) + constant))
                 for k, lam, constant in terms
             ]
             lines.append(f"th{i} = exp({' + '.join(parts)})")
-            nu = f"w{nu_index} * " if nu_index in variable else ""
+            nu = f"w{nu_index} * " if nu_index in free else ""
             lines.append(f"v{i} = {nu}{abs_inner!r} - th{i}")
         return lines
-
-    def _weight_list(self) -> str:
-        free = set(self._free)
-        return _listed(f"w{k}" if k in free else "1.0" for k in range(self.weight_count))
-
-    def _pass_source(self) -> list[str]:
-        every = range(self.weight_count)
-        values = _listed(f"v{i}" for i in range(len(self.slots)))
-        thresholds = _listed(f"th{i}" for i in range(len(self.slots)))
-        return [
-            "def weights(logits):",
-            *_unpack((f"l{k}" for k in every), "logits"),
-            *self._softmax_source(),
-            f"return {self._weight_list()}",
-            "def margins(weights):",
-            *_unpack((f"w{k}" for k in every), "weights"),
-            *self._margin_source(forced=False),
-            f"return {values}, {thresholds}",
-        ]
 
     def _gradient_source(self) -> list[str]:
         """Every weight has exactly one term: as the nu of one slot or as
@@ -596,29 +542,39 @@ class _SearchProblem:
         return lines
 
     def _search_source(self) -> list[str]:
-        """``forward(logits, tau)``, from the logits of the free weights
-        only, to the weights, margins, thresholds, smoothed maximum and
-        hard maximum; ``descend(logits, gradient, step)``, the trial
-        logits.  Empty without free weights, where there is no search."""
-        if not self._free:
-            return []
+        """``forward`` and ``descend``, which take the logits of the free
+        weights only; without free weights ``forward`` still gives the
+        margins at the forced split."""
+        free = set(self._free)
         logits = [f"l{k}" for k in self._free]
+        weights = (f"w{k}" if k in free else "1.0" for k in range(self.weight_count))
         values = [f"v{i}" for i in range(len(self.slots))]
         exps = " + ".join(f"exp(({v} - m) / tau)" for v in values)
         return [
             "def forward(logits, tau):",
             *_unpack(logits, "logits"),
             *self._softmax_source(),
-            *self._margin_source(forced=True),
+            *self._margin_source(),
             "m = v0",
             *(f"m = {v} if {v} > m else m" for v in values[1:]),
             f"s = m + tau * log({exps})",
-            f"return {self._weight_list()}, {_listed(values)}, "
+            f"return {_listed(weights)}, {_listed(values)}, "
             f"{_listed(f'th{i}' for i in range(len(self.slots)))}, s, m",
             "def descend(logits, gradient, step):",
             *_unpack(logits, "logits"),
             f"return {_listed(f'l{k} - step * gradient[{k}]' for k in self._free)}",
         ]
+
+
+def _magnitude(f: SparseForm, exponent: Exponent) -> float:
+    """``|f_exponent|`` as a float, which must be positive and finite."""
+    try:
+        magnitude = float(abs(f.terms[exponent]))
+    except OverflowError:
+        magnitude = 0.0
+    if not magnitude:
+        raise FloatRangeExceeded(f"the coefficient of {exponent} lies outside the float range")
+    return magnitude
 
 
 def _listed(names: Iterable[str]) -> str:
@@ -635,7 +591,7 @@ def _compile(source: list[str]) -> SimpleNamespace:
     margin, every other line in their bodies), over ``exp`` and ``log``.
     The source holds only local names, integers and floats written by
     ``repr``, which round-trips them exactly; each float is finite, since
-    ``float`` of a ``Fraction`` raises rather than overflow."""
+    :class:`_SearchProblem` admits only coefficients in the float range."""
     text = "\n".join(line if line.startswith("def ") else "    " + line for line in source)
     namespace = {"exp": math.exp, "log": math.log}
     exec(compile(text, "<search kernel>", "exec"), namespace)
@@ -650,12 +606,12 @@ def _optimize(problem: _SearchProblem) -> tuple[float, list[float]]:
     entropic mirror descent run from the uniform split: each step takes the
     weight-space gradient, times a step length that halves until the
     smoothed maximum does not rise, off the logits of the group softmaxes.
-    Only free weights have logits.  The kernel's ``forward`` computes the
-    smoothed maximum once per pass; :func:`_smoothed_max` runs once more
-    at each change of temperature: the accepted trial's value is the next
-    step's level and goes into its gradient."""
+    Only free weights have logits.  Every value comes from the problem's
+    one kernel: ``forward`` computes the smoothed maximum once per pass,
+    and runs once more at each change of temperature, at the accepted
+    logits, for the level of the next step, which goes into its gradient."""
     kernel = problem._kernel
-    forward, descend, gradient_of = kernel.forward, kernel.descend, problem.gradient
+    forward, descend, gradient_of = kernel.forward, kernel.descend, kernel.gradient
     scale = max(abs_inner for _, abs_inner, _ in problem.slots)
     last_phase = len(_TAUS) - 1
     logits = [0.0] * len(problem._free)
@@ -670,7 +626,7 @@ def _optimize(problem: _SearchProblem) -> tuple[float, list[float]]:
         phase = min(iteration // _PHASE, last_phase)
         if iteration == phase * _PHASE:  # the first step at a new temperature
             tau = _TAUS[phase] * scale
-            level = _smoothed_max(values, tau)
+            weights, values, thresholds, level, _ = forward(logits, tau)
         gradient = gradient_of(weights, values, thresholds, tau, level)
         while True:
             trial = descend(logits, gradient, step)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from operator import mul
@@ -72,11 +73,12 @@ class NotACircuit:
 @dataclass(frozen=True)
 class CircuitNumber:
     """The AM-GM threshold ``prod base_i ** exponent_i`` kept in factored
-    exact shape; ``float_value`` is display-only and never decides."""
+    exact shape; ``float_value`` is display-only and never decides, and is
+    ``None`` when a base or the threshold lies outside the float range."""
 
     factor_bases: tuple[Fraction, ...]
     exponents: tuple[Fraction, ...]
-    float_value: float
+    float_value: float | None
 
 
 class Comparison(Enum):
@@ -219,13 +221,14 @@ def circuit_number(c: Circuit) -> CircuitNumber:
             "sums of monomial squares carry no circuit number"
         )
     bases = tuple(coeff / lam for (_, coeff), lam in zip(c.outer, c.barycentric))
-    log_value = sum(
-        float(lam) * math.log(float(base)) for base, lam in zip(bases, c.barycentric)
-    )
+    try:
+        float_value = math.exp(
+            sum(float(lam) * math.log(float(base)) for base, lam in zip(bases, c.barycentric))
+        )
+    except (OverflowError, ValueError):  # a base or the value beyond the float range
+        float_value = None
     return CircuitNumber(
-        factor_bases=bases,
-        exponents=tuple(c.barycentric),
-        float_value=math.exp(log_value),
+        factor_bases=bases, exponents=tuple(c.barycentric), float_value=float_value
     )
 
 
@@ -361,12 +364,15 @@ def negative_witness(c: Circuit, seed: int = 0) -> tuple[Fraction, ...]:
 
     The AM-GM equality direction (minimum-norm solution of the locus-style
     system) is the natural violator; falls back to deterministic draws from
-    ``random.Random(seed)``.  The returned point is verified exactly.
+    ``random.Random(seed)``, each rounded to a denominator of at most 1e6,
+    and then to the AM-GM point at growing decimal precision.  The
+    returned point is verified exactly.
     """
     if decide_circuit_nonnegativity(c).is_nonnegative:
         raise ValueError("circuit is nonnegative; no negative witness exists")
     assert c.inner is not None and c.kind is CircuitKind.PROPER
-    solution, _ = _log_system(c)._solution_space()
+    locus = _log_system(c)
+    solution, _ = locus._solution_space()
     rng = random.Random(seed)
     candidates = [solution]
     candidates += [[v + rng.gauss(0.0, 0.2) for v in solution] for _ in range(32)]
@@ -379,7 +385,26 @@ def negative_witness(c: Circuit, seed: int = 0) -> tuple[Fraction, ...]:
         )
         if evaluate(c.form, point) < 0:
             return point
-    raise ArithmeticError("no negative witness found; bug")
+    # Near the circuit number the value at the AM-GM point exceeds its
+    # minimum by the square of the rounding error, so refine that point at
+    # doubling precision until the exact value is negative; the limit is
+    # negative, so this ends.
+    solver = EchelonSolver(locus.matrix)
+    digits = 32
+    while True:
+        with localcontext() as context:
+            context.prec = digits
+            rhs = [Fraction(_decimal(a).ln() - _decimal(b).ln()) for a, b in locus.rhs_symbolic]
+            logs = solver.solve(rhs)
+            point = tuple(sign * Fraction(_decimal(y).exp()) for sign, y in zip(signs, logs))
+        if evaluate(c.form, point) < 0:
+            return point
+        digits *= 2
+
+
+def _decimal(value: Fraction) -> Decimal:
+    """``value`` rounded to the precision of the current decimal context."""
+    return Decimal(value.numerator) / value.denominator
 
 
 def _sign_pattern_for_negative_inner(

@@ -57,6 +57,10 @@ class BudgetExceeded(SonckitError):
     """Feasibility search problem is larger than the configured budget."""
 
 
+class FloatRangeExceeded(SonckitError):
+    """A coefficient a float computation needs lies outside the float range."""
+
+
 class OddPointInDelta(SonckitError):
     """Mediated sets are defined for generating points with even entries."""
 

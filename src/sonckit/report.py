@@ -25,6 +25,7 @@ from typing import Any
 
 from .errors import (
     BudgetExceeded,
+    FloatRangeExceeded,
     InternalInvariantViolation,
     UncoveredInnerExponent,
 )
@@ -188,7 +189,7 @@ def analyze(
     if search:
         try:
             report.feasibility = sonc_feasibility_search(f, partition, budget)
-        except (BudgetExceeded, UncoveredInnerExponent) as error:
+        except (BudgetExceeded, FloatRangeExceeded, UncoveredInnerExponent) as error:
             report.feasibility_note = f"{type(error).__name__}: {error}"
         else:
             verdict = _search_verdict(report.feasibility, verdicts)

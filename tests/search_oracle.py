@@ -12,13 +12,15 @@ pinned at 0, from four seeded starts; ``softmax_weights`` and
 ``reference_optimize`` is the mirror descent as it ran before each step
 computed the smoothed maximum once: the gradient, the level and every
 backtracking trial each evaluate it afresh.  Its sums are left folds, as
-builtin ``sum`` of floats was before Python 3.12.
+builtin ``sum`` of floats was before Python 3.12.  ``_weights``,
+``_margins``, ``_gradient`` and ``_smoothed_max`` are the interpreted
+loops the search's compiled kernel replaced; every oracle here is built on
+them, never on the kernel the tests check.
 """
 
 import math
 import random
 
-from sonckit import certify
 from sonckit.forms import grlex_key
 
 
@@ -61,7 +63,7 @@ def reference_margins(f, partition, weights):
 
 def smooth(problem, weights, tau):
     """The smoothed maximum ``peak + tau * log sum exp((v - peak) / tau)``."""
-    values, _ = problem.margins(weights)
+    values, _ = _margins(problem, weights)
     peak = max(values)
     return peak + tau * math.log(sum(math.exp((v - peak) / tau) for v in values))
 
@@ -110,9 +112,7 @@ def softmax_weights(problem, theta):
 def softmax_gradient(problem, weights, values, thresholds, tau):
     """Gradient in theta: the weight-space gradient through each group's
     softmax Jacobian."""
-    upstream = problem.gradient(
-        weights, values, thresholds, tau, certify._smoothed_max(values, tau)
-    )
+    upstream = _gradient(problem, weights, values, thresholds, tau)
     gradient = [0.0] * problem.size
     for offset, first, size in _offsets(problem):
         if size > 1:
@@ -142,7 +142,7 @@ def adam_optimize(problem):
         velocity = [0.0] * size
         since_improvement = 0
         weights = softmax_weights(problem, theta)
-        values, thresholds = problem.margins(weights)
+        values, thresholds = _margins(problem, weights)
         for iteration in range(per_start):
             tau = taus[min(iteration // phase, len(taus) - 1)]
             gradient = softmax_gradient(problem, weights, values, thresholds, tau)
@@ -151,7 +151,7 @@ def adam_optimize(problem):
                 velocity[i] = 0.999 * velocity[i] + 0.001 * gradient[i] ** 2
                 theta[i] -= 0.1 * moment[i] / (math.sqrt(velocity[i]) + 1e-12)
             weights = softmax_weights(problem, theta)
-            values, thresholds = problem.margins(weights)
+            values, thresholds = _margins(problem, weights)
             current = max(values)
             if current < best_margin - 1e-12 * max(1.0, scale):
                 best_margin = current

@@ -394,23 +394,34 @@ def _motzkin_shaped(c1, c2, c3, inner):
 def test_search_zero_parameter_margin_matches_oracle_bitwise():
     # No corpus form reaches this path (its size-0 problems are all
     # feasible), so this pins the reported margin against the interpreted
-    # margins at the forced split, bit for bit.
+    # margins at the forced split, bit for bit: on the Motzkin form with
+    # inner coefficient -4, on three disjoint binomial circuits (several
+    # slots, where a smoothed maximum would differ), and on seeded
+    # Motzkin-shaped circuits that are not nonnegative.
     rng = random.Random(21)
-    ratio = lambda: Fraction(rng.randint(1, 40), rng.randint(1, 12))  # noqa: E731
-    forms = [parse_form("x1^4*x2^2 + x1^2*x2^4 - 4*x1^2*x2^2*x3^2 + x3^6")]
-    forms += [_motzkin_shaped(ratio(), ratio(), ratio(), 4 * ratio()) for _ in range(200)]
-    checked = 0
+
+    def ratio():
+        return Fraction(rng.randint(1, 40), rng.randint(1, 12))
+
+    forms = [
+        parse_form("x1^4*x2^2 + x1^2*x2^4 - 4*x1^2*x2^2*x3^2 + x3^6"),
+        parse_form(
+            "x1^2 - 3*x1*x2 + x2^2 + x3^2 - x3*x4 + x4^2 + 2*x5^2 - 5*x5*x6 + 2*x6^2"
+        ),
+    ]
+    circuits = [_motzkin_shaped(ratio(), ratio(), ratio(), 4 * ratio()) for _ in range(200)]
+    forms += [
+        f for f in circuits
+        if not decide_circuit_nonnegativity(detect_circuit(f)).is_nonnegative
+    ]
+    assert len(forms) >= 100
     for f in forms:
-        if decide_circuit_nonnegativity(detect_circuit(f)).is_nonnegative:
-            continue
         problem = _search_problem(f)
         assert problem.size == 0
         outcome = sonc_feasibility_search(f, support_partition(f))
         assert outcome.status is SearchStatus.INFEASIBLE and outcome.exact, f
         values, _ = search_oracle._margins(problem, [1.0] * problem.weight_count)
         assert outcome.margin.hex() == max(values).hex(), f
-        checked += 1
-    assert checked >= 100
 
 
 def test_search_pure_square_sum():
@@ -453,16 +464,27 @@ def corpus_problems():
     return problems
 
 
+def _random_logits(rng, problem, logit):
+    """One logit per weight, each drawn by ``logit(rng)``."""
+    return [logit(rng) for _ in range(problem.weight_count)]
+
+
 def _random_weights(rng, problem, logit):
     """Split weights in the search's layout: group softmaxes of one logit
     per weight, each drawn by ``logit(rng)``."""
-    return problem.weights([logit(rng) for _ in range(problem.weight_count)])
+    return search_oracle._weights(problem, _random_logits(rng, problem, logit))
+
+
+def _forward(problem, logits, tau):
+    """The kernel's forward pass at one logit per weight, as the oracles
+    take them; it reads those of the free weights only."""
+    return problem._kernel.forward([logits[k] for k in problem._free], tau)
 
 
 def _assert_gradient_matches_oracle(problem, weights, tau):
-    values, thresholds = problem.margins(weights)
-    analytic = problem.gradient(
-        weights, values, thresholds, tau, certify._smoothed_max(values, tau)
+    values, thresholds = search_oracle._margins(problem, weights)
+    analytic = problem._kernel.gradient(
+        weights, values, thresholds, tau, search_oracle._smoothed_max(values, tau)
     )
     # Richardson extrapolation over steps h and h/2 cancels the h**2
     # truncation error of central differences, which exceeds the tolerance
@@ -493,8 +515,8 @@ def test_search_forward_pass_matches_reference_margins():
         except UncoveredInnerExponent:
             continue
         for _ in range(5):
-            weights = _random_weights(rng, problem, lambda r: r.uniform(-3.0, 3.0))
-            values, _ = problem.margins(weights)
+            logits = _random_logits(rng, problem, lambda r: r.uniform(-3.0, 3.0))
+            weights, values = _forward(problem, logits, 1.0)[:2]
             expected = search_oracle.reference_margins(f, partition, weights)
             assert values == expected, name
 
@@ -570,21 +592,33 @@ def test_search_gradient_matches_central_difference_hypothesis(
         )
     )
     scale = max(abs_inner for _, abs_inner, _ in problem.slots)
-    _assert_gradient_matches_oracle(problem, problem.weights(logits), phase * scale)
+    _assert_gradient_matches_oracle(
+        problem, search_oracle._weights(problem, logits), phase * scale
+    )
 
 
 def test_search_sums_are_left_folds():
     # From Python 3.12 on, builtin sum of floats is compensated.  One 1.0
-    # and many terms below half its ulp tell the two apart: a left fold
-    # stays at 1.0, a compensated sum does not.
-    tiny = math.log(1e-16)
-    values = [0.0] + [tiny] * 10
+    # and later terms below half its ulp tell the two apart: a left fold
+    # stays at 1.0, a compensated sum does not.  Three disjoint circuits
+    # with margins 0.0 (theta = exp(0) = 1 exactly) and about -37 give one
+    # such sum in the smoothed maximum at tau 1.
+    f = parse_form(
+        "20*x1^2 - 3*x1*x2 + 20*x2^2 + 20*x3^2 - 3*x3*x4 + 20*x4^2"
+        " + 1/2*x5^2 - x5*x6 + 1/2*x6^2"
+    )
+    problem = _search_problem(f)
+    assert problem.size == 0 and len(problem.slots) == 3
+    _, values, _, smoothed, peak = problem._kernel.forward([], 1.0)
     exps = [math.exp(v) for v in values]
     left = functools.reduce(operator.add, exps)
+    assert values[0] == peak == 0.0
     assert left == 1.0 and math.fsum(exps) != left
     # peak 0 and tau 1: the smoothed maximum is log(left) = 0
-    assert certify._smoothed_max(values, 1.0) == 0.0
+    assert smoothed == 0.0
 
+    # The same in a group softmax: the largest of motzkin_tilde's groups.
+    tiny = math.log(1e-16)
     problem = _search_problem(FORM_BUILDERS["motzkin_tilde"]())
     first, size = max(problem.groups, key=lambda group: group[1])
     logits = [0.0] * problem.weight_count
@@ -592,7 +626,7 @@ def test_search_sums_are_left_folds():
     exps = [math.exp(v) for v in logits[first : first + size]]
     left = functools.reduce(operator.add, exps)
     assert math.fsum(exps) != left
-    weights = problem.weights(logits)
+    weights = _forward(problem, logits, 1.0)[0]
     assert weights[first : first + size] == [e / left for e in exps]
 
 
@@ -600,13 +634,14 @@ def test_search_stops_when_the_slope_overflows():
     # A weight pushed near the clamp can give a slope beyond the float
     # range; the step then halves to zero and the search keeps its best.
     problem = _search_problem(_trinomial_family_form(Fraction(1, 4)))
-    start, _ = problem.margins(problem.weights([0.0] * problem.weight_count))
+    uniform = search_oracle._weights(problem, [0.0] * problem.weight_count)
+    start, _ = search_oracle._margins(problem, uniform)
     with mock.patch.object(
-        problem, "gradient", lambda *args: [math.inf] * problem.weight_count
+        problem._kernel, "gradient", lambda *args: [math.inf] * problem.weight_count
     ):
         margin, weights = certify._optimize(problem)
     assert margin == max(start)
-    assert weights == problem.weights([0.0] * problem.weight_count)
+    assert weights == uniform
 
 
 def test_search_problem_sizes_of_the_corpus():
@@ -972,13 +1007,13 @@ def test_search_descent_matches_reference_on_random_sums(random_sums):
 
 
 def test_search_computes_one_smoothed_maximum_per_forward_pass():
-    # The compiled forward pass returns one smoothed maximum per call;
-    # ``_smoothed_max`` runs only at each change of temperature, and the
-    # search never goes through the public ``weights``/``margins``.
+    # The compiled forward pass returns one smoothed maximum per call, and
+    # the search computes no other: one forward pass per trial step and at
+    # the start, and one more at each change of temperature.
     for name in ("robinson1", "separator_ternary"):
         problem = _search_problem(FORM_BUILDERS[name]())
         kernel = problem._kernel
-        calls = {"forward": 0, "smoothed": 0, "weights": 0, "margins": 0}
+        calls = {"forward": 0, "descend": 0}
 
         def counting(key, function):
             def counted(*args):
@@ -989,19 +1024,12 @@ def test_search_computes_one_smoothed_maximum_per_forward_pass():
 
         with mock.patch.object(
             kernel, "forward", counting("forward", kernel.forward)
-        ), mock.patch.object(
-            certify, "_smoothed_max", counting("smoothed", certify._smoothed_max)
-        ), mock.patch.object(
-            _SearchProblem, "weights", counting("weights", _SearchProblem.weights)
-        ), mock.patch.object(
-            _SearchProblem, "margins", counting("margins", _SearchProblem.margins)
-        ):
+        ), mock.patch.object(kernel, "descend", counting("descend", kernel.descend)):
             certify._optimize(problem)
-        evaluations = calls["forward"] + calls["smoothed"]
-        # One per forward pass, and one more at each change of temperature.
-        assert calls["forward"] > 0, name
-        assert evaluations <= calls["forward"] + len(certify._TAUS), (name, calls)
-        assert calls["weights"] == calls["margins"] == 0, (name, calls)
+        # The passes of the trials and of the start.
+        passes = calls["descend"] + 1
+        assert calls["descend"] > 0, name
+        assert calls["forward"] <= passes + len(certify._TAUS), (name, calls)
 
 
 # ---------------------------------------------------------------------------
@@ -1018,25 +1046,21 @@ def _assert_kernel_matches_oracle(problem, logits, tau):
     weights = search_oracle._weights(problem, logits)
     values, thresholds = search_oracle._margins(problem, weights)
     gradient = search_oracle._gradient(problem, weights, values, thresholds, tau)
-    assert _bits(problem.weights(logits)) == _bits(weights)
-    assert _bits(problem.margins(weights)[0]) == _bits(values)
-    assert _bits(problem.margins(weights)[1]) == _bits(thresholds)
     smoothed = search_oracle._smoothed_max(values, tau)
-    assert _bits(problem.gradient(weights, values, thresholds, tau, smoothed)) == _bits(
-        gradient
-    )
-    if not problem.size:
-        return
-    free = [logits[k] for k in problem._free]
-    forward = problem._kernel.forward(free, tau)
+    kernel = problem._kernel
+    forward = _forward(problem, logits, tau)
     assert _bits(forward[0]) == _bits(weights)
     assert _bits(forward[1]) == _bits(values)
     assert _bits(forward[2]) == _bits(thresholds)
     assert _bits(forward[3:]) == _bits([smoothed, max(values)])
+    assert _bits(kernel.gradient(weights, values, thresholds, tau, smoothed)) == _bits(
+        gradient
+    )
     # The trial update of the free logits, as a step over every logit.
     step = 0.37 / tau
     trial = [v - step * g for v, g in zip(logits, gradient)]
-    assert _bits(problem._kernel.descend(free, gradient, step)) == _bits(
+    free = [logits[k] for k in problem._free]
+    assert _bits(kernel.descend(free, gradient, step)) == _bits(
         [trial[k] for k in problem._free]
     )
 
@@ -1065,7 +1089,7 @@ def test_search_kernel_matches_oracle_bitwise_seeded(corpus_problems):
             for factor in _TAU_PHASES:
                 logits = [draw(rng) for _ in range(problem.weight_count)]
                 _assert_kernel_matches_oracle(problem, logits, factor * scale)
-                clamped += min(problem.weights(logits)) < 1e-300
+                clamped += min(search_oracle._weights(problem, logits)) < 1e-300
     assert clamped >= 20
 
 
@@ -1085,8 +1109,8 @@ def test_search_kernel_matches_oracle_bitwise_hypothesis(corpus_problems, data, 
 
 
 def test_search_compiles_no_kernel_unless_it_descends():
-    # Over the budget, or settled exactly at size 0, the search compiles
-    # nothing; a descent compiles its problem's kernel once.
+    # Over the budget, or settled as feasible at size 0, the search
+    # compiles nothing; a descent compiles its problem's kernel once.
     with mock.patch.object(certify, "_compile", side_effect=AssertionError("compiled")):
         f = schmuedgen()
         with pytest.raises(BudgetExceeded):
@@ -1098,6 +1122,13 @@ def test_search_compiles_no_kernel_unless_it_descends():
         f = square_trinomial()
         outcome = sonc_feasibility_search(f, support_partition(f))
     assert outcome.status is SearchStatus.INFEASIBLE
+    assert compiled.call_count == 1
+    # An exactly infeasible size-0 problem compiles the same one kernel for
+    # its margin.
+    with mock.patch.object(certify, "_compile", wraps=certify._compile) as compiled:
+        f = parse_form("x1^4*x2^2 + x1^2*x2^4 - 4*x1^2*x2^2*x3^2 + x3^6")
+        outcome = sonc_feasibility_search(f, support_partition(f))
+    assert outcome.status is SearchStatus.INFEASIBLE and outcome.exact
     assert compiled.call_count == 1
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,23 @@ def test_negative_witness_with_positive_inner():
     assert not decide_circuit_nonnegativity(circuit).is_nonnegative
     witness = negative_witness(circuit)
     assert evaluate(bad, witness) < 0
+
+
+@pytest.mark.parametrize("gap", ["1e-25", "1e-30", "1e-60"])
+def test_negative_witness_just_above_the_circuit_number(gap):
+    # 2x^4y^2 + x^2y^4 + 3z^6 - c*x^2y^2z^2 has circuit number 162^(1/3);
+    # at c a relative gap above it, no candidate rounded to a denominator
+    # of 1e6 is negative, and the AM-GM point must be refined.
+    with localcontext() as context:
+        context.prec = 100
+        c = Fraction(Decimal(162) ** (Decimal(1) / 3) * (1 + Decimal(gap)))
+    terms = {(4, 2, 0): Fraction(2), (2, 4, 0): Fraction(1), (0, 0, 6): Fraction(3)}
+    circuit = detect_circuit(make_form(3, {**terms, (2, 2, 2): -c}))
+    assert not decide_circuit_nonnegativity(circuit).is_nonnegative
+    assert c**3 > 162 > (c / (1 + 10 * Fraction(gap))) ** 3
+    witness = negative_witness(circuit)
+    assert evaluate(circuit.form, witness) < 0
+    assert negative_witness(circuit) == witness
 
 
 def test_zero_locus_motzkin():

@@ -502,6 +502,52 @@ def test_cli_analyze_with_search_flags(tmp_path, capsys):
     assert "not SONC" in out
 
 
+#: A coefficient beyond the float range, and its reciprocal below it.
+_HUGE = "1" + "0" * 400
+_TINY = f"1/{_HUGE}"
+
+
+@pytest.mark.parametrize(
+    "scale, conclusions",
+    [
+        (_HUGE, ["nonnegative", "SONC", "not SOS"]),
+        (_TINY, ["not nonnegative", "not SONC"]),
+    ],
+)
+def test_cli_analyze_circuit_beyond_the_float_range(tmp_path, capsys, scale, conclusions):
+    # The circuit number's display float is null when a base is beyond the
+    # float range; the exact verdicts never depend on it.
+    path = tmp_path / "circuit.poly"
+    path.write_text(f"x1^4*x2^2 + x1^2*x2^4 - 3*x1^2*x2^2*x3^2 + {scale}*x3^6\n")
+    assert main(["analyze", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [v["conclusion"] for v in payload["verdicts"]] == conclusions
+    assert all(v["certificate"] == "exact" for v in payload["verdicts"])
+    assert payload["circuit"]["circuit_number_float"] is None
+    assert main(["analyze", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "circuit: ProperCircuit\n" in out and "circuit number ~" not in out
+
+
+@pytest.mark.parametrize("scale", [_HUGE, _TINY])
+def test_cli_analyze_search_beyond_the_float_range(tmp_path, capsys, scale):
+    # The float search cannot take the coefficient; it is reported like an
+    # exceeded budget, and every exact verdict stays.
+    path = tmp_path / "quartic.poly"
+    path.write_text(f"{scale}*x1^4 + x2^4 - x1^2*x2^2 + x1^3*x2\n")
+    assert main(["analyze", str(path), "--json"]) == 0
+    exact = json.loads(capsys.readouterr().out)
+    assert main(["analyze", str(path), "--json", "--search"]) == 0
+    searched = json.loads(capsys.readouterr().out)
+    assert searched["feasibility"]["status"] == "error"
+    assert searched["feasibility"]["detail"].startswith(
+        "FloatRangeExceeded: the coefficient of (4, 0)"
+    )
+    assert searched["verdicts"] == exact["verdicts"]
+    assert main(["analyze", str(path), "--search"]) == 0
+    assert "feasibility search: FloatRangeExceeded" in capsys.readouterr().out
+
+
 def test_cli_analyze_search_budget_is_max_params_only(capsys):
     with pytest.raises(SystemExit):
         main(["analyze", "--help"])
