@@ -14,10 +14,9 @@ numeric result never certifies -- feasible weights are rounded to rationals
 and re-verified exactly, and infeasibility is only reported with an
 explicit margin: the smallest margin a first-order method found for a
 convex objective; numeric, not a bound.  Each search compiles one kernel
-for its problem on first use: its forward pass, gradient and step as
-straight-line Python, with every float operation of the former
-interpreted loops in the same order, so the trajectory is bit for bit the
-same.  Every float the search reports comes from that kernel.
+for its problem on first use, its forward pass, gradient and step as
+straight-line Python with the float operations of the former interpreted
+loops in the same order; every float the search reports comes from it.
 """
 
 from __future__ import annotations
@@ -291,11 +290,11 @@ def _build_exact_decomposition(
         alpha: f.terms[alpha] for alpha in partition.r_set
     }
     circuits: list[Circuit] = []
-    for (beta, simplex), (nu_index, _, terms) in zip(problem.circuits, problem.slots):
+    for (beta, simplex), (nu_index, mu_indices) in zip(problem.circuits, problem.indices):
         nu = weights[nu_index]
         outer_pairs = {
             alpha: weights[mu_index] * f.terms[alpha]
-            for alpha, (mu_index, _, _) in zip(simplex.vertices, terms)
+            for alpha, mu_index in zip(simplex.vertices, mu_indices)
         }
         if nu == 0:
             for alpha, coeff in outer_pairs.items():
@@ -363,11 +362,14 @@ def sonc_feasibility_search(
         decomposition = _build_exact_decomposition(f, partition, problem, ones)
         if decomposition is not None and verify_decomposition(f, decomposition).valid:
             return SearchOutcome(SearchStatus.FEASIBLE, 0.0, decomposition, exact=True)
-        # Floats for the report only; the infeasibility itself is exact.
-        margin = problem._kernel.forward([], 1.0)[4]  # the hard maximum, at any tau
-        return SearchOutcome(SearchStatus.INFEASIBLE, margin, None, exact=True)
-
-    best_margin, best_weights = _optimize(problem)
+    try:
+        if problem.size == 0:
+            # Floats for the report only; the infeasibility itself is exact.
+            margin = problem._kernel.forward([], 1.0)[4]  # the hard maximum, at any tau
+            return SearchOutcome(SearchStatus.INFEASIBLE, margin, None, exact=True)
+        best_margin, best_weights = _optimize(problem)
+    except OverflowError:  # only ``exp`` raises it, for a theta beyond the float range
+        raise FloatRangeExceeded("a circuit threshold lies above the float range") from None
     if best_margin <= 1e-6:
         # Promising enough to try the exact gate; rounding hits boundary
         # optima (weights like 1/2) exactly via continued fractions.
@@ -399,20 +401,19 @@ class _SearchProblem:
     slots whose simplex has it as a vertex), then one per inner exponent
     (the slots of its family), each in graded-lex and then slot order.
     ``groups`` holds ``(first weight, size)`` per group; the mirror descent
-    keeps one logit per weight.  ``slots`` holds ``(nu index, |f_beta|,
-    [(mu index, lambda, log f_alpha - log lambda)])`` per circuit slot.
-    ``size`` is the number of free weights, the sum of group size - 1.  An
-    inner exponent with no covering simplex raises
-    :class:`UncoveredInnerExponent`, and a coefficient the slots need
-    that is out of the float range raises :class:`FloatRangeExceeded`.
+    keeps one logit per weight.  ``indices`` holds ``(nu index, [mu
+    index])`` per circuit slot; ``slots``, made on first use, ``(nu index,
+    |f_beta|, [(mu index, lambda, log f_alpha - log lambda)])``, and a
+    coefficient above the float range, or a square one that rounds to 0.0,
+    raises :class:`FloatRangeExceeded` there.  ``size`` is the number of
+    free weights, the sum of group size - 1.  An inner exponent with no
+    covering simplex raises :class:`UncoveredInnerExponent`.
 
-    One kernel, ``_kernel``, is generated from this layout as
-    straight-line source, every group, slot and term unrolled with weights
-    and margins in locals, and compiled on first use, so a problem over
-    the budget or settled as feasible at size 0 compiles nothing; no
-    kernel is shared between problems.  Its results equal those of the
-    interpreted loops it replaces (kept as oracles in the tests) bit for
-    bit.
+    One kernel, ``_kernel``, is generated from this layout as unrolled
+    straight-line source and compiled on first use, so a problem over the
+    budget or settled as feasible at size 0 compiles nothing.  Its results
+    equal those of the interpreted loops it replaces (kept as oracles in
+    the tests) bit for bit.
     """
 
     def __init__(self, f: SparseForm, partition: SupportPartition):
@@ -447,32 +448,30 @@ class _SearchProblem:
         ]
         # The weights that have a logit in the search.
         self._free = [k for first, stop in self._free_groups for k in range(first, stop)]
-        self.slots = [
-            (
-                position[beta, index],
-                _magnitude(f, beta),
-                [
-                    (
-                        position[alpha, index],
-                        float(lam),
-                        math.log(_magnitude(f, alpha)) - math.log(float(lam)),
-                    )
-                    for alpha, lam in zip(simplex.vertices, simplex.barycentric)
-                ],
-            )
+        self.indices = [
+            (position[beta, index], [position[alpha, index] for alpha in simplex.vertices])
             for index, (beta, simplex) in enumerate(self.circuits)
+        ]
+        self._terms = f.terms
+
+    @functools.cached_property
+    def slots(self) -> list[tuple[int, float, list[tuple[int, float, float]]]]:
+        # Made on first use, after the exact gate at size 0, which needs none.
+        terms = self._terms
+        return [
+            (nu_index, _magnitude(terms, beta), [
+                (mu_index, float(lam), _log_magnitude(terms, alpha) - math.log(float(lam)))
+                for mu_index, alpha, lam in zip(mu_indices, simplex.vertices, simplex.barycentric)
+            ])
+            for (beta, simplex), (nu_index, mu_indices) in zip(self.circuits, self.indices)
         ]
 
     @functools.cached_property
     def _kernel(self) -> SimpleNamespace:
-        """The search's compiled functions.  ``forward(logits, tau)`` maps
-        the logits of the free weights to the weights (forced ones 1.0),
-        each slot's margin ``nu * |f_beta| - theta`` and threshold ``theta =
-        prod (mu_alpha f_alpha / lambda_alpha) ** lambda_alpha`` (each mu
-        clamped below at 1e-300), the smoothed maximum ``peak + tau * log
-        sum exp((v - peak) / tau)`` and the hard maximum.  ``gradient``
-        takes the reverse mode through such a pass to the weights (0 below
-        the clamp), and ``descend`` gives the trial logits."""
+        """``forward(logits, tau)``: the weights (forced ones 1.0), each
+        slot's margin and threshold (each mu clamped below at 1e-300), the
+        smoothed and the hard maximum; ``gradient``: the reverse mode
+        through such a pass (0 below the clamp); ``descend``: trial logits."""
         return _compile(self._gradient_source() + self._search_source())
 
     # The generated source.  Weight ``k`` is the local ``w{k}``, its logit
@@ -566,15 +565,20 @@ class _SearchProblem:
         ]
 
 
-def _magnitude(f: SparseForm, exponent: Exponent) -> float:
-    """``|f_exponent|`` as a float, which must be positive and finite."""
+def _magnitude(terms: dict[Exponent, Fraction], exponent: Exponent) -> float:
+    """``|f_exponent|`` as a float, 0.0 if it rounds to that."""
     try:
-        magnitude = float(abs(f.terms[exponent]))
+        return float(abs(terms[exponent]))
     except OverflowError:
-        magnitude = 0.0
+        raise FloatRangeExceeded(f"the coefficient of {exponent} lies above the float range")
+
+
+def _log_magnitude(terms: dict[Exponent, Fraction], exponent: Exponent) -> float:
+    """``log |f_exponent|``, of a coefficient that must not round to 0.0."""
+    magnitude = _magnitude(terms, exponent)
     if not magnitude:
-        raise FloatRangeExceeded(f"the coefficient of {exponent} lies outside the float range")
-    return magnitude
+        raise FloatRangeExceeded(f"the coefficient of {exponent} lies below the float range")
+    return math.log(magnitude)
 
 
 def _listed(names: Iterable[str]) -> str:
@@ -595,10 +599,9 @@ def _compile(source: list[str]) -> SimpleNamespace:
     text = "\n".join(line if line.startswith("def ") else "    " + line for line in source)
     namespace = {"exp": math.exp, "log": math.log}
     exec(compile(text, "<search kernel>", "exec"), namespace)
-    functions = {
-        name: value for name, value in namespace.items() if isinstance(value, FunctionType)
-    }
-    return SimpleNamespace(**functions)
+    return SimpleNamespace(
+        **{name: value for name, value in namespace.items() if isinstance(value, FunctionType)}
+    )
 
 
 def _optimize(problem: _SearchProblem) -> tuple[float, list[float]]:
@@ -606,17 +609,18 @@ def _optimize(problem: _SearchProblem) -> tuple[float, list[float]]:
     entropic mirror descent run from the uniform split: each step takes the
     weight-space gradient, times a step length that halves until the
     smoothed maximum does not rise, off the logits of the group softmaxes.
-    Only free weights have logits.  Every value comes from the problem's
-    one kernel: ``forward`` computes the smoothed maximum once per pass,
-    and runs once more at each change of temperature, at the accepted
-    logits, for the level of the next step, which goes into its gradient."""
+    Only free weights have logits.  Every value comes from the kernel's
+    passes: one per trial, one at the start and one at each later change
+    of temperature, whose smoothed maximum is the level of the next step."""
     kernel = problem._kernel
     forward, descend, gradient_of = kernel.forward, kernel.descend, kernel.gradient
     scale = max(abs_inner for _, abs_inner, _ in problem.slots)
+    if not scale:
+        raise FloatRangeExceeded("every inner coefficient lies below the float range")
     last_phase = len(_TAUS) - 1
     logits = [0.0] * len(problem._free)
     tau = _TAUS[0] * scale
-    weights, values, thresholds, _, best_margin = forward(logits, tau)
+    weights, values, thresholds, level, best_margin = forward(logits, tau)
     best_weights = weights
     step = 3 * _TAUS[0] / scale
     stalled = 0
@@ -624,7 +628,7 @@ def _optimize(problem: _SearchProblem) -> tuple[float, list[float]]:
         if best_margin <= 1e-10 or stalled >= _PHASE + 60:
             break
         phase = min(iteration // _PHASE, last_phase)
-        if iteration == phase * _PHASE:  # the first step at a new temperature
+        if iteration and iteration == phase * _PHASE:  # a new temperature
             tau = _TAUS[phase] * scale
             weights, values, thresholds, level, _ = forward(logits, tau)
         gradient = gradient_of(weights, values, thresholds, tau, level)

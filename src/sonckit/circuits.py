@@ -358,33 +358,27 @@ def _combine(
 # witnesses
 # ---------------------------------------------------------------------------
 
-def negative_witness(c: Circuit, seed: int = 0) -> tuple[Fraction, ...]:
+def negative_witness(c: Circuit) -> tuple[Fraction, ...]:
     """Rational point with exactly negative value, for circuits that fail
     the nonnegativity test.
 
     The AM-GM equality direction (minimum-norm solution of the locus-style
-    system) is the natural violator; falls back to deterministic draws from
-    ``random.Random(seed)``, each rounded to a denominator of at most 1e6,
-    and then to the AM-GM point at growing decimal precision.  The
-    returned point is verified exactly.
+    system) is the natural violator: first rounded to a denominator of at
+    most 1e6, then, if that point is not negative, at growing decimal
+    precision.  The returned point is verified exactly.
     """
     if decide_circuit_nonnegativity(c).is_nonnegative:
         raise ValueError("circuit is nonnegative; no negative witness exists")
     assert c.inner is not None and c.kind is CircuitKind.PROPER
     locus = _log_system(c)
     solution, _ = locus._solution_space()
-    rng = random.Random(seed)
-    candidates = [solution]
-    candidates += [[v + rng.gauss(0.0, 0.2) for v in solution] for _ in range(32)]
-    candidates += [[rng.gauss(0.0, 1.0) for _ in solution] for _ in range(64)]
     signs = _sign_pattern_for_negative_inner(*c.inner)
-    for candidate in candidates:
-        point = tuple(
-            sign * Fraction(math.exp(min(max(v, -12.0), 12.0))).limit_denominator(10**6)
-            for sign, v in zip(signs, candidate)
-        )
-        if evaluate(c.form, point) < 0:
-            return point
+    point = tuple(
+        sign * Fraction(math.exp(min(max(v, -12.0), 12.0))).limit_denominator(10**6)
+        for sign, v in zip(signs, solution)
+    )
+    if evaluate(c.form, point) < 0:
+        return point
     # Near the circuit number the value at the AM-GM point exceeds its
     # minimum by the square of the rounding error, so refine that point at
     # doubling precision until the exact value is negative; the limit is

@@ -2,7 +2,7 @@
 against the numpy oracle in ``numpy_oracle``.
 
 ``ZeroLocus.sample_solutions`` and ``negative_witness`` now take their
-linear algebra from the exact ``EchelonSolver`` and draw from
+linear algebra from the exact ``EchelonSolver``, the samples draw from
 ``random.Random``, and ``logs_affinely_independent`` decides rank by a
 pivoted modified Gram--Schmidt.  The draws differ from numpy's, so the
 tests compare what must agree: every sample solves the log system, the

@@ -548,6 +548,70 @@ def test_cli_analyze_search_beyond_the_float_range(tmp_path, capsys, scale):
     assert "feasibility search: FloatRangeExceeded" in capsys.readouterr().out
 
 
+#: Coefficients inside the float range whose circuit thresholds, up to
+#: twice their size, are not.
+_NEAR_MAX = "17" + "0" * 307
+_HALF_MAX = "102" + "0" * 306
+_THRESHOLD = "a circuit threshold lies above the float range"
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        # Size 0: the threshold of the feasible first circuit.
+        (f"{_NEAR_MAX}*x1^2 + {_NEAR_MAX}*x2^2 - x1*x2 + x3^2 + x4^2 - 3*x3*x4", _THRESHOLD),
+        # Free weights: a threshold the descent reaches.
+        (
+            f"{_HALF_MAX}*x1^4 + {_HALF_MAX}*x2^4 - {_NEAR_MAX}*x1^2*x2^2"
+            f" + x1^3*x2 + {_NEAR_MAX}*x1*x2^3",
+            _THRESHOLD,
+        ),
+        # Free weights, and no inner coefficient to scale the temperature.
+        (
+            f"x1^4 + x2^4 - {_TINY}*x1^2*x2^2 + {_TINY}*x1^3*x2",
+            "every inner coefficient lies below the float range",
+        ),
+    ],
+)
+def test_cli_analyze_search_reports_floats_it_cannot_use(tmp_path, capsys, text, detail):
+    path = tmp_path / "form.poly"
+    path.write_text(text + "\n")
+    assert main(["analyze", str(path), "--json"]) == 0
+    exact = json.loads(capsys.readouterr().out)
+    assert main(["analyze", str(path), "--json", "--search"]) == 0
+    searched = json.loads(capsys.readouterr().out)
+    assert searched["feasibility"] == {
+        "status": "error", "detail": f"FloatRangeExceeded: {detail}"
+    }
+    assert searched["verdicts"] == exact["verdicts"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # Size 0, an inner coefficient that rounds to 0.0.
+        f"x1^2 - {_TINY}*x1*x2 + x2^2 + x3^2 - x3*x4 + x4^2",
+        # Size 0, a square coefficient above the float range.
+        f"{_HUGE}*x1^2 - x1*x2 + x2^2 + x3^2 - x3*x4 + x4^2",
+        # Free weights, an inner coefficient that rounds to 0.0.
+        f"x1^4 + x2^4 - x1^2*x2^2 + {_TINY}*x1^3*x2",
+    ],
+)
+def test_cli_analyze_search_settles_beside_the_float_range(tmp_path, capsys, text):
+    # The exact gate at size 0 needs no float, and an inner coefficient
+    # that rounds to 0.0 is still a float the search can use.
+    path = tmp_path / "form.poly"
+    path.write_text(text + "\n")
+    assert main(["analyze", str(path), "--json", "--search"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["feasibility"] == {
+        "circuits": 2, "exact": True, "margin": 0.0, "status": "Feasible"
+    }
+    assert [(v["conclusion"], v["certificate"]) for v in payload["verdicts"]] == [
+        ("SONC", "exact")
+    ]
+
+
 def test_cli_analyze_search_budget_is_max_params_only(capsys):
     with pytest.raises(SystemExit):
         main(["analyze", "--help"])
