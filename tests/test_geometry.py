@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sonckit import exactlp, geometry
@@ -88,6 +88,12 @@ def hull_vertices_oracle(points):
     return frozenset(vertices)
 
 
+def _assert_partition_vertices_are_the_hull(f):
+    """The partition takes its hull over part of the support; its
+    vertices must be those of the whole support."""
+    assert support_partition(f).vertices == hull_vertices(f.support), f
+
+
 def lattice_points_oracle(points):
     """Plain bounding-box scan with LP containment, no degree slicing."""
     n = len(points[0])
@@ -132,6 +138,7 @@ def test_hull_vertices_matches_oracle_on_corpus_supports():
     for builder in FORM_BUILDERS.values():
         support = builder().support
         assert hull_vertices(support) == hull_vertices_oracle(support), builder
+        _assert_partition_vertices_are_the_hull(builder())
 
 
 def test_hull_vertices_matches_oracle_on_random_supports():
@@ -243,6 +250,7 @@ def test_hull_vertices_of_p_family(n):
     support = p_family(n, 6).support
     vertices = hull_vertices(support)
     assert vertices == _unrestricted_hull_vertices(support)
+    _assert_partition_vertices_are_the_hull(p_family(n, 6))
     # The brute-force oracle tries every subset of up to n + 1 points;
     # it takes seconds from n = 5 on.
     if n <= 4:
@@ -255,6 +263,7 @@ def test_hull_vertices_of_benchmark_random_forms(seed):
     for spec in _sparse_forms().random_forms(seed):
         support = canonical_points(spec.terms)
         assert hull_vertices(support) == _unrestricted_hull_vertices(support), spec.name
+        _assert_partition_vertices_are_the_hull(make_form(spec.num_vars, spec.terms))
         _assert_face_decides_like_all_others(support, support)
 
 
@@ -464,6 +473,53 @@ def test_support_partition_of_embedding_matches():
         assert [s.barycentric for s in family] == [
             s.barycentric for s in wide_family
         ]
+
+
+# ---------------------------------------------------------------------------
+# support partition: the hull over squares and uncovered inner exponents
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _partition_forms(draw):
+    """Sparse forms of degree 2, 4 or 6 in 2-4 variables: a few squares,
+    then terms at midpoints of two squares (covered inner exponents),
+    at any exponent of the degree (often uncovered), at ``(d-1) e_i +
+    e_j`` (odd exponents that tend to be vertices), and at squares with a
+    negative coefficient."""
+    num_vars, half = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    degree = 2 * half
+
+    def composition(total):
+        cuts = sorted(draw(st.lists(st.integers(0, total), min_size=num_vars - 1,
+                                    max_size=num_vars - 1)))
+        return tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))
+
+    squares = [tuple(2 * v for v in composition(half))
+               for _ in range(draw(st.integers(2, 5)))]
+    terms = [(e, draw(st.integers(1, 3))) for e in squares]
+    coefficient = st.sampled_from([-3, -1, 1, 2])
+    kinds = st.sampled_from(["covered", "covered", "any", "odd", "negative"])
+    for kind in draw(st.lists(kinds, min_size=2, max_size=5)):
+        if kind == "covered":
+            a, b = draw(st.sampled_from(squares)), draw(st.sampled_from(squares))
+            exponent = tuple((x + y) // 2 for x, y in zip(a, b))
+        elif kind == "any":
+            exponent = composition(degree)
+        elif kind == "odd":
+            i, j = draw(st.permutations(range(num_vars)))[:2]
+            exponent = tuple((degree - 1) * (k == i) + (k == j) for k in range(num_vars))
+        else:
+            exponent = draw(st.sampled_from(squares))
+        terms.append((exponent, draw(coefficient)))
+    f = make_form(num_vars, terms)
+    assume(not f.is_zero)
+    return f
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_partition_forms())
+def test_partition_vertices_are_the_hull_of_the_support_hypothesis(f):
+    _assert_partition_vertices_are_the_hull(f)
 
 
 # ---------------------------------------------------------------------------
