@@ -7,8 +7,11 @@ sum-of-squares summands.  Vertex detection and hull membership run on the
 exact rational LP from :mod:`sonckit.exactlp`.  The covering simplices of
 an inner exponent ``beta`` are the positive circuits of the vectors
 ``p - beta``; one depth-first walk finds them, pivoting each linearly
-independent prefix once on the same fraction-free kernel.  Nothing here
-touches floating point.
+independent prefix once on the same fraction-free kernel and reading the
+weights off its integer pivots.  The support partition enumerates them
+first and takes the hull over the squares and the uncovered inner
+exponents only, since a covered one is no vertex.  Nothing here touches
+floating point.
 """
 
 from __future__ import annotations
@@ -206,15 +209,20 @@ def enumerate_simplices(
     ``j`` whose ``d_j`` lies in the span of the prefix, ``d_j = sum c_k
     d_k``, closes a simplex exactly when every ``c_k`` is negative, and
     the walk never goes past it: every larger set is dependent but not
-    minimally so.  (``p = beta`` has ``d_p = 0`` and is a simplex of one
-    point.)  Two rules prune the walk.  It descends only into independent
-    prefixes, and only while ``beta`` can still be reached in every
-    coordinate from below and from above: each point carries the bitmask
-    of coordinates where it is at most ``beta`` and of those where it is
-    at least ``beta``, and the OR over the prefix and all later points
-    must be full.  Candidates strictly above the cap raise
-    :class:`CapExceeded`, candidates of another length than ``beta``
-    :class:`DimensionMismatch`.
+    minimally so.  The weights come from integers: over the lcm of the
+    pivot entries each ``-c_k`` is an integer part, and each weight is
+    one ``Fraction`` of a part, or of the lcm for ``j``, over their sum.
+    (``p = beta`` has ``d_p = 0`` and is a simplex of one point.)  Two
+    rules prune the walk.  Each point carries the bitmask of coordinates
+    where it is at most ``beta`` and of those where it is at least
+    ``beta``; a point ``j`` is looked at only if the OR over the prefix,
+    ``j`` and all later points is full, since ``beta`` must be reached
+    in every coordinate from below and from above by any circuit through
+    ``j`` or any prefix grown from it.  That test comes before the span
+    test, so it prunes dependent points as well.  And the walk descends
+    only into independent prefixes.  Candidates strictly above the cap
+    raise :class:`CapExceeded`, candidates of another length than
+    ``beta`` :class:`DimensionMismatch`.
     """
     beta = tuple(beta)
     points = {tuple(p) for p in candidates}
@@ -245,29 +253,38 @@ def enumerate_simplices(
         later[j] = later[j + 1] | masks[j]
     found: list[tuple[tuple[int, ...], tuple[Fraction, ...]]] = []
 
-    def walk(prefix, pivot_rows, rows, scales, previous, covered):
+    def walk(prefix, pivot_rows, free, rows, scales, previous, covered):
         # Column k of ``rows`` is d_k; pivot_rows[i] holds the pivot of
-        # column prefix[i], every other row is zero on the prefix columns.
-        free = [r for r in range(len(rows)) if r not in pivot_rows]
+        # column prefix[i], the rows in ``free`` are zero on the prefix
+        # columns.
         for j in range(prefix[-1] + 1 if prefix else 0, size):
-            top = next((r for r in free if rows[r][j]), None)
-            if top is None:
-                # d_j = sum c_k d_k with c_k = rows[r][j] / rows[r][k].
+            if covered | masks[j] | later[j + 1] != full:
+                continue
+            for top in free:
+                if rows[top][j]:
+                    break
+            else:
+                # d_j = sum c_k d_k with c_k = rows[r][j] / rows[r][k]; a
+                # simplex when every c_k < 0, its weights -c_k and 1 over
+                # their sum, here integer parts over lcm(rows[r][k]).
                 pairs = [(rows[r][j], rows[r][k]) for r, k in zip(pivot_rows, prefix)]
                 if all(a * b < 0 for a, b in pairs):
-                    total = Fraction(1) - sum(Fraction(a, b) for a, b in pairs)
-                    weights = (*(Fraction(-a, b) / total for a, b in pairs), 1 / total)
+                    common = math.lcm(*[b for _, b in pairs])
+                    parts = [-a * (common // b) for a, b in pairs]
+                    total = common + sum(parts)
+                    weights = (*(Fraction(part, total) for part in parts),
+                               Fraction(common, total))
                     found.append(((*prefix, j), weights))
-            elif covered | masks[j] | later[j + 1] == full:
-                # _pivot rebinds every row it changes, so copies of the
-                # two lists leave this level's form intact.
-                child_rows, child_scales = rows[:], scales[:]
-                pivot = _pivot(child_rows, child_scales, top, j, previous)
-                walk((*prefix, j), (*pivot_rows, top), child_rows, child_scales,
-                     pivot, covered | masks[j])
+                continue
+            # _pivot rebinds every row it changes, so copies of the two
+            # lists leave this level's form intact.
+            child_rows, child_scales = rows[:], scales[:]
+            pivot = _pivot(child_rows, child_scales, top, j, previous)
+            walk((*prefix, j), (*pivot_rows, top), [r for r in free if r != top],
+                 child_rows, child_scales, pivot, covered | masks[j])
 
     rows = [[point[i] - beta[i] for point in pool] for i in range(n)]
-    walk((), (), rows, [1] * n, 1, 0)
+    walk((), (), list(range(n)), rows, [1] * n, 1, 0)
     found.sort(key=lambda item: (len(item[0]), item[0]))
     return [
         Simplex(vertices=tuple(pool[j] for j in subset), barycentric=weights)
@@ -277,13 +294,18 @@ def enumerate_simplices(
 
 def support_partition(f: SparseForm) -> SupportPartition:
     """Full support partition with covering simplex families per inner
-    exponent; raises :class:`ZeroFormInput` on the zero form."""
+    exponent; raises :class:`ZeroFormInput` on the zero form.
+
+    The families come first.  An inner exponent with a nonempty family is
+    a positive convex combination of at least two squares, so it is no
+    vertex of the Newton polytope and leaving it out keeps the hull: the
+    vertices are taken over the squares and the uncovered inner exponents
+    alone.
+    """
     if f.is_zero:
         raise ZeroFormInput("support partition needs a nonzero form")
-    support = list(f.terms.keys())
     s_set = monomial_square_support(f)
-    i_set = frozenset(support) - s_set
-    vertices = hull_vertices(support)
+    i_set = frozenset(f.terms) - s_set
     families: dict[Exponent, tuple[Simplex, ...]] = {}
     used: set[Exponent] = set()
     for beta in sorted(i_set, key=grlex_key):
@@ -291,6 +313,9 @@ def support_partition(f: SparseForm) -> SupportPartition:
         families[beta] = family
         for simplex in family:
             used.update(simplex.vertices)
+    vertices = hull_vertices(
+        [*s_set, *(beta for beta, family in families.items() if not family)]
+    )
     r_set = frozenset(s_set - used)
     return SupportPartition(
         s_set=s_set,

@@ -522,6 +522,31 @@ def test_partition_vertices_are_the_hull_of_the_support_hypothesis(f):
     _assert_partition_vertices_are_the_hull(f)
 
 
+def _counted_partition(monkeypatch, f):
+    """``support_partition(f)`` and the points of its hull LPs."""
+    calls = []
+
+    def counting(point, generators):
+        calls.append(tuple(point))
+        return exactlp.point_in_hull(point, generators)
+
+    monkeypatch.setattr(geometry, "point_in_hull", counting)
+    return support_partition(f), calls
+
+
+def test_support_partition_runs_hull_lps_on_squares_and_uncovered_inner(monkeypatch):
+    # p_family(9, 6) has 40 terms; its 16 inner exponents are all covered.
+    f = p_family(9, 6)
+    partition, calls = _counted_partition(monkeypatch, f)
+    assert len(f.terms) == 40 and not partition.uncovered_inner
+    assert len(calls) == 24 and set(calls) == partition.s_set
+    # (3, 1) is uncovered and a vertex, so its LP stays.
+    partition, calls = _counted_partition(monkeypatch, parse_form("x1^3*x2 + x2^4"))
+    assert partition.uncovered_inner == {(3, 1)}
+    assert sorted(calls) == [(0, 4), (3, 1)]
+    assert partition.vertices == {(0, 4), (3, 1)}
+
+
 # ---------------------------------------------------------------------------
 # lattice points
 # ---------------------------------------------------------------------------

@@ -666,3 +666,17 @@ def test_import_sonckit_leaves_numpy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_python_dash_m_sonckit_runs_the_command_line():
+    """``python -m sonckit`` from a checkout, without installing, is the
+    ``sonckit`` console script."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-m", "sonckit", "corpus", "--filter", "motzkin_tilde", "--json"],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    rows = json.loads(result.stdout)
+    assert rows and all(row["ok"] for row in rows)

@@ -100,6 +100,39 @@ def test_matches_oracle_when_zeros_drop_dimensions(case):
     _assert_same(*case)
 
 
+@st.composite
+def _boundary_beta(draw):
+    """A pool whose coordinates are mostly 0 or one shared maximum, and a
+    beta where the walk tests the bitmasks of dependent points first: a
+    pool point, the floored midpoint of two points on a coordinate face
+    of the pool's hull, or any point with one coordinate at the pool's
+    minimum or maximum."""
+    num_vars, top = draw(st.integers(2, 4)), draw(st.integers(2, 6))
+    value = st.one_of(st.just(0), st.just(top), st.integers(0, top))
+    pool = draw(st.lists(st.tuples(*[value] * num_vars), min_size=1, max_size=8))
+    kind = draw(st.sampled_from(["member", "face", "extreme"]))
+    if kind == "member":
+        return kind, draw(st.sampled_from(pool)), pool
+    i = draw(st.integers(0, num_vars - 1))
+    end = draw(st.sampled_from([min(p[i] for p in pool), max(p[i] for p in pool)]))
+    if kind == "face":
+        face = st.sampled_from([p for p in pool if p[i] == end])
+        s, t = draw(face), draw(face)
+        return kind, tuple((a + b) // 2 for a, b in zip(s, t)), pool
+    beta = list(draw(st.tuples(*[st.integers(0, top)] * num_vars)))
+    beta[i] = end
+    return kind, tuple(beta), pool
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=_boundary_beta())
+def test_matches_oracle_with_beta_on_the_boundary_hypothesis(case):
+    kind, beta, pool = case
+    found = _assert_same(beta, pool)
+    if kind == "member":
+        assert found[0] == geometry.Simplex(vertices=(beta,), barycentric=(1,))
+
+
 def test_single_point_and_duplicate_pools():
     assert _assert_same((2, 2), [(2, 2)]) != []
     assert _assert_same((2, 2), [(2, 2), (2, 2), (2, 2)]) != []
