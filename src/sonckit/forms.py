@@ -4,11 +4,13 @@ A form is stored as a map from exponent tuples to nonzero ``Fraction``
 coefficients.  All arithmetic is exact; floating point enters only through
 the explicitly approximate ``evaluate_float``.  Exact evaluation has one
 kernel, ``evaluate_columns``: it evaluates a batch of integer points held
-as coordinate columns, computes each power of a column once for all the
-terms that share it, and returns integer values over the coefficients'
-common denominator.  ``evaluate_many`` writes a batch of rational points
-over one denominator and slices it into columns for the kernel;
-``evaluate`` is ``evaluate_many`` on a batch of one.
+as coordinate columns and returns integer values over the coefficients'
+common denominator.  It runs on a multivariate Horner schedule, chosen
+greedily from the exponents and cached on the form, that multiplies a
+power of a variable shared by several terms in once for all of them.
+``evaluate_many`` writes a batch of rational points over one denominator
+and slices it into columns for the kernel; ``evaluate`` is
+``evaluate_many`` on a batch of one.
 
 Variables are written ``x1, x2, ...`` in text.  The grammar (whitespace
 ignored) is:
@@ -24,12 +26,13 @@ Files hold one form each; lines starting with ``#`` carry metadata
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, NotHomogeneous, ParseError
 from .exactlp import integer_numerators
@@ -72,6 +75,15 @@ class SparseForm:
     @property
     def support(self) -> tuple[Exponent, ...]:
         return tuple(self.terms.keys())
+
+    @functools.cached_property
+    def _schedule(self) -> tuple[tuple[_PowerStep, ...], tuple[_Term | _Factor, ...]]:
+        """The steps that build the power columns, and the Horner sum that
+        :func:`evaluate_columns` reads the values from.  Both depend on the
+        exponents alone, so they are built once per form."""
+        needed: set[_PowerKey] = set()
+        parts = _horner_parts([(e, index) for index, e in enumerate(self.terms)], needed)
+        return _power_chain(needed), parts
 
     def __str__(self) -> str:
         return format_form(self)
@@ -305,6 +317,115 @@ def save_form_file(path: str, f: SparseForm) -> None:
 # evaluation
 # ---------------------------------------------------------------------------
 
+#: A (variable, power) pair, the key of one power column.
+_PowerKey = tuple[int, int]
+#: ``(key, left, right)``: power column ``key`` is ``left`` times ``right``.
+_PowerStep = tuple[_PowerKey, _PowerKey, _PowerKey]
+
+
+class _Term(NamedTuple):
+    """Coefficient ``index`` of ``terms`` times the power columns ``keys``,
+    which belong to distinct variables; ``keys`` is empty for a constant."""
+
+    index: int
+    keys: tuple[_PowerKey, ...]
+
+
+class _Factor(NamedTuple):
+    """Power column ``key`` times the sum ``quotient``."""
+
+    key: _PowerKey
+    quotient: tuple[_Term | _Factor, ...]
+
+
+def _horner_parts(
+    terms: list[tuple[Exponent, int]], needed: set[_PowerKey]
+) -> tuple[_Term | _Factor, ...]:
+    """Greedy multivariate Horner split of ``(exponent, index)`` terms.
+
+    While some variable occurs in two terms or more, the one in the most
+    terms (the first on ties) has its smallest positive power factored out
+    of those terms, whose quotient is split the same way; the terms left
+    share no variable and are summed.  Every power key used is added to
+    ``needed``.
+    """
+    parts: list[_Term | _Factor] = []
+    while terms:
+        counts = [len(terms) - powers.count(0) for powers in zip(*[e for e, _ in terms])]
+        best = max(range(len(counts)), key=counts.__getitem__, default=None)
+        if best is None or counts[best] < 2:
+            break
+        power = min(e[best] for e, _ in terms if e[best])
+        quotient = [
+            (e[:best] + (e[best] - power,) + e[best + 1:], index)
+            for e, index in terms
+            if e[best]
+        ]
+        terms = [(e, index) for e, index in terms if not e[best]]
+        needed.add((best, power))
+        parts.append(_Factor((best, power), _horner_parts(quotient, needed)))
+    for exponent, index in terms:
+        keys = tuple((i, e) for i, e in enumerate(exponent) if e)
+        needed.update(keys)
+        parts.append(_Term(index, keys))
+    return tuple(parts)
+
+
+def _power_chain(needed: set[_PowerKey]) -> tuple[_PowerStep, ...]:
+    """Steps that build every needed power column from power-1 columns.
+
+    Powers of one variable are built in increasing order, each as the
+    product of two powers already built when such a pair exists, and
+    otherwise from its two halves, built first: ``x^4 = x^2 * x^2``,
+    ``x^5 = x^4 * x``, ``x^7 = x^3 * x^4``.
+    """
+    steps: list[_PowerStep] = []
+    built: dict[int, set[int]] = {}
+
+    def build(i: int, e: int) -> None:
+        have = built.setdefault(i, {1})
+        if e in have:
+            return
+        left = next((a for a in sorted(have, reverse=True) if e - a in have), None)
+        if left is None:
+            left = e // 2
+            build(i, left)
+            build(i, e - left)
+        steps.append(((i, e), (i, left), (i, e - left)))
+        have.add(e)
+
+    for i, e in sorted(needed):
+        build(i, e)
+    return tuple(steps)
+
+
+def _sum_values(
+    parts: tuple[_Term | _Factor, ...],
+    coefficients: list[int],
+    powers: dict[_PowerKey, Sequence[int]],
+    size: int,
+) -> Iterable[int]:
+    """The values of ``parts``, as one lazy pass over the power columns."""
+    total: Iterable[int] | None = None
+    for part in parts:
+        if type(part) is _Factor:
+            quotient = _sum_values(part.quotient, coefficients, powers, size)
+            value = map(mul, powers[part.key], quotient)
+        else:
+            coefficient = coefficients[part.index]
+            if not part.keys:
+                value = repeat(coefficient, size)
+            else:
+                value = powers[part.keys[0]]
+                for key in part.keys[1:]:
+                    value = map(mul, value, powers[key])
+                if coefficient != 1:
+                    value = map(mul, value, repeat(coefficient))
+        total = value if total is None else map(add, total, value)
+    assert total is not None
+    return total
+
+
 def evaluate_columns(
     f: SparseForm, columns: Sequence[Sequence[int]], size: int
 ) -> tuple[list[int], int]:
@@ -315,33 +436,39 @@ def evaluate_columns(
     Returns ``(values, denominator)`` with
     ``f(point j) == Fraction(values[j], denominator)``, where
     ``denominator > 0`` is the least common denominator of the
-    coefficients, cleared once per call.  Each (variable, power) column is
-    computed once per call and shared by every term with that pair; a
-    power-1 column is the input column itself.  A term starts from its
-    first power column, multiplies in the others, and is scaled by its
-    coefficient only when that is not 1; products and sums run over whole
-    columns through ``map``, in Python ints.
+    coefficients, cleared once per call.  Raises ``ValueError`` for a
+    negative size and ``DimensionMismatch`` unless there is one column
+    per variable, each of ``size`` entries.
+
+    The form is evaluated by the greedy Horner schedule of its support
+    (see :func:`_horner_parts`), built once per form: a power of a
+    variable shared by several terms is multiplied in once for all of
+    them.  Each power column above 1 is the product of two lower ones,
+    computed once per call; a power-1 column is the input column itself,
+    never written.  A sum starts from its first part, and a term is scaled
+    by its coefficient only when that is not 1.  The products and sums
+    are chained ``map``s over whole columns, in Python ints, which the
+    returned list consumes in one pass.
     """
+    if size < 0:
+        raise ValueError(f"size must be nonnegative, got {size}")
+    if len(columns) != f.num_vars:
+        raise DimensionMismatch(
+            f"{len(columns)} columns given, form has {f.num_vars} variables"
+        )
+    for i, column in enumerate(columns):
+        if len(column) != size:
+            raise DimensionMismatch(
+                f"column of x{i + 1} has {len(column)} entries, expected {size}"
+            )
     coefficients, denominator = integer_numerators(list(f.terms.values()))
-    powers: dict[tuple[int, int], Sequence[int]] = {}
-    totals = [0] * size
-    for exponent, coefficient in zip(f.terms, coefficients):
-        term: Iterable[int] | None = None
-        for i, power in enumerate(exponent):
-            if power:
-                column = powers.get((i, power))
-                if column is None:
-                    column = columns[i]
-                    if power > 1:
-                        column = list(map(pow, column, repeat(power)))
-                    powers[(i, power)] = column
-                term = column if term is None else list(map(mul, term, column))
-        if term is None:
-            term = [coefficient] * size
-        elif coefficient != 1:
-            term = map(mul, term, repeat(coefficient))
-        totals = list(map(add, totals, term))
-    return totals, denominator
+    if not coefficients:
+        return [0] * size, denominator
+    chain, parts = f._schedule
+    powers: dict[_PowerKey, Sequence[int]] = {(i, 1): column for i, column in enumerate(columns)}
+    for key, left, right in chain:
+        powers[key] = list(map(mul, powers[left], powers[right]))
+    return list(_sum_values(parts, coefficients, powers, size)), denominator
 
 
 def evaluate_many(

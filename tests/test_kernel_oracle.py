@@ -6,6 +6,7 @@ same LP weights (hence the same pivot path), the same value and the same
 sampling-check string.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -374,6 +375,22 @@ def test_evaluate_many_rejects_any_wrong_length_point():
         evaluate(f, (1, 2))
 
 
+def test_evaluate_columns_rejects_malformed_batches():
+    f = parse_form("x1^2 + x2^2")
+    with pytest.raises(DimensionMismatch, match="1 columns given, form has 2 variables"):
+        evaluate_columns(f, [[1, 2, 3]], 3)
+    with pytest.raises(DimensionMismatch, match="3 columns given, form has 2 variables"):
+        evaluate_columns(f, [[1], [2], [3]], 1)
+    # A short column once made map() truncate the batch to one value.
+    with pytest.raises(DimensionMismatch, match="column of x2 has 1 entries, expected 3"):
+        evaluate_columns(f, [[1, 2, 3], [1]], 3)
+    with pytest.raises(DimensionMismatch, match="column of x1 has 3 entries, expected 2"):
+        evaluate_columns(f, [[1, 2, 3], [1, 2]], 2)
+    with pytest.raises(ValueError, match="size must be nonnegative, got -1"):
+        evaluate_columns(f, [[], []], -1)
+    assert evaluate_columns(f, [[1, 2, 3], [1, 2, 3]], 3) == ([2, 8, 18], 1)
+
+
 # ---------------------------------------------------------------------------
 # the corpus sampling check
 # ---------------------------------------------------------------------------
@@ -427,6 +444,19 @@ def test_sampling_check_matches_oracle_on_corpus_forms():
     for name in ("motzkin", "motzkin_bcj", "choi_lam_q1", "choi_lam_q2"):
         f = FORM_BUILDERS[name]()
         assert _sampling(f, 10000) == oracle.sampling_nonneg(f, 10000) == "ok"
+
+
+@pytest.mark.parametrize("name", ["motzkin", "motzkin_bcj", "choi_lam_q1", "choi_lam_q2"])
+def test_sampling_batch_values_match_oracle(name):
+    # The "ok" rows pin only that no value is negative; pin every value of
+    # the first batch the check draws.
+    f = FORM_BUILDERS[name]()
+    n = f.num_vars
+    flat = _sampling_coordinates(random.Random(f"sampling:{name}"), n * 1000)
+    values, denominator = evaluate_columns(f, [flat[i::n] for i in range(n)], 1000)
+    assert len(values) == 1000
+    for j, value in enumerate(values):
+        assert Fraction(value, denominator) == oracle.evaluate(f, flat[j * n:(j + 1) * n])
 
 
 def test_sampling_check_reports_the_first_negative_draw():
@@ -609,3 +639,83 @@ def test_evaluate_columns_and_many_match_oracle(case):
     for point, value in zip(integer_points, values):
         assert Fraction(value, denominator) == oracle.evaluate(f, point)
     _assert_many_agrees(f, points)
+
+
+# ---------------------------------------------------------------------------
+# the Horner schedule of evaluate_columns
+# ---------------------------------------------------------------------------
+
+def _monomials(num_vars, degree, cap):
+    return [
+        e for e in itertools.product(range(cap + 1), repeat=num_vars) if sum(e) == degree
+    ]
+
+
+@st.composite
+def _shared_factor_cases(draw):
+    """8-14 terms with coefficients 1 and -1, degree up to 8 and single
+    exponents up to 7, at least two of them multiples of one drawn factor
+    of degree 1 or more, with a batch of 0-8 integer points."""
+    num_vars = draw(st.integers(2, 4))
+    # The least degree with eight monomials or more whose exponents are <= 7.
+    degree = draw(st.integers({2: 7, 3: 3, 4: 2}[num_vars], 7 if num_vars == 2 else 8))
+    monomials = _monomials(num_vars, degree, 7)
+    factor = draw(st.sampled_from(_monomials(num_vars, draw(st.integers(1, degree - 1)), 7)))
+    multiples = [m for m in monomials if all(a >= b for a, b in zip(m, factor))]
+    support = draw(st.lists(st.sampled_from(multiples), min_size=2, max_size=6, unique=True))
+    support += draw(st.lists(
+        st.sampled_from([m for m in monomials if m not in support]),
+        min_size=max(8 - len(support), 0), max_size=14 - len(support), unique=True,
+    ))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(support), max_size=len(support)))
+    f = make_form(num_vars, dict(zip(support, signs)))
+    point = st.lists(st.integers(-24, 24), min_size=num_vars, max_size=num_vars)
+    return f, draw(st.lists(point, max_size=8))
+
+
+#: All 35 squares of degree 8 in four variables and one inner term.
+_QUATERNARY_OCTIC = make_form(
+    4,
+    {
+        **{tuple(2 * a for a in alpha): 1 for alpha in _monomials(4, 4, 4)},
+        (1, 1, 3, 3): -4,
+    },
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_shared_factor_cases())
+# Runs as x1^2*(x1*(x2 + 2/3*x3) - 5*x2^2): coefficients other than 1 left
+# after the shared factors.
+@example((parse_form("x1^3*x2 - 5*x1^2*x2^2 + 2/3*x1^3*x3"), [[2, -3, 1], [-1, 24, 0]]))
+@example((parse_form("x1^7"), [[2], [-3], [0], [24]]))  # the chain x2, x3, x4, x7
+@example((_QUATERNARY_OCTIC, [[1, -2, 3, -4], [24, -24, 1, 0], [1, 1, 1, 1]]))
+def test_horner_schedule_matches_oracle(case):
+    f, integer_points = case
+    columns = [[point[i] for point in integer_points] for i in range(f.num_vars)]
+    inputs = [list(column) for column in columns]
+    values, denominator = evaluate_columns(f, columns, len(integer_points))
+    assert columns == inputs  # power-1 columns are shared, never written
+    assert denominator > 0 and len(values) == len(integer_points)
+    for point, value in zip(integer_points, values):
+        assert Fraction(value, denominator) == oracle.evaluate(f, point)
+
+
+def test_schedule_cache_keeps_each_form_apart():
+    # The schedule is cached per form and reads only the exponents: forms
+    # that share a support, or are equal but distinct objects, must each
+    # still get their own coefficients.
+    motzkin = FORM_BUILDERS["motzkin"]()
+    scaled = make_form(3, dict(zip(motzkin.terms, [2, Fraction(-1, 3), 5, -7])))
+    twin = FORM_BUILDERS["motzkin"]()
+    assert scaled.support == motzkin.support and twin == motzkin and twin is not motzkin
+    rng = random.Random(23)
+    for _ in range(3):
+        for f in (motzkin, scaled, twin):
+            points = [tuple(rng.randint(-24, 24) for _ in range(3)) for _ in range(20)]
+            columns = [[point[i] for point in points] for i in range(3)]
+            values, denominator = evaluate_columns(f, columns, len(points))
+            for point, value in zip(points, values):
+                assert Fraction(value, denominator) == oracle.evaluate(f, point)
+            point = (Fraction(rng.randint(-9, 9), 4), 3, Fraction(-1, 2))
+            assert evaluate(f, point) == oracle.evaluate(f, point)
