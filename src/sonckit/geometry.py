@@ -8,14 +8,22 @@ exact rational LP from :mod:`sonckit.exactlp`.  The covering simplices of
 an inner exponent ``beta`` are the positive circuits of the vectors
 ``p - beta``; one depth-first walk finds them, pivoting each linearly
 independent prefix once on the same fraction-free kernel and reading the
-weights off its integer pivots.  The support partition enumerates them
-first and takes the hull over the squares and the uncovered inner
-exponents only, since a covered one is no vertex.  Nothing here touches
-floating point.
+weights off its integer pivots.  Two rules read off the signs of the
+reduced rows bound the walk.  A pivot row is zero on the other prefix
+columns, so a positive kernel vector needs a later point whose entry in
+that row has the sign opposite to the pivot's: each pivot row's last
+such point bounds the walk's next point.  A new independent point
+becomes the pivot of its row, so it is pivoted only if a later point has
+the opposite sign in that row.  The squares are checked and sorted once
+per set, not once per inner exponent.  The support partition enumerates
+the simplices first and takes the hull over the squares and the
+uncovered inner exponents only, since a covered one is no vertex.
+Nothing here touches floating point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -189,6 +197,32 @@ def barycentric_coordinates(
     return tuple(solution)
 
 
+@functools.lru_cache(maxsize=1)
+def _sorted_pool(points: frozenset[Exponent], length: int) -> tuple[Exponent, ...]:
+    """``points`` in graded-lex order, sorted once per set of points: a
+    partition passes its squares for every inner exponent in turn, so the
+    last set is the one kept.  The tuple of tuples is immutable, so no
+    caller can change a later call's input.  Points of another length
+    than ``length`` raise :class:`DimensionMismatch` on every call, since
+    a call that raises is not cached."""
+    if any(len(point) != length for point in points):
+        raise DimensionMismatch(f"a candidate is not of length {length}")
+    return tuple(sorted(points, key=grlex_key))
+
+
+def _last_opposite(row: list[int], sign: int, start: int) -> int:
+    """The last index ``q >= start`` with ``row[q] * sign < 0``, or
+    ``start - 1`` when there is none."""
+    q = len(row) - 1
+    if sign > 0:
+        while q >= start and row[q] >= 0:
+            q -= 1
+    else:
+        while q >= start and row[q] <= 0:
+            q -= 1
+    return q
+
+
 def enumerate_simplices(
     beta: Exponent,
     candidates: Iterable[Exponent],
@@ -205,48 +239,64 @@ def enumerate_simplices(
     scaled to sum one is the barycentric weights.  One depth-first walk
     over the pool finds them.  It grows prefixes whose d-vectors are
     linearly independent, holding their fraction-free Gauss--Jordan form
-    over all pool columns, so each prefix costs one pivot.  A later point
-    ``j`` whose ``d_j`` lies in the span of the prefix, ``d_j = sum c_k
-    d_k``, closes a simplex exactly when every ``c_k`` is negative, and
-    the walk never goes past it: every larger set is dependent but not
-    minimally so.  The weights come from integers: over the lcm of the
-    pivot entries each ``-c_k`` is an integer part, and each weight is
-    one ``Fraction`` of a part, or of the lcm for ``j``, over their sum.
-    (``p = beta`` has ``d_p = 0`` and is a simplex of one point.)  Two
-    rules prune the walk.  Each point carries the bitmask of coordinates
-    where it is at most ``beta`` and of those where it is at least
-    ``beta``; a point ``j`` is looked at only if the OR over the prefix,
-    ``j`` and all later points is full, since ``beta`` must be reached
-    in every coordinate from below and from above by any circuit through
-    ``j`` or any prefix grown from it.  That test comes before the span
-    test, so it prunes dependent points as well.  And the walk descends
-    only into independent prefixes.  Candidates strictly above the cap
-    raise :class:`CapExceeded`, candidates of another length than
+    ``rows`` over all pool columns, so each prefix costs one pivot.  A
+    later point ``j`` whose ``d_j`` lies in the span of the prefix,
+    ``d_j = sum c_k d_k``, closes a simplex exactly when every ``c_k`` is
+    negative, and the walk never goes past it: every larger set is
+    dependent but not minimally so.  The weights come from integers: over
+    the lcm of the pivot entries each ``-c_k`` is an integer part, and
+    each weight is one ``Fraction`` of a part, or of the lcm for ``j``,
+    over their sum.  (``p = beta`` has ``d_p = 0`` and is a simplex of one
+    point.)
+
+    Three rules prune the walk.  Every simplex below a prefix P is
+    ``P | T``, with T a set of later points and a kernel vector ``x > 0``.
+
+    * Bitmasks bound the first point of T.  Each point carries the
+      bitmask of coordinates where it is at most ``beta`` and of those
+      where it is at least ``beta``.  T can start at ``j`` only if the OR
+      over P and the points from ``j`` on is full: ``beta`` must be
+      reached in every coordinate from below and from above.
+    * Pivot rows bound the loop.  The pivot row ``r`` of prefix column
+      ``k`` is zero on the other prefix columns, so
+      ``rows[r][k] x_k = -sum_{q in T} rows[r][q] x_q``.  T must hold
+      some q with ``rows[r][q] * rows[r][k] < 0``, and the loop over
+      ``j`` stops after the last such q of the pivot row that has it
+      earliest.
+    * The new row is tested before pivoting.  A point ``j`` independent
+      of P, with pivot row ``top``, is the column of ``top`` below
+      ``P + j``, so by the rule above the walk pivots on it only if some
+      ``q > j`` has ``rows[top][q] * rows[top][j] < 0``.
+
+    The sign rules compare signs within one row, so the row's scale,
+    which may be negative, does not matter.  Candidates strictly above
+    the cap raise :class:`CapExceeded`, candidates of another length than
     ``beta`` :class:`DimensionMismatch`.
     """
     beta = tuple(beta)
-    points = {tuple(p) for p in candidates}
-    if any(len(point) != len(beta) for point in points):
-        raise DimensionMismatch(f"a candidate differs in length from {beta}")
+    n = len(beta)
     # A simplex covering beta in its relative interior uses only points
     # vanishing wherever beta vanishes (weights are strictly positive).
     zero_positions = [i for i, b in enumerate(beta) if b == 0]
-    pool = sorted(
-        (point for point in points if all(point[i] == 0 for i in zero_positions)),
-        key=grlex_key,
-    )
-    if len(pool) > cap:
-        raise CapExceeded(
-            f"{len(pool)} candidate points for {beta} exceed the cap of {cap}"
-        )
-    # Bit i: coordinate i at most beta's; bit n + i: at least beta's.
-    n, size = len(beta), len(pool)
-    full = (1 << 2 * n) - 1
-    masks = [
-        sum(1 << i for i in range(n) if point[i] <= beta[i])
-        | sum(1 << n + i for i in range(n) if point[i] >= beta[i])
-        for point in pool
+    pool = [
+        point
+        for point in _sorted_pool(frozenset(map(tuple, candidates)), n)
+        if all(point[i] == 0 for i in zero_positions)
     ]
+    size = len(pool)
+    if size > cap:
+        raise CapExceeded(f"{size} candidate points for {beta} exceed the cap of {cap}")
+    rows = [[point[i] - beta[i] for point in pool] for i in range(n)]
+    # Bit i: coordinate i at most beta's; bit n + i: at least beta's.
+    full = (1 << 2 * n) - 1
+    masks = [0] * size
+    for i, row in enumerate(rows):
+        below, above = 1 << i, 1 << n + i
+        for q, d in enumerate(row):
+            if d <= 0:
+                masks[q] |= below
+            if d >= 0:
+                masks[q] |= above
     # later[j]: OR of the masks of pool[j:].
     later = [0] * (size + 1)
     for j in range(size - 1, -1, -1):
@@ -256,10 +306,15 @@ def enumerate_simplices(
     def walk(prefix, pivot_rows, free, rows, scales, previous, covered):
         # Column k of ``rows`` is d_k; pivot_rows[i] holds the pivot of
         # column prefix[i], the rows in ``free`` are zero on the prefix
-        # columns.
-        for j in range(prefix[-1] + 1 if prefix else 0, size):
-            if covered | masks[j] | later[j + 1] != full:
-                continue
+        # columns.  later[j] only shrinks as j grows, so the bitmask rule
+        # is a bound on j like the pivot rows' rule.
+        start = prefix[-1] + 1 if prefix else 0
+        stop = size
+        while stop > start and covered | later[stop - 1] != full:
+            stop -= 1
+        for r, k in zip(pivot_rows, prefix):
+            stop = min(stop, _last_opposite(rows[r], rows[r][k], start) + 1)
+        for j in range(start, stop):
             for top in free:
                 if rows[top][j]:
                     break
@@ -276,6 +331,8 @@ def enumerate_simplices(
                                Fraction(common, total))
                     found.append(((*prefix, j), weights))
                 continue
+            if _last_opposite(rows[top], rows[top][j], j + 1) == j:
+                continue
             # _pivot rebinds every row it changes, so copies of the two
             # lists leave this level's form intact.
             child_rows, child_scales = rows[:], scales[:]
@@ -283,7 +340,6 @@ def enumerate_simplices(
             walk((*prefix, j), (*pivot_rows, top), [r for r in free if r != top],
                  child_rows, child_scales, pivot, covered | masks[j])
 
-    rows = [[point[i] - beta[i] for point in pool] for i in range(n)]
     walk((), (), list(range(n)), rows, [1] * n, 1, 0)
     found.sort(key=lambda item: (len(item[0]), item[0]))
     return [

@@ -15,16 +15,22 @@ test and a barycentric solve by the ``Fraction`` Gauss--Jordan solver on
 ``[M | I]`` above.  Nothing in it calls the integer kernel, so it checks
 the depth-first circuit walk of the current enumeration, its pruning and
 the weights it reads off its pivots, against an independent method.
+That method is exponential in the pool, so the module also keeps the walk
+as it was with the bitmask rule as its only pruning, before the signs of
+its reduced rows bounded it: ``walk_simplices`` checks the current walk
+on pools of 15--22 points.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from sonckit.errors import CapExceeded, DimensionMismatch
+from sonckit.exactlp import _pivot
 from sonckit.forms import Exponent, RationalLike, SparseForm, grlex_key
 from sonckit.geometry import DEFAULT_CANDIDATE_CAP, Simplex
 
@@ -294,6 +300,85 @@ def enumerate_simplices(
             if weights is not None:
                 found.append(Simplex(vertices=subset, barycentric=weights))
     return found
+
+
+def walk_simplices(
+    beta: Exponent,
+    candidates: Iterable[Exponent],
+    cap: int = DEFAULT_CANDIDATE_CAP,
+) -> list[Simplex]:
+    """The depth-first circuit walk of ``sonckit.geometry`` with the
+    bitmask rule as its only pruning: no bound from the signs of the
+    pivot rows.  It is fast enough for pools of 15--22 points, where the
+    subset enumeration above is not.  It shares only the kernel's
+    ``_pivot`` with the package.
+    """
+    beta = tuple(beta)
+    points = {tuple(p) for p in candidates}
+    if any(len(point) != len(beta) for point in points):
+        raise DimensionMismatch(f"a candidate differs in length from {beta}")
+    # A simplex covering beta in its relative interior uses only points
+    # vanishing wherever beta vanishes (weights are strictly positive).
+    zero_positions = [i for i, b in enumerate(beta) if b == 0]
+    pool = sorted(
+        (point for point in points if all(point[i] == 0 for i in zero_positions)),
+        key=grlex_key,
+    )
+    if len(pool) > cap:
+        raise CapExceeded(
+            f"{len(pool)} candidate points for {beta} exceed the cap of {cap}"
+        )
+    # Bit i: coordinate i at most beta's; bit n + i: at least beta's.
+    n, size = len(beta), len(pool)
+    full = (1 << 2 * n) - 1
+    masks = [
+        sum(1 << i for i in range(n) if point[i] <= beta[i])
+        | sum(1 << n + i for i in range(n) if point[i] >= beta[i])
+        for point in pool
+    ]
+    # later[j]: OR of the masks of pool[j:].
+    later = [0] * (size + 1)
+    for j in range(size - 1, -1, -1):
+        later[j] = later[j + 1] | masks[j]
+    found: list[tuple[tuple[int, ...], tuple[Fraction, ...]]] = []
+
+    def walk(prefix, pivot_rows, free, rows, scales, previous, covered):
+        # Column k of ``rows`` is d_k; pivot_rows[i] holds the pivot of
+        # column prefix[i], the rows in ``free`` are zero on the prefix
+        # columns.
+        for j in range(prefix[-1] + 1 if prefix else 0, size):
+            if covered | masks[j] | later[j + 1] != full:
+                continue
+            for top in free:
+                if rows[top][j]:
+                    break
+            else:
+                # d_j = sum c_k d_k with c_k = rows[r][j] / rows[r][k]; a
+                # simplex when every c_k < 0, its weights -c_k and 1 over
+                # their sum, here integer parts over lcm(rows[r][k]).
+                pairs = [(rows[r][j], rows[r][k]) for r, k in zip(pivot_rows, prefix)]
+                if all(a * b < 0 for a, b in pairs):
+                    common = math.lcm(*[b for _, b in pairs])
+                    parts = [-a * (common // b) for a, b in pairs]
+                    total = common + sum(parts)
+                    weights = (*(Fraction(part, total) for part in parts),
+                               Fraction(common, total))
+                    found.append(((*prefix, j), weights))
+                continue
+            # _pivot rebinds every row it changes, so copies of the two
+            # lists leave this level's form intact.
+            child_rows, child_scales = rows[:], scales[:]
+            pivot = _pivot(child_rows, child_scales, top, j, previous)
+            walk((*prefix, j), (*pivot_rows, top), [r for r in free if r != top],
+                 child_rows, child_scales, pivot, covered | masks[j])
+
+    rows = [[point[i] - beta[i] for point in pool] for i in range(n)]
+    walk((), (), list(range(n)), rows, [1] * n, 1, 0)
+    found.sort(key=lambda item: (len(item[0]), item[0]))
+    return [
+        Simplex(vertices=tuple(pool[j] for j in subset), barycentric=weights)
+        for subset, weights in found
+    ]
 
 
 def evaluate(f: SparseForm, point: Sequence[RationalLike]) -> Fraction:

@@ -386,6 +386,50 @@ def test_enumerate_simplices_rejects_candidates_of_another_length():
             enumerate_simplices(beta, candidates)
 
 
+def test_enumerate_simplices_checks_lengths_on_every_call():
+    """The sorted pool is cached per set of points and length, but a call
+    that raises is not cached: the same squares with a beta of another
+    length raise each time, before and after a call that succeeds."""
+    squares = frozenset({(4, 0, 0), (0, 4, 0), (0, 0, 4)})
+    for beta in ((1, 1), (1, 1), (2, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1)):
+        if len(beta) == 3:
+            assert enumerate_simplices(beta, squares)
+        else:
+            with pytest.raises(DimensionMismatch):
+                enumerate_simplices(beta, squares)
+
+
+def test_enumerate_simplices_takes_candidates_in_any_form():
+    """Lists, generators and duplicates give what a frozenset of tuples
+    gives, whatever an earlier call left in the cache."""
+    squares = [(6, 0, 0), (0, 6, 0), (0, 0, 6), (2, 2, 2), (4, 2, 0), (0, 2, 4)]
+    beta = (2, 3, 1)
+    expected = enumerate_simplices(beta, frozenset(squares))
+    assert len(expected) > 1
+    for candidates in (
+        [list(p) for p in squares],
+        (p for p in reversed(squares)),
+        squares + squares[:3],
+        iter([list(p) for p in squares * 2]),
+        frozenset(squares),
+    ):
+        assert enumerate_simplices(beta, candidates) == expected
+
+
+def test_enumerate_simplices_cached_pool_is_immutable():
+    """The cached pool is a tuple of tuples, so neither a caller nor the
+    walk can change what a later call with the same squares is given."""
+    squares = [[2, 0], [0, 2], [1, 1]]
+    first = enumerate_simplices((1, 1), squares)
+    squares[0][0] = 8
+    pool = geometry._sorted_pool(frozenset({(2, 0), (0, 2), (1, 1)}), 2)
+    assert pool == ((0, 2), (1, 1), (2, 0))
+    hash(pool)  # every level is immutable
+    with pytest.raises(TypeError):
+        pool[0] = (8, 0)
+    assert enumerate_simplices((1, 1), [(2, 0), (0, 2), (1, 1)]) == first
+
+
 def test_enumerate_simplices_exhaustive_closure():
     """Returned subsets re-verify; every non-returned subset fails either
     affine independence or relative-interior membership."""
