@@ -101,13 +101,22 @@ class NecessaryConditionReport:
         )
 
 
+def _coefficient_sums(
+    f: SparseForm, partition: SupportPartition
+) -> tuple[Fraction, Fraction]:
+    """The sum of ``|f_beta|`` over the inner exponents and the sum of
+    the used squares' coefficients."""
+    inner_sum = sum((abs(f.terms[b]) for b in partition.i_set), _ZERO)
+    outer_sum = sum((f.terms[a] for a in partition.s_set - partition.r_set), _ZERO)
+    return inner_sum, outer_sum
+
+
 def necessary_condition(
     f: SparseForm, partition: SupportPartition
 ) -> NecessaryConditionReport:
     if f.is_zero:
         raise ZeroFormInput("necessary condition needs a nonzero form")
-    inner_sum = sum((abs(f.terms[b]) for b in partition.i_set), _ZERO)
-    outer_sum = sum((f.terms[a] for a in partition.s_set - partition.r_set), _ZERO)
+    inner_sum, outer_sum = _coefficient_sums(f, partition)
     uncovered = partition.uncovered_inner
     if not partition.i_set:
         verdict = ConditionVerdict.VACUOUS
@@ -156,8 +165,7 @@ def corollary_check(f: SparseForm, partition: SupportPartition) -> CorollaryRepo
     a used square has a positive coefficient, so one pass over each
     family, over the vertices all its simplices share, finds them all.
     """
-    inner_sum = sum((abs(f.terms[b]) for b in partition.i_set), _ZERO)
-    outer_sum = sum((f.terms[a] for a in partition.s_set - partition.r_set), _ZERO)
+    inner_sum, outer_sum = _coefficient_sums(f, partition)
     if partition.uncovered_inner or inner_sum != outer_sum:
         raise PreconditionNotEquality(
             "corollary applies only when the inner and outer sums agree"

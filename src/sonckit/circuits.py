@@ -240,9 +240,7 @@ def compare_circuit_number(theta: CircuitNumber, t: Fraction | int) -> Compariso
         raise ValueError("comparison is defined for nonnegative t")
     if t == 0:
         return Comparison.LESS  # bases are positive, so theta > 0
-    lcm = 1
-    for weight in theta.exponents:
-        lcm = lcm * weight.denominator // math.gcd(lcm, weight.denominator)
+    lcm = math.lcm(*(weight.denominator for weight in theta.exponents))
     lhs = t**lcm
     rhs = Fraction(1)
     for base, weight in zip(theta.factor_bases, theta.exponents):

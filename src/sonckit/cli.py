@@ -10,6 +10,7 @@ Exit codes: 0 ok, 1 input error, 2 internal invariant violation,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -67,22 +68,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
             return 1
     rows = run_corpus(name_filter=args.filter)
     if args.json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "entry": row.entry,
-                        "check": row.check,
-                        "expected": row.expected,
-                        "got": row.got,
-                        "ok": row.ok,
-                        "citation": row.citation,
-                    }
-                    for row in rows
-                ],
-                indent=2,
-            )
-        )
+        print(json.dumps([dataclasses.asdict(row) for row in rows], indent=2))
     else:
         if rows:
             widths = [

@@ -8,16 +8,16 @@ exact rational LP from :mod:`sonckit.exactlp`.  The covering simplices of
 an inner exponent ``beta`` are the positive circuits of the vectors
 ``p - beta``; one depth-first walk finds them, pivoting each linearly
 independent prefix once on the same fraction-free kernel and reading the
-weights off its integer pivots.  Two rules read off the signs of the
-reduced rows bound the walk.  A pivot row is zero on the other prefix
-columns, so a positive kernel vector needs a later point whose entry in
-that row has the sign opposite to the pivot's: each pivot row's last
-such point bounds the walk's next point.  A new independent point
-becomes the pivot of its row, so it is pivoted only if a later point has
-the opposite sign in that row.  The squares are checked and sorted once
-per set, not once per inner exponent.  The support partition enumerates
-the simplices first and takes the hull over the squares and the
-uncovered inner exponents only, since a covered one is no vertex.
+weights off its integer pivots.  The walk prunes on the signs of its
+reduced rows alone, by two rules.  A pivot row is zero on the other
+prefix columns, so a positive kernel vector needs a later point whose
+entry in that row has the sign opposite to the pivot's: each pivot
+row's last such point bounds the walk's next point.  A new independent
+point becomes the pivot of its row, so it is pivoted only if a later
+point has the opposite sign in that row.  The squares are checked and
+sorted once per set, not once per inner exponent.  The support partition
+enumerates the simplices first and takes the hull over the squares and
+the uncovered inner exponents only, since a covered one is no vertex.
 Nothing here touches floating point.
 """
 
@@ -154,8 +154,7 @@ def hull_vertices(points: Iterable[Exponent]) -> frozenset[Exponent]:
     unique = canonical_points(points)
     if not unique:
         raise ValueError("empty point set")
-    if any(len(point) != len(unique[0]) for point in unique):
-        raise DimensionMismatch(f"the points {unique} differ in length")
+    check_common_length(unique)
     if len(unique) == 1:
         return frozenset(unique)
     alive = unique
@@ -249,14 +248,10 @@ def enumerate_simplices(
     over their sum.  (``p = beta`` has ``d_p = 0`` and is a simplex of one
     point.)
 
-    Three rules prune the walk.  Every simplex below a prefix P is
-    ``P | T``, with T a set of later points and a kernel vector ``x > 0``.
+    Two rules read off the signs of the reduced rows prune the walk.
+    Every simplex below a prefix P is ``P | T``, with T a set of later
+    points and a kernel vector ``x > 0``.
 
-    * Bitmasks bound the first point of T.  Each point carries the
-      bitmask of coordinates where it is at most ``beta`` and of those
-      where it is at least ``beta``.  T can start at ``j`` only if the OR
-      over P and the points from ``j`` on is full: ``beta`` must be
-      reached in every coordinate from below and from above.
     * Pivot rows bound the loop.  The pivot row ``r`` of prefix column
       ``k`` is zero on the other prefix columns, so
       ``rows[r][k] x_k = -sum_{q in T} rows[r][q] x_q``.  T must hold
@@ -268,9 +263,9 @@ def enumerate_simplices(
       ``P + j``, so by the rule above the walk pivots on it only if some
       ``q > j`` has ``rows[top][q] * rows[top][j] < 0``.
 
-    The sign rules compare signs within one row, so the row's scale,
-    which may be negative, does not matter.  Candidates strictly above
-    the cap raise :class:`CapExceeded`, candidates of another length than
+    Both rules compare signs within one row, so the row's scale, which
+    may be negative, does not matter.  Candidates strictly above the cap
+    raise :class:`CapExceeded`, candidates of another length than
     ``beta`` :class:`DimensionMismatch`.
     """
     beta = tuple(beta)
@@ -287,33 +282,15 @@ def enumerate_simplices(
     if size > cap:
         raise CapExceeded(f"{size} candidate points for {beta} exceed the cap of {cap}")
     rows = [[point[i] - beta[i] for point in pool] for i in range(n)]
-    # Bit i: coordinate i at most beta's; bit n + i: at least beta's.
-    full = (1 << 2 * n) - 1
-    masks = [0] * size
-    for i, row in enumerate(rows):
-        below, above = 1 << i, 1 << n + i
-        for q, d in enumerate(row):
-            if d <= 0:
-                masks[q] |= below
-            if d >= 0:
-                masks[q] |= above
-    # later[j]: OR of the masks of pool[j:].
-    later = [0] * (size + 1)
-    for j in range(size - 1, -1, -1):
-        later[j] = later[j + 1] | masks[j]
     found: list[tuple[tuple[int, ...], tuple[Fraction, ...]]] = []
 
-    def walk(prefix, pivot_rows, free, rows, scales, previous, covered):
+    def walk(prefix, pivot_rows, free, rows, scales, previous):
         # Column k of ``rows`` is d_k; pivot_rows[i] holds the pivot of
         # column prefix[i], the rows in ``free`` are zero on the prefix
-        # columns.  later[j] only shrinks as j grows, so the bitmask rule
-        # is a bound on j like the pivot rows' rule.
+        # columns.  Each pivot row bounds j by its last opposite sign.
         start = prefix[-1] + 1 if prefix else 0
-        stop = size
-        while stop > start and covered | later[stop - 1] != full:
-            stop -= 1
-        for r, k in zip(pivot_rows, prefix):
-            stop = min(stop, _last_opposite(rows[r], rows[r][k], start) + 1)
+        stop = min((_last_opposite(rows[r], rows[r][k], start) + 1
+                    for r, k in zip(pivot_rows, prefix)), default=size)
         for j in range(start, stop):
             for top in free:
                 if rows[top][j]:
@@ -338,9 +315,9 @@ def enumerate_simplices(
             child_rows, child_scales = rows[:], scales[:]
             pivot = _pivot(child_rows, child_scales, top, j, previous)
             walk((*prefix, j), (*pivot_rows, top), [r for r in free if r != top],
-                 child_rows, child_scales, pivot, covered | masks[j])
+                 child_rows, child_scales, pivot)
 
-    walk((), (), list(range(n)), rows, [1] * n, 1, 0)
+    walk((), (), list(range(n)), rows, [1] * n, 1)
     found.sort(key=lambda item: (len(item[0]), item[0]))
     return [
         Simplex(vertices=tuple(pool[j] for j in subset), barycentric=weights)

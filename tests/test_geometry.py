@@ -1,17 +1,15 @@
 """Newton-polytope geometry: hull vertices, simplex families, lattice points."""
 
-import importlib.util
 import itertools
 import math
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from benchmark_forms import random_specs
 from sonckit import exactlp, geometry
 from sonckit.errors import (
     AffinelyDependentInput,
@@ -217,17 +215,6 @@ def test_hull_vertices_rejects_points_of_another_length():
 # face restriction of the hull LPs
 # ---------------------------------------------------------------------------
 
-def _sparse_forms():
-    """``perfbench/sparse_forms.py``, the benchmark's random forms."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "sparse_forms.py"
-    spec = importlib.util.spec_from_file_location("sparse_forms", path)
-    module = importlib.util.module_from_spec(spec)
-    # Its dataclass looks its module up in sys.modules.
-    sys.modules.setdefault(spec.name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _unrestricted_hull_vertices(points):
     """The points that are no convex combination of all the others, one
     LP each over every other point: no face, no alive set."""
@@ -260,7 +247,7 @@ def test_hull_vertices_of_p_family(n):
 
 @pytest.mark.parametrize("seed", [7, 8, 9])
 def test_hull_vertices_of_benchmark_random_forms(seed):
-    for spec in _sparse_forms().random_forms(seed):
+    for spec in random_specs(seed):
         support = canonical_points(spec.terms)
         assert hull_vertices(support) == _unrestricted_hull_vertices(support), spec.name
         _assert_partition_vertices_are_the_hull(make_form(spec.num_vars, spec.terms))
