@@ -14,7 +14,7 @@ import itertools
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import sub
 from typing import Callable, Iterable
@@ -45,7 +45,6 @@ from .forms import (
     evaluate_many,
     form_power,
     grlex_key,
-    make_form,
     mul_forms,
     multiply_monomial_square,
     parse_form,
@@ -101,7 +100,7 @@ def robinson2() -> SparseForm:
         add_forms(x, y, z, scale_form(w, -2)),
     )
     form = add_forms(clamp(x), clamp(y), clamp(z), tail)
-    return make_form(4, form.terms, name="robinson2")
+    return replace(form, name="robinson2")
 
 
 def choi_lam_q1() -> SparseForm:
@@ -132,7 +131,7 @@ def schmuedgen() -> SparseForm:
     )
     part2 = mul_forms(mul_forms(mul_forms(c1, x), c2), c3)
     form = add_forms(part1, part2)
-    return make_form(3, form.terms, name="schmuedgen")
+    return replace(form, name="schmuedgen")
 
 
 def p_family(n: int, two_d: int) -> SparseForm:
@@ -151,7 +150,7 @@ def p_family(n: int, two_d: int) -> SparseForm:
         )
         pieces.append(mul_forms(base, base))
     form = add_forms(*pieces)
-    return make_form(n, form.terms, name=f"p_{n}_{two_d}")
+    return replace(form, name=f"p_{n}_{two_d}")
 
 
 def q_family(n: int, two_d: int) -> SparseForm:
@@ -164,7 +163,7 @@ def q_family(n: int, two_d: int) -> SparseForm:
     spares = [form_power(variable(n, i), two_d) for i in range(3, n)]
     if spares:
         form = add_forms(form, *spares)
-    return make_form(n, form.terms, name=f"q_{n}_{two_d}")
+    return replace(form, name=f"q_{n}_{two_d}")
 
 
 def square_trinomial() -> SparseForm:
@@ -176,7 +175,7 @@ def square_trinomial() -> SparseForm:
         scale_form(mul_forms(form_power(y, 2), form_power(z, 2)), Fraction(-1, 2)),
     )
     form = mul_forms(t, t)
-    return make_form(3, form.terms, name="square_trinomial")
+    return replace(form, name="square_trinomial")
 
 
 def separator_ternary() -> SparseForm:
@@ -189,14 +188,14 @@ def separator_ternary() -> SparseForm:
         mul_forms(form_power(x, 2), y),
     )
     form = add_forms(scale_form(mul_forms(g, g), Fraction(1, 2)), motzkin())
-    return make_form(3, form.terms, name="separator_ternary")
+    return replace(form, name="separator_ternary")
 
 
 def separator_quaternary() -> SparseForm:
     x, y, z, w = (variable(4, i) for i in range(1, 5))
     h = add_forms(mul_forms(x, y), mul_forms(x, z), mul_forms(y, z))
     form = add_forms(mul_forms(h, h), form_power(w, 4), choi_lam_q1())
-    return make_form(4, form.terms, name="separator_quaternary")
+    return replace(form, name="separator_quaternary")
 
 
 MOTZKIN_SHEAR = ((1, 0, -1), (0, 1, -1), (0, 0, 1))
@@ -207,12 +206,12 @@ CHOI_LAM_SHEAR_INVERSE = ((1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, -1), (0, 0, 0, 1
 
 def motzkin_tilde() -> SparseForm:
     form = substitute_linear(motzkin(), MOTZKIN_SHEAR)
-    return make_form(3, form.terms, name="motzkin_tilde")
+    return replace(form, name="motzkin_tilde")
 
 
 def q1_tilde() -> SparseForm:
     form = substitute_linear(choi_lam_q1(), CHOI_LAM_SHEAR)
-    return make_form(4, form.terms, name="q1_tilde")
+    return replace(form, name="q1_tilde")
 
 
 FORM_BUILDERS: dict[str, Callable[[], SparseForm]] = {

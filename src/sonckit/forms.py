@@ -40,9 +40,6 @@ from .exactlp import integer_numerators
 Exponent = tuple[int, ...]
 RationalLike = Fraction | int | str
 
-_ZERO = Fraction(0)
-
-
 def grlex_key(exponent: Exponent) -> tuple[int, Exponent]:
     """Graded-lexicographic sort key: total degree first, then lex."""
     return (sum(exponent), exponent)
@@ -106,8 +103,11 @@ def make_form(
     items = terms.items() if isinstance(terms, Mapping) else terms
     combined: dict[Exponent, Fraction] = {}
     degree: int | None = None
-    for exponent, coeff in items:
-        exponent = tuple(int(e) for e in exponent)
+    for given, coeff in items:
+        given = tuple(given)
+        exponent = tuple(map(int, given))
+        if exponent != given:
+            raise ValueError(f"non-integral entry in exponent {given}")
         if len(exponent) != num_vars:
             raise DimensionMismatch(
                 f"exponent {exponent} has length {len(exponent)}, expected {num_vars}"
@@ -121,7 +121,8 @@ def make_form(
             raise NotHomogeneous(
                 f"mixed total degrees {degree} and {total} in one form"
             )
-        combined[exponent] = combined.get(exponent, _ZERO) + Fraction(coeff)
+        coeff = Fraction(coeff)
+        combined[exponent] = combined[exponent] + coeff if exponent in combined else coeff
     ordered = {
         e: c
         for e, c in sorted(combined.items(), key=lambda t: grlex_key(t[0]), reverse=True)
@@ -523,7 +524,40 @@ def evaluate_float(f: SparseForm, point: Sequence[float]) -> float:
 
 # ---------------------------------------------------------------------------
 # form arithmetic (what the transforms and test-instance builders need)
+#
+# The arithmetic runs on integer numerators: each input form becomes its
+# coefficients' numerators over their least common denominator, one product
+# kernel multiplies ``{exponent: int}`` maps, and each coefficient of the
+# result is built as a ``Fraction`` once, at the end.
 # ---------------------------------------------------------------------------
+
+def _numerators(f: SparseForm) -> tuple[dict[Exponent, int], int]:
+    numerators, denominator = integer_numerators(list(f.terms.values()))
+    return dict(zip(f.terms, numerators)), denominator
+
+
+def _product(a: dict[Exponent, int], b: dict[Exponent, int]) -> dict[Exponent, int]:
+    """The product of two ``{exponent: int}`` maps; a cancelled term stays as 0."""
+    out: dict[Exponent, int] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(map(add, ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return out
+
+
+def _from_numerators(
+    num_vars: int, numerators: dict[Exponent, int], denominator: int, degree: int
+) -> SparseForm:
+    """The form ``numerators / denominator``, zeros dropped.  Its exponents
+    share one total degree, so descending order is graded-lex order."""
+    terms = {
+        e: Fraction(numerators[e], denominator)
+        for e in sorted(numerators, reverse=True)
+        if numerators[e]
+    }
+    return SparseForm(num_vars=num_vars, degree=degree, terms=terms)
+
 
 def add_forms(*forms: SparseForm) -> SparseForm:
     if not forms:
@@ -534,38 +568,36 @@ def add_forms(*forms: SparseForm) -> SparseForm:
     degrees = {f.degree for f in forms if not f.is_zero}
     if len(degrees) > 1:
         raise NotHomogeneous(f"cannot add forms of degrees {sorted(degrees)}")
-    pairs = [(e, c) for f in forms for e, c in f.terms.items()]
+    numerators, denominator = integer_numerators([c for f in forms for c in f.terms.values()])
+    total: dict[Exponent, int] = {}
+    for e, c in zip([e for f in forms for e in f.terms], numerators):
+        total[e] = total.get(e, 0) + c
     hint = degrees.pop() if degrees else forms[0].degree
-    return make_form(num_vars, pairs, zero_degree=hint)
+    return _from_numerators(num_vars, total, denominator, hint)
 
 
 def scale_form(f: SparseForm, factor: RationalLike) -> SparseForm:
     factor = Fraction(factor)
-    return make_form(
-        f.num_vars,
-        [(e, c * factor) for e, c in f.terms.items()],
-        zero_degree=f.degree,
-    )
+    numerators, denominator = _numerators(f)
+    scaled = {e: c * factor.numerator for e, c in numerators.items()}
+    return _from_numerators(f.num_vars, scaled, denominator * factor.denominator, f.degree)
 
 
 def mul_forms(f: SparseForm, g: SparseForm) -> SparseForm:
     if f.num_vars != g.num_vars:
         raise DimensionMismatch("cannot multiply forms in different variable counts")
-    product: dict[Exponent, Fraction] = {}
-    for ef, cf in f.terms.items():
-        for eg, cg in g.terms.items():
-            key = tuple(a + b for a, b in zip(ef, eg))
-            product[key] = product.get(key, _ZERO) + cf * cg
-    return make_form(f.num_vars, product, zero_degree=f.degree + g.degree)
+    (a, da), (b, db) = _numerators(f), _numerators(g)
+    return _from_numerators(f.num_vars, _product(a, b), da * db, f.degree + g.degree)
 
 
 def form_power(f: SparseForm, k: int) -> SparseForm:
     if k < 0:
         raise ValueError("nonnegative powers only")
-    result = make_form(f.num_vars, {(0,) * f.num_vars: Fraction(1)})
+    numerators, denominator = _numerators(f)
+    result = {(0,) * f.num_vars: 1}
     for _ in range(k):
-        result = mul_forms(result, f)
-    return result
+        result = _product(result, numerators)
+    return _from_numerators(f.num_vars, result, denominator**k, k * f.degree)
 
 
 def variable(num_vars: int, index: int) -> SparseForm:
@@ -573,7 +605,7 @@ def variable(num_vars: int, index: int) -> SparseForm:
     if not 1 <= index <= num_vars:
         raise DimensionMismatch(f"variable x{index} outside 1..{num_vars}")
     exponent = tuple(1 if i == index - 1 else 0 for i in range(num_vars))
-    return make_form(num_vars, {exponent: Fraction(1)})
+    return SparseForm(num_vars=num_vars, degree=1, terms={exponent: Fraction(1)})
 
 
 # ---------------------------------------------------------------------------
@@ -587,11 +619,8 @@ def embed_variables(f: SparseForm, m: int) -> SparseForm:
     if m == 0:
         return f
     pad = (0,) * m
-    return make_form(
-        f.num_vars + m,
-        [(e + pad, c) for e, c in f.terms.items()],
-        zero_degree=f.degree,
-    )
+    terms = {e + pad: c for e, c in f.terms.items()}
+    return SparseForm(num_vars=f.num_vars + m, degree=f.degree, terms=terms)
 
 
 def multiply_monomial_square(f: SparseForm, var_index: int, ell: int) -> SparseForm:
@@ -601,51 +630,36 @@ def multiply_monomial_square(f: SparseForm, var_index: int, ell: int) -> SparseF
     if ell < 0:
         raise ValueError("ell must be nonnegative")
     shift = 2 * ell
-    position = var_index - 1
-    pairs = [
-        (tuple(e + shift if i == position else e for i, e in enumerate(exp)), c)
-        for exp, c in f.terms.items()
-    ]
-    return make_form(f.num_vars, pairs, zero_degree=f.degree + shift)
+    i = var_index - 1
+    terms = {e[:i] + (e[i] + shift,) + e[i + 1:]: c for e, c in f.terms.items()}
+    return SparseForm(num_vars=f.num_vars, degree=f.degree + shift, terms=terms)
 
 
 def substitute_linear(f: SparseForm, matrix: Sequence[Sequence[RationalLike]]) -> SparseForm:
     """Expand ``f(A x)`` exactly for a square rational matrix ``A``.
 
     Row ``i`` of the matrix gives the substitution of variable ``x(i+1)``.
+    The matrix is scaled to one integer denominator, and the powers of each
+    row's linear form are computed once per call, as the terms need them.
     """
     n = f.num_vars
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise DimensionMismatch(f"matrix must be {n}x{n}")
-    rows = [[Fraction(v) for v in row] for row in matrix]
+    flat, scale = integer_numerators([v for row in matrix for v in row])
     one = (0,) * n
-    linear: list[dict[Exponent, Fraction]] = []
-    for row in rows:
-        entry = {
-            tuple(1 if j == i else 0 for j in range(n)): value
-            for i, value in enumerate(row)
-            if value != 0
-        }
-        linear.append(entry)
-
-    def dict_mul(a: dict[Exponent, Fraction], b: dict[Exponent, Fraction]) -> dict[Exponent, Fraction]:
-        out: dict[Exponent, Fraction] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(p + q for p, q in zip(ea, eb))
-                out[key] = out.get(key, _ZERO) + ca * cb
-        return {e: c for e, c in out.items() if c != 0}
-
-    accumulated: dict[Exponent, Fraction] = {}
-    for exponent, coeff in f.terms.items():
-        partial: dict[Exponent, Fraction] = {one: coeff}
-        for position, power in enumerate(exponent):
-            for _ in range(power):
-                partial = dict_mul(partial, linear[position])
-                if not partial:
-                    break
-            if not partial:
-                break
+    # chains[i][p] is the p-th power of row i's linear form, over scale**p.
+    units = [one[:j] + (1,) + one[j + 1:] for j in range(n)]
+    rows = [flat[i * n:i * n + n] for i in range(n)]
+    chains = [[{one: 1}, {e: v for e, v in zip(units, row) if v}] for row in rows]
+    numerators, denominator = _numerators(f)
+    total: dict[Exponent, int] = {}
+    for exponent, coeff in numerators.items():
+        partial = {one: coeff}
+        for chain, power in zip(chains, exponent):
+            while len(chain) <= power:
+                chain.append(_product(chain[-1], chain[1]))
+            if power:
+                partial = _product(partial, chain[power])
         for key, value in partial.items():
-            accumulated[key] = accumulated.get(key, _ZERO) + value
-    return make_form(n, accumulated, zero_degree=f.degree)
+            total[key] = total.get(key, 0) + value
+    return _from_numerators(n, total, denominator * scale**f.degree, f.degree)

@@ -19,6 +19,11 @@ That method is exponential in the pool, so the module also keeps the walk
 as it was with the bitmask rule as its only pruning, before the signs of
 its reduced rows bounded it: ``walk_simplices`` checks the current walk
 on pools of 15--22 points.
+
+Last, it keeps the form arithmetic as ``sonckit.forms`` ran it before it
+moved to integer numerators: products, powers, sums, scalings and
+substitutions term by term in ``Fraction``, each result canonicalised by
+``make_form``, and the monomial transforms re-sorted by it.
 """
 
 from __future__ import annotations
@@ -29,9 +34,9 @@ import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from sonckit.errors import CapExceeded, DimensionMismatch
+from sonckit.errors import CapExceeded, DimensionMismatch, NotHomogeneous
 from sonckit.exactlp import _pivot
-from sonckit.forms import Exponent, RationalLike, SparseForm, grlex_key
+from sonckit.forms import Exponent, RationalLike, SparseForm, grlex_key, make_form
 from sonckit.geometry import DEFAULT_CANDIDATE_CAP, Simplex
 
 _ZERO = Fraction(0)
@@ -409,3 +414,115 @@ def sampling_nonneg(f: SparseForm, count: int) -> str:
         if evaluate(f, point) < 0:
             return f"negative at {point}"
     return "ok"
+
+
+def add_forms(*forms: SparseForm) -> SparseForm:
+    if not forms:
+        raise ValueError("add_forms needs at least one form")
+    num_vars = forms[0].num_vars
+    if any(f.num_vars != num_vars for f in forms):
+        raise DimensionMismatch("cannot add forms in different variable counts")
+    degrees = {f.degree for f in forms if not f.is_zero}
+    if len(degrees) > 1:
+        raise NotHomogeneous(f"cannot add forms of degrees {sorted(degrees)}")
+    pairs = [(e, c) for f in forms for e, c in f.terms.items()]
+    hint = degrees.pop() if degrees else forms[0].degree
+    return make_form(num_vars, pairs, zero_degree=hint)
+
+
+def scale_form(f: SparseForm, factor: RationalLike) -> SparseForm:
+    factor = Fraction(factor)
+    return make_form(
+        f.num_vars,
+        [(e, c * factor) for e, c in f.terms.items()],
+        zero_degree=f.degree,
+    )
+
+
+def mul_forms(f: SparseForm, g: SparseForm) -> SparseForm:
+    if f.num_vars != g.num_vars:
+        raise DimensionMismatch("cannot multiply forms in different variable counts")
+    product: dict[Exponent, Fraction] = {}
+    for ef, cf in f.terms.items():
+        for eg, cg in g.terms.items():
+            key = tuple(a + b for a, b in zip(ef, eg))
+            product[key] = product.get(key, _ZERO) + cf * cg
+    return make_form(f.num_vars, product, zero_degree=f.degree + g.degree)
+
+
+def form_power(f: SparseForm, k: int) -> SparseForm:
+    if k < 0:
+        raise ValueError("nonnegative powers only")
+    result = make_form(f.num_vars, {(0,) * f.num_vars: _ONE})
+    for _ in range(k):
+        result = mul_forms(result, f)
+    return result
+
+
+def embed_variables(f: SparseForm, m: int) -> SparseForm:
+    """Zero-pad every exponent to ``num_vars + m`` variables."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    if m == 0:
+        return f
+    pad = (0,) * m
+    return make_form(
+        f.num_vars + m,
+        [(e + pad, c) for e, c in f.terms.items()],
+        zero_degree=f.degree,
+    )
+
+
+def multiply_monomial_square(f: SparseForm, var_index: int, ell: int) -> SparseForm:
+    """Multiply by ``x<var_index>^(2*ell)``; raises the degree by ``2*ell``."""
+    if not 1 <= var_index <= f.num_vars:
+        raise DimensionMismatch(f"variable x{var_index} outside 1..{f.num_vars}")
+    if ell < 0:
+        raise ValueError("ell must be nonnegative")
+    shift = 2 * ell
+    position = var_index - 1
+    pairs = [
+        (tuple(e + shift if i == position else e for i, e in enumerate(exp)), c)
+        for exp, c in f.terms.items()
+    ]
+    return make_form(f.num_vars, pairs, zero_degree=f.degree + shift)
+
+
+def substitute_linear(f: SparseForm, matrix: Sequence[Sequence[RationalLike]]) -> SparseForm:
+    """Expand ``f(A x)`` exactly for a square rational matrix ``A``, one
+    linear factor at a time."""
+    n = f.num_vars
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise DimensionMismatch(f"matrix must be {n}x{n}")
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    one = (0,) * n
+    linear: list[dict[Exponent, Fraction]] = []
+    for row in rows:
+        entry = {
+            tuple(1 if j == i else 0 for j in range(n)): value
+            for i, value in enumerate(row)
+            if value != 0
+        }
+        linear.append(entry)
+
+    def dict_mul(a: dict[Exponent, Fraction], b: dict[Exponent, Fraction]) -> dict[Exponent, Fraction]:
+        out: dict[Exponent, Fraction] = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                key = tuple(p + q for p, q in zip(ea, eb))
+                out[key] = out.get(key, _ZERO) + ca * cb
+        return {e: c for e, c in out.items() if c != 0}
+
+    accumulated: dict[Exponent, Fraction] = {}
+    for exponent, coeff in f.terms.items():
+        partial: dict[Exponent, Fraction] = {one: coeff}
+        for position, power in enumerate(exponent):
+            for _ in range(power):
+                partial = dict_mul(partial, linear[position])
+                if not partial:
+                    break
+            if not partial:
+                break
+        for key, value in partial.items():
+            accumulated[key] = accumulated.get(key, _ZERO) + value
+    return make_form(n, accumulated, zero_degree=f.degree)

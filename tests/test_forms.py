@@ -13,6 +13,7 @@ from sonckit.forms import (
     evaluate,
     evaluate_float,
     format_form,
+    grlex_key,
     load_form_file,
     make_form,
     mul_forms,
@@ -27,6 +28,8 @@ from sonckit.corpus import (
     MOTZKIN_SHEAR,
     MOTZKIN_SHEAR_INVERSE,
     motzkin,
+    p_family,
+    q_family,
     robinson1,
 )
 
@@ -89,6 +92,39 @@ def test_round_trip_zero_form_keeps_degree():
 def test_canonical_term_order_is_graded_lex():
     f = parse_form("x3^6 - 3*x1^2*x2^2*x3^2 + x1^2*x2^4 + x1^4*x2^2")
     assert list(f.terms.keys()) == [(4, 2, 0), (2, 4, 0), (2, 2, 2), (0, 0, 6)]
+
+
+@pytest.mark.parametrize("exponent", [(2.5, 1.5), ("2", 1)])
+def test_make_form_rejects_non_integral_exponent_entries(exponent):
+    with pytest.raises(ValueError, match=r"exponent \(.*\)"):
+        make_form(2, {exponent: 1})
+
+
+def test_make_form_accepts_integral_exponent_entries():
+    f = make_form(2, [((2, 1), 1), ((2.0, 1.0), 1)])
+    assert list(f.terms.items()) == [((2, 1), Fraction(2))]
+    assert all(type(e) is int for e in next(iter(f.terms)))
+
+
+_BUILT = {
+    **FORM_BUILDERS,
+    **{f"p_{n}_{d}": (lambda n=n, d=d: p_family(n, d)) for n, d in [(4, 6), (6, 8), (9, 6)]},
+    **{f"q_{n}_{d}": (lambda n=n, d=d: q_family(n, d)) for n, d in [(4, 6), (5, 4), (6, 10)]},
+}
+
+
+@pytest.mark.parametrize("name", _BUILT)
+def test_built_forms_are_named_and_canonical(name):
+    """Builders rename their last form with ``dataclasses.replace``, and
+    the arithmetic and the monomial transforms lay out terms without
+    ``make_form``: each result must still be what ``make_form`` would
+    make of its terms, in graded-lex descending order."""
+    f = _BUILT[name]()
+    assert f.name == name
+    for g in (f, embed_variables(f, 1), multiply_monomial_square(f, f.num_vars, 1)):
+        keys = [grlex_key(e) for e in g.terms]
+        assert keys == sorted(keys, reverse=True)
+        assert list(make_form(g.num_vars, g.terms).terms.items()) == list(g.terms.items())
 
 
 def test_file_round_trip(tmp_path):

@@ -3,7 +3,9 @@
 Every routine must return exactly what the ``Fraction`` implementation in
 ``fraction_oracle`` returns: the same rank, the same solution vector, the
 same LP weights (hence the same pivot path), the same value and the same
-sampling-check string.
+sampling-check string.  The form arithmetic on integer numerators must
+build the same terms, in the same order, with the same degree and variable
+count as the ``Fraction`` arithmetic before it.
 """
 
 import itertools
@@ -25,7 +27,20 @@ from sonckit.exactlp import (
     point_in_hull,
     simplex_feasible,
 )
-from sonckit.forms import evaluate, evaluate_columns, evaluate_many, make_form, parse_form
+from sonckit.forms import (
+    add_forms,
+    embed_variables,
+    evaluate,
+    evaluate_columns,
+    evaluate_many,
+    form_power,
+    make_form,
+    mul_forms,
+    multiply_monomial_square,
+    parse_form,
+    scale_form,
+    substitute_linear,
+)
 from sonckit.geometry import barycentric_coordinates
 from sonckit.report import analyze
 
@@ -549,17 +564,20 @@ def test_kernel_matches_oracle_on_zero_heavy_systems(system):
     _assert_solver_agrees(rows, [rhs, [0] * len(rows), [1] * len(rows)])
 
 
-@st.composite
-def _forms(draw):
-    num_vars, degree = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+def _draw_form(draw, num_vars, degree, max_terms=6):
     # A monomial of the degree, as the multiset of its variables.
     monomials = st.lists(st.integers(0, num_vars - 1), min_size=degree, max_size=degree)
-    terms = draw(st.lists(st.tuples(monomials, _rationals), max_size=6))
+    terms = draw(st.lists(st.tuples(monomials, _rationals), max_size=max_terms))
     return make_form(
         num_vars,
         [(tuple(m.count(i) for i in range(num_vars)), c) for m, c in terms],
         zero_degree=degree,
     )
+
+
+@st.composite
+def _forms(draw):
+    return _draw_form(draw, draw(st.integers(1, 4)), draw(st.integers(0, 6)))
 
 
 def _points(f):
@@ -719,3 +737,88 @@ def test_schedule_cache_keeps_each_form_apart():
                 assert Fraction(value, denominator) == oracle.evaluate(f, point)
             point = (Fraction(rng.randint(-9, 9), 4), 3, Fraction(-1, 2))
             assert evaluate(f, point) == oracle.evaluate(f, point)
+
+
+# ---------------------------------------------------------------------------
+# form arithmetic
+# ---------------------------------------------------------------------------
+
+def _matrices(n):
+    """Square matrices: dense rational, singular (a zero row or a multiple
+    of the first row), permutation and shear (the identity plus one
+    rational entry)."""
+    dense = st.lists(_rationals, min_size=n * n, max_size=n * n).map(
+        lambda flat: [flat[i * n:(i + 1) * n] for i in range(n)]
+    )
+
+    def singular(case):
+        rows, scale = case
+        return rows[:-1] + [[scale * v for v in rows[0]]] if n > 1 else [[0]]
+
+    def shear(case):
+        i, j, value = case
+        return [[value if (r, c) == (i, j) else int(r == c) for c in range(n)] for r in range(n)]
+
+    index = st.integers(0, n - 1)
+    return st.one_of(
+        dense,
+        st.tuples(dense, st.one_of(st.just(0), _rationals)).map(singular),
+        st.permutations(range(n)).map(lambda p: [[int(c == p[r]) for c in range(n)] for r in range(n)]),
+        st.tuples(index, index, _rationals).map(shear),
+    )
+
+
+@st.composite
+def _arithmetic_cases(draw):
+    """Forms ``f`` and ``h`` of one degree and ``g`` of another, in one
+    variable count, any of them possibly zero, with rational coefficients
+    over mixed denominators; ``minus_f`` cancels ``f`` in a sum.  Also a
+    scale factor (0, negative, rational), a power, a matrix, a number of
+    variables to embed into and a monomial square."""
+    n = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 4))
+    f = _draw_form(draw, n, degree, max_terms=5)
+    g = _draw_form(draw, n, draw(st.integers(0, 3)), max_terms=4)
+    h = _draw_form(draw, n, degree, max_terms=5)
+    minus_f = make_form(n, [(e, -c) for e, c in f.terms.items()], zero_degree=degree)
+    return {
+        "f": f, "g": g, "h": h, "minus_f": minus_f,
+        "factor": draw(st.one_of(st.just(0), st.just(-1), _rationals)),
+        "k": draw(st.integers(0, 3)),
+        "matrix": draw(_matrices(n)),
+        "m": draw(st.integers(0, 2)),
+        "var_index": draw(st.integers(1, n)),
+        "ell": draw(st.integers(0, 2)),
+    }
+
+
+def _assert_same_form(new, old):
+    assert list(new.terms.items()) == list(old.terms.items())
+    assert (new.degree, new.num_vars) == (old.degree, old.num_vars)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_arithmetic_cases())
+@example({  # mixed denominators, a negative rational factor and a shear
+    "f": parse_form("x1 - 1/2*x2"), "g": parse_form("1/3*x1 + x2"),
+    "h": parse_form("x2 - x1"), "minus_f": parse_form("1/2*x2 - x1"),
+    "factor": Fraction(-1, 2), "k": 2, "matrix": [[1, 1], [0, 2]],
+    "m": 1, "var_index": 2, "ell": 1,
+})
+def test_form_arithmetic_matches_oracle_hypothesis(case):
+    f, g, h, minus_f = case["f"], case["g"], case["h"], case["minus_f"]
+    _assert_same_form(mul_forms(f, g), oracle.mul_forms(f, g))
+    _assert_same_form(mul_forms(g, minus_f), oracle.mul_forms(g, minus_f))
+    _assert_same_form(form_power(f, case["k"]), oracle.form_power(f, case["k"]))
+    for terms in [(f, h), (f, minus_f), (f, h, minus_f), (minus_f, f, h, g)]:
+        if len({t.degree for t in terms if not t.is_zero}) <= 1:
+            _assert_same_form(add_forms(*terms), oracle.add_forms(*terms))
+    _assert_same_form(scale_form(f, case["factor"]), oracle.scale_form(f, case["factor"]))
+    _assert_same_form(
+        substitute_linear(f, case["matrix"]), oracle.substitute_linear(f, case["matrix"])
+    )
+    _assert_same_form(embed_variables(f, case["m"]), oracle.embed_variables(f, case["m"]))
+    _assert_same_form(
+        multiply_monomial_square(f, case["var_index"], case["ell"]),
+        oracle.multiply_monomial_square(f, case["var_index"], case["ell"]),
+    )
