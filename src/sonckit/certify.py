@@ -31,7 +31,9 @@ from typing import Iterable, Sequence
 
 from .errors import (
     BudgetExceeded,
+    DimensionMismatch,
     FloatRangeExceeded,
+    NotHomogeneous,
     PreconditionNotEquality,
     UncoveredInnerExponent,
     ZeroFormInput,
@@ -217,7 +219,7 @@ def verify_decomposition(f: SparseForm, d: SoncDecomposition) -> VerificationRes
         total = add_forms(
             *(c.form for c in d.circuits), d.monomial_square_remainder
         ) if d.circuits else d.monomial_square_remainder
-    except Exception:
+    except (DimensionMismatch, NotHomogeneous):
         return VerificationResult(False, "sum_mismatch")
     if total != f:
         return VerificationResult(False, "sum_mismatch")

@@ -19,9 +19,14 @@ ignored) is:
     term   := coeff [ '*' mono ] | mono     coeff  := int [ '/' posint ]
     mono   := factor { '*' factor }         factor := 'x' posint [ '^' posint ]
 
+Nothing in it nests, so it is a regular language: ``parse_form`` matches
+one regular expression per signed term, left to right, and checks the
+numbers it captured.
+
 Files hold one form each; lines starting with ``#`` carry metadata
-(``# name: motzkin``).  Serialization emits coefficients as ``p/q`` when
-``q != 1``, so ``parse_form(format_form(f))`` round-trips bit-exactly.
+(``# name: motzkin``, ``# vars: 3``).  Serialization emits coefficients as
+``p/q`` when ``q != 1``, so ``parse_form(format_form(f))`` round-trips
+bit-exactly, and a file keeps the variable count as well.
 """
 
 from __future__ import annotations
@@ -138,90 +143,13 @@ def make_form(
 # parsing / serialization
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\d+|[+\-*/^x]")
+# A term is a sign, which only the first term may omit (``^`` matches at
+# the start of the text alone), and a coefficient ``int [/ posint]`` with
+# an optional ``* monomial``, or a bare monomial.
+_MONO = r"x\d+(?:\^\d+)?(?:\*x\d+(?:\^\d+)?)*"
+_TERM = re.compile(rf"([+-]|^)(?:(\d+)(?:/(\d+))?(?:\*({_MONO}))?|({_MONO}))")
+_FACTOR = re.compile(r"x(\d+)(?:\^(\d+))?")
 _SPACE = re.compile(r"\s+")
-
-
-def _tokenize(text: str) -> list[str]:
-    stripped = _SPACE.sub("", text)
-    tokens: list[str] = []
-    pos = 0
-    while pos < len(stripped):
-        match = _TOKEN.match(stripped, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {stripped[pos]!r} at offset {pos}")
-        tokens.append(match.group(0))
-        pos = match.end()
-    return tokens
-
-
-class _TokenStream:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        token = self.peek()
-        if token is None:
-            raise ParseError("unexpected end of input")
-        self.pos += 1
-        return token
-
-    def expect_int(self, what: str) -> int:
-        token = self.take()
-        if not token.isdigit():
-            raise ParseError(f"expected {what}, found {token!r}")
-        return int(token)
-
-
-def _parse_factor(stream: _TokenStream) -> tuple[int, int]:
-    """factor := 'x' posint [ '^' posint ]; returns (variable index, power)."""
-    token = stream.take()
-    if token != "x":
-        raise ParseError(f"expected variable, found {token!r}")
-    index = stream.expect_int("variable index")
-    if index < 1:
-        raise ParseError("variable indices start at 1")
-    power = 1
-    if stream.peek() == "^":
-        stream.take()
-        power = stream.expect_int("exponent")
-        if power < 1:
-            raise ParseError("exponents must be positive")
-    return index, power
-
-
-def _parse_term(stream: _TokenStream) -> tuple[Fraction, dict[int, int]]:
-    coeff = Fraction(1)
-    powers: dict[int, int] = {}
-    token = stream.peek()
-    if token is None:
-        raise ParseError("empty term")
-    if token.isdigit():
-        numerator = stream.expect_int("coefficient")
-        denominator = 1
-        if stream.peek() == "/":
-            stream.take()
-            denominator = stream.expect_int("denominator")
-            if denominator < 1:
-                raise ParseError("denominators must be positive")
-        coeff = Fraction(numerator, denominator)
-        if stream.peek() == "*":
-            stream.take()
-        else:
-            return coeff, powers  # bare constant term
-    elif token != "x":
-        raise ParseError(f"expected term, found {token!r}")
-    index, power = _parse_factor(stream)
-    powers[index] = powers.get(index, 0) + power
-    while stream.peek() == "*":
-        stream.take()
-        index, power = _parse_factor(stream)
-        powers[index] = powers.get(index, 0) + power
-    return coeff, powers
 
 
 def parse_form(text: str, num_vars: int | None = None, name: str | None = None) -> SparseForm:
@@ -229,24 +157,35 @@ def parse_form(text: str, num_vars: int | None = None, name: str | None = None) 
 
     With ``num_vars`` omitted, the variable count is the maximal index
     used.  Cancellation to zero is accepted (the result is flagged by
-    ``is_zero``); mixed total degrees raise ``NotHomogeneous``.
+    ``is_zero``); mixed total degrees raise ``NotHomogeneous``.  Offsets
+    in a ``ParseError`` count characters of the text without whitespace.
     """
-    stream = _TokenStream(_tokenize(text))
-    if stream.peek() is None:
+    text = _SPACE.sub("", text)
+    if not text:
         raise ParseError("empty form")
     raw_terms: list[tuple[Fraction, dict[int, int]]] = []
-    sign = Fraction(1)
-    if stream.peek() in {"+", "-"}:
-        sign = Fraction(-1) if stream.take() == "-" else Fraction(1)
-    while True:
-        coeff, powers = _parse_term(stream)
-        raw_terms.append((sign * coeff, powers))
-        token = stream.peek()
-        if token is None:
-            break
-        if token not in {"+", "-"}:
-            raise ParseError(f"expected '+' or '-', found {token!r}")
-        sign = Fraction(-1) if stream.take() == "-" else Fraction(1)
+    pos = 0
+    while pos < len(text):
+        match = _TERM.match(text, pos)
+        if match is None:
+            raise ParseError(f"malformed term at offset {pos}: {text[pos:pos + 16]!r}")
+        sign, numerator, denominator, scaled, bare = match.groups()
+        coeff = Fraction(1)
+        if numerator is not None:
+            numerator, denominator = int(numerator), int(denominator or 1)
+            if denominator < 1:
+                raise ParseError(f"zero denominator in the term at offset {pos}")
+            coeff = Fraction(numerator, denominator)
+        powers: dict[int, int] = {}
+        for index, power in _FACTOR.findall(scaled or bare or ""):
+            index, power = int(index), int(power or 1)
+            if index < 1 or power < 1:
+                raise ParseError(
+                    f"variable indices and exponents start at 1, in the term at offset {pos}"
+                )
+            powers[index] = powers.get(index, 0) + power
+        raw_terms.append((-coeff if sign == "-" else coeff, powers))
+        pos = match.end()
     max_index = max((max(p) for _, p in raw_terms if p), default=0)
     if num_vars is None:
         num_vars = max_index
@@ -290,27 +229,37 @@ def format_form(f: SparseForm) -> str:
 
 
 def load_form_file(path: str) -> SparseForm:
-    """Read a one-form UTF-8 file; '#' lines are metadata ('# name: ...')."""
+    """Read a one-form UTF-8 file; '#' lines are metadata ('# name: ...',
+    '# vars: N').  Without a vars line, the variable count is the maximal
+    index used."""
     try:
         with open(path, encoding="utf-8") as handle:
             lines = [line.strip() for line in handle]
     except UnicodeDecodeError as error:
         raise ParseError(f"{path} is not UTF-8: {error}") from error
-    name: str | None = None
+    meta: dict[str, str] = {}
     for line in lines:
-        meta = line.lstrip("#").strip()
-        if line.startswith("#") and meta.lower().startswith("name:"):
-            name = meta[5:].strip()
+        key, colon, value = line.lstrip("#").partition(":")
+        if line.startswith("#") and colon:
+            meta[key.strip().lower()] = value.strip()
+    num_vars = meta.get("vars")
+    if num_vars is not None and not num_vars.isdecimal():
+        raise ParseError(f"malformed '# vars: {num_vars}' in {path}")
     body = [line for line in lines if line and not line.startswith("#")]
     if not body:
         raise ParseError(f"no polynomial text in {path}")
-    return parse_form(" ".join(body), name=name)
+    return parse_form(
+        " ".join(body),
+        num_vars=None if num_vars is None else int(num_vars),
+        name=meta.get("name"),
+    )
 
 
 def save_form_file(path: str, f: SparseForm) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         if f.name:
             handle.write(f"# name: {f.name}\n")
+        handle.write(f"# vars: {f.num_vars}\n")
         handle.write(format_form(f) + "\n")
 
 

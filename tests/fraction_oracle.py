@@ -24,6 +24,12 @@ Last, it keeps the form arithmetic as ``sonckit.forms`` ran it before it
 moved to integer numerators: products, powers, sums, scalings and
 substitutions term by term in ``Fraction``, each result canonicalised by
 ``make_form``, and the monomial transforms re-sorted by it.
+
+Finally, it keeps the form parser ``sonckit.forms`` had before it matched
+one regular expression per term: a tokenizer, a token stream and a
+recursive descent over ``form := [sign] term {sign term}``.
+``parse_form`` here must agree with ``sonckit.forms.parse_form`` on every
+string: the same form, or the same exception type.
 """
 
 from __future__ import annotations
@@ -31,10 +37,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from sonckit.errors import CapExceeded, DimensionMismatch, NotHomogeneous
+from sonckit.errors import CapExceeded, DimensionMismatch, NotHomogeneous, ParseError
 from sonckit.exactlp import _pivot
 from sonckit.forms import Exponent, RationalLike, SparseForm, grlex_key, make_form
 from sonckit.geometry import DEFAULT_CANDIDATE_CAP, Simplex
@@ -526,3 +533,121 @@ def substitute_linear(f: SparseForm, matrix: Sequence[Sequence[RationalLike]]) -
         for key, value in partial.items():
             accumulated[key] = accumulated.get(key, _ZERO) + value
     return make_form(n, accumulated, zero_degree=f.degree)
+
+
+_TOKEN = re.compile(r"\d+|[+\-*/^x]")
+_SPACE = re.compile(r"\s+")
+
+
+def _tokenize(text: str) -> list[str]:
+    stripped = _SPACE.sub("", text)
+    tokens: list[str] = []
+    pos = 0
+    while pos < len(stripped):
+        match = _TOKEN.match(stripped, pos)
+        if match is None:
+            raise ParseError(f"unexpected character {stripped[pos]!r} at offset {pos}")
+        tokens.append(match.group(0))
+        pos = match.end()
+    return tokens
+
+
+class _TokenStream:
+    def __init__(self, tokens: list[str]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> str | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self) -> str:
+        token = self.peek()
+        if token is None:
+            raise ParseError("unexpected end of input")
+        self.pos += 1
+        return token
+
+    def expect_int(self, what: str) -> int:
+        token = self.take()
+        if not token.isdigit():
+            raise ParseError(f"expected {what}, found {token!r}")
+        return int(token)
+
+
+def _parse_factor(stream: _TokenStream) -> tuple[int, int]:
+    """factor := 'x' posint [ '^' posint ]; returns (variable index, power)."""
+    token = stream.take()
+    if token != "x":
+        raise ParseError(f"expected variable, found {token!r}")
+    index = stream.expect_int("variable index")
+    if index < 1:
+        raise ParseError("variable indices start at 1")
+    power = 1
+    if stream.peek() == "^":
+        stream.take()
+        power = stream.expect_int("exponent")
+        if power < 1:
+            raise ParseError("exponents must be positive")
+    return index, power
+
+
+def _parse_term(stream: _TokenStream) -> tuple[Fraction, dict[int, int]]:
+    coeff = Fraction(1)
+    powers: dict[int, int] = {}
+    token = stream.peek()
+    if token is None:
+        raise ParseError("empty term")
+    if token.isdigit():
+        numerator = stream.expect_int("coefficient")
+        denominator = 1
+        if stream.peek() == "/":
+            stream.take()
+            denominator = stream.expect_int("denominator")
+            if denominator < 1:
+                raise ParseError("denominators must be positive")
+        coeff = Fraction(numerator, denominator)
+        if stream.peek() == "*":
+            stream.take()
+        else:
+            return coeff, powers  # bare constant term
+    elif token != "x":
+        raise ParseError(f"expected term, found {token!r}")
+    index, power = _parse_factor(stream)
+    powers[index] = powers.get(index, 0) + power
+    while stream.peek() == "*":
+        stream.take()
+        index, power = _parse_factor(stream)
+        powers[index] = powers.get(index, 0) + power
+    return coeff, powers
+
+
+def parse_form(text: str, num_vars: int | None = None, name: str | None = None) -> SparseForm:
+    """Parse polynomial text by recursive descent over its tokens."""
+    stream = _TokenStream(_tokenize(text))
+    if stream.peek() is None:
+        raise ParseError("empty form")
+    raw_terms: list[tuple[Fraction, dict[int, int]]] = []
+    sign = Fraction(1)
+    if stream.peek() in {"+", "-"}:
+        sign = Fraction(-1) if stream.take() == "-" else Fraction(1)
+    while True:
+        coeff, powers = _parse_term(stream)
+        raw_terms.append((sign * coeff, powers))
+        token = stream.peek()
+        if token is None:
+            break
+        if token not in {"+", "-"}:
+            raise ParseError(f"expected '+' or '-', found {token!r}")
+        sign = Fraction(-1) if stream.take() == "-" else Fraction(1)
+    max_index = max((max(p) for _, p in raw_terms if p), default=0)
+    if num_vars is None:
+        num_vars = max_index
+    elif max_index > num_vars:
+        raise ParseError(
+            f"variable x{max_index} exceeds the declared {num_vars} variables"
+        )
+    pairs = []
+    for coeff, powers in raw_terms:
+        exponent = tuple(powers.get(i, 0) for i in range(1, num_vars + 1))
+        pairs.append((exponent, coeff))
+    return make_form(num_vars, pairs, name=name)

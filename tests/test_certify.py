@@ -277,6 +277,29 @@ def test_verify_rejects_sum_mismatch():
     assert not result.valid and result.reason == "sum_mismatch"
 
 
+@pytest.mark.parametrize(
+    "remainder",
+    [make_form(4, {}, zero_degree=6), make_form(3, {(0, 0, 8): Fraction(1)})],
+    ids=["variable_count", "degree"],
+)
+def test_verify_reads_an_unaddable_remainder_as_sum_mismatch(remainder):
+    m = motzkin()
+    circuit = detect_circuit(m)
+    result = verify_decomposition(
+        m, SoncDecomposition(circuits=(circuit,), monomial_square_remainder=remainder)
+    )
+    assert not result.valid and result.reason == "sum_mismatch"
+
+
+def test_verify_propagates_errors_other_than_a_mismatch():
+    m = motzkin()
+    circuit = detect_circuit(m)
+    with pytest.raises(AttributeError):
+        verify_decomposition(
+            m, SoncDecomposition(circuits=(circuit,), monomial_square_remainder=None)
+        )
+
+
 def test_verify_rejects_foreign_support():
     target = parse_form("x1^4 + x2^4")
     piece = detect_circuit(parse_form("x1^4 + x2^4 - x1^2*x2^2"))

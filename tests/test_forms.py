@@ -1,9 +1,14 @@
 """Parsing, serialization, evaluation, and the instance-building transforms."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fraction_oracle as oracle
 
 from sonckit.errors import DimensionMismatch, NotHomogeneous, ParseError
 from sonckit.exactlp import EchelonSolver
@@ -32,6 +37,7 @@ from sonckit.corpus import (
     q_family,
     robinson1,
 )
+from sonckit.report import analyze
 
 
 def test_parse_motzkin():
@@ -57,11 +63,75 @@ def test_parse_mixed_degrees_rejected():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "x1 +", "x0^2", "3//2*x1", "x1^0", "y1^2", "x1^2 * * x2"],
+    ["", "x1 +", "x0^2", "3//2*x1", "x1^0", "1/0*x1", "y1^2", "x1^2 * * x2"],
 )
 def test_parse_grammar_violations(text):
     with pytest.raises(ParseError):
         parse_form(text)
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [("x1 +", 2), ("3//2*x1", 1), ("y1^2", 0), ("x1^2 * * x2", 4), ("x1 x2", 2)],
+)
+def test_malformed_term_names_its_offset(text, offset):
+    """Offsets count the characters of the text without its whitespace."""
+    with pytest.raises(ParseError, match=f"offset {offset}:"):
+        parse_form(text)
+
+
+def _outcome(parse, text, num_vars):
+    try:
+        f = parse(text, num_vars=num_vars)
+    except Exception as error:
+        return type(error)
+    return f.num_vars, f.degree, list(f.terms.items())
+
+
+@st.composite
+def _grammar_texts(draw):
+    """Forms in the grammar, most of them homogeneous, with one-digit
+    variable indices and whitespace between the tokens.  In half of them,
+    the first index, exponent or denominator is set to zero."""
+    space = st.sampled_from(["", "", " ", "\t", "\u00a0"])
+    degree = draw(st.integers(0, 6))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        factors = []
+        while sum(p for _, p in factors) < degree:
+            factors.append((draw(st.integers(1, 9)), draw(st.integers(1, degree))))
+        mono = f"{draw(space)}*{draw(space)}".join(
+            f"x{i}" + (f"^{p}" if p > 1 or draw(st.booleans()) else "") for i, p in factors
+        )
+        coeff = str(draw(st.integers(0, 30)))
+        if draw(st.booleans()):
+            coeff += f"/{draw(st.integers(1, 12))}"
+        if not mono:
+            terms.append(coeff)
+        else:
+            terms.append(f"{coeff}*{mono}" if draw(st.booleans()) else mono)
+    signs = [draw(st.sampled_from(["", "-", "+"]))]
+    signs += [draw(st.sampled_from(["-", "+"])) for _ in terms[1:]]
+    text = "".join(f"{sign}{draw(space)}{term}{draw(space)}" for sign, term in zip(signs, terms))
+    zero = draw(st.sampled_from(["", "", "", "x", "^", "/"]))
+    return re.sub(re.escape(zero) + r"\d+", zero + "0", text, count=1) if zero else text
+
+
+# Arbitrary strings over the grammar's characters, Unicode whitespace and
+# digits, a superscript two and a stray letter.  An index of ``k`` digits
+# builds a tuple of about ``10**k`` entries, so each ``x`` keeps one digit.
+_arbitrary_texts = st.text(alphabet="x0123456789+-*/^ \t\u00a0\u0663\u00b2y", max_size=30).map(
+    lambda text: re.sub(r"x(\s*\d)[\s\d]*", r"x\1", text)
+)
+
+
+@settings(max_examples=1000)
+@given(
+    st.one_of(_grammar_texts(), _arbitrary_texts),
+    st.none() | st.integers(0, 9),
+)
+def test_parse_form_matches_the_recursive_descent_oracle(text, num_vars):
+    assert _outcome(parse_form, text, num_vars) == _outcome(oracle.parse_form, text, num_vars)
 
 
 def test_parse_rational_coefficients_and_repeated_factors():
@@ -133,6 +203,38 @@ def test_file_round_trip(tmp_path):
     loaded = load_form_file(str(path))
     assert loaded == motzkin()
     assert loaded.name == "motzkin"
+
+
+def test_file_round_trip_keeps_unused_variables(tmp_path):
+    path = tmp_path / "form.poly"
+    f = embed_variables(p_family(2, 6), 1)
+    save_form_file(str(path), f)
+    assert "# vars: 3\n" in path.read_text(encoding="utf-8")
+    loaded = load_form_file(str(path))
+    assert loaded == f and loaded.num_vars == 3
+    assert not analyze(loaded).hilbert_case
+
+
+def test_file_without_vars_line_counts_the_indices_used(tmp_path):
+    path = tmp_path / "form.poly"
+    path.write_text("# name: binary\nx1^6 + x2^6\n", encoding="utf-8")
+    loaded = load_form_file(str(path))
+    assert loaded.num_vars == 2 and loaded.name == "binary"
+
+
+@pytest.mark.parametrize("value", ["three", "-1", "2.0", ""])
+def test_file_with_malformed_vars_line_is_rejected(tmp_path, value):
+    path = tmp_path / "form.poly"
+    path.write_text(f"# vars: {value}\nx1^2\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="vars"):
+        load_form_file(str(path))
+
+
+def test_file_with_too_few_declared_vars_is_rejected(tmp_path):
+    path = tmp_path / "form.poly"
+    path.write_text("# vars: 1\nx1^2 + x2^2\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="exceeds the declared 1 variables"):
+        load_form_file(str(path))
 
 
 def test_evaluate_robinson_values():
