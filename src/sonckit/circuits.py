@@ -1,9 +1,10 @@
 """Circuit detection, exact circuit-number comparison, and zero loci.
 
-A circuit is a form whose monomial-square exponents are exactly the
-(affinely independent) Newton-polytope vertices, plus at most one inner
-exponent in the relative interior.  Nonnegativity of a circuit reduces to
-comparing the inner coefficient magnitude against the circuit number
+A circuit is a form whose monomial-square exponents are affinely
+independent, plus at most one inner exponent in the relative interior of
+their simplex; the squares are then exactly its Newton polytope vertices.
+Nonnegativity of a circuit reduces to comparing the inner coefficient
+magnitude against the circuit number
 
     theta = prod (f_alpha / lambda_alpha) ** lambda_alpha,
 
@@ -149,15 +150,11 @@ class ZeroLocus:
 # detection
 # ---------------------------------------------------------------------------
 
-def detect_circuit(
-    f: SparseForm, *, vertices: frozenset[Exponent] | None = None
-) -> Circuit | NotACircuit:
-    """Check the circuit conditions and assemble the validated circuit.
-
-    ``vertices``, the Newton polytope vertices of ``f`` when the caller
-    has them already (``SupportPartition.vertices``), spares the hull.  A
-    proper circuit's barycentric solve also decides vertex independence.
-    """
+def detect_circuit(f: SparseForm) -> Circuit | NotACircuit:
+    """Decide the circuit conditions by one exact solve on the squares:
+    independent squares with the inner exponent, if any, in the relative
+    interior of their simplex are the Newton polytope vertices.  Only a
+    failing form computes the hull, to name the first condition it fails."""
     if f.is_zero:
         raise ZeroFormInput("circuit detection needs a nonzero form")
     squares = monomial_square_support(f)
@@ -167,48 +164,30 @@ def detect_circuit(
             reason="multiple_inner_exponents",
             detail=f"{len(inner_set)} exponents are not monomial squares",
         )
-    if vertices is None:
-        vertices = hull_vertices(f.terms.keys())
+    outer_points = sorted(squares, key=grlex_key, reverse=True)
+    outer = tuple((e, f.terms[e]) for e in outer_points)
+    reason = "affinely_dependent_vertices"
+    detail = f"vertex set {outer_points} is affinely dependent"
+    if not inner_set and affinely_independent(outer_points):
+        return Circuit(f, outer, inner=None, barycentric=(), kind=CircuitKind.MONOMIAL_SQUARE_SUM)
+    if inner_set:
+        beta = inner_set[0]
+        try:
+            weights = barycentric_coordinates(beta, outer_points)
+        except AffinelyDependentInput:
+            pass  # the reason above stands
+        else:
+            if weights is not None:
+                return Circuit(f, outer, (beta, f.terms[beta]), weights, CircuitKind.PROPER)
+            reason = "inner_not_in_relint"
+            detail = f"{beta} is not in the relative interior of the vertex hull"
+    vertices = hull_vertices(f.terms.keys())
     if vertices != squares:
         missing = sorted(squares - vertices, key=grlex_key)
         extra = sorted(vertices - squares, key=grlex_key)
-        return NotACircuit(
-            reason="vertex_square_mismatch",
-            detail=f"squares off the vertex set: {missing}; non-square vertices: {extra}",
-        )
-    outer_points = sorted(vertices, key=grlex_key, reverse=True)
-    dependent = NotACircuit(
-        reason="affinely_dependent_vertices",
-        detail=f"vertex set {outer_points} is affinely dependent",
-    )
-    outer = tuple((e, f.terms[e]) for e in outer_points)
-    if not inner_set:
-        if not affinely_independent(outer_points):
-            return dependent
-        return Circuit(
-            form=f,
-            outer=outer,
-            inner=None,
-            barycentric=(),
-            kind=CircuitKind.MONOMIAL_SQUARE_SUM,
-        )
-    beta = inner_set[0]
-    try:
-        weights = barycentric_coordinates(beta, outer_points)
-    except AffinelyDependentInput:
-        return dependent
-    if weights is None:
-        return NotACircuit(
-            reason="inner_not_in_relint",
-            detail=f"{beta} is not in the relative interior of the vertex hull",
-        )
-    return Circuit(
-        form=f,
-        outer=outer,
-        inner=(beta, f.terms[beta]),
-        barycentric=weights,
-        kind=CircuitKind.PROPER,
-    )
+        reason = "vertex_square_mismatch"
+        detail = f"squares off the vertex set: {missing}; non-square vertices: {extra}"
+    return NotACircuit(reason=reason, detail=detail)
 
 
 # ---------------------------------------------------------------------------

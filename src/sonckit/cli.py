@@ -19,9 +19,18 @@ from fractions import Fraction
 from .errors import InternalInvariantViolation, SonckitError
 from .certify import SearchBudget
 from .corpus import GRIDS, run_corpus
-from .forms import evaluate_many, load_form_file
+from .forms import SparseForm, evaluate_many, load_form_file
 from .mediated import maximal_mediated_set
 from .report import analyze, render_text, report_to_dict
+
+
+def _load_form(path: str) -> SparseForm | None:
+    """The form in ``path``, or ``None`` after printing why it is unreadable."""
+    try:
+        return load_form_file(path)
+    except (OSError, SonckitError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return None
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -31,10 +40,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    try:
-        form = load_form_file(args.file)
-    except (OSError, SonckitError) as error:
-        print(f"error: {error}", file=sys.stderr)
+    form = _load_form(args.file)
+    if form is None:
         return 1
     budget = SearchBudget(max_params=args.max_params)
     try:
@@ -119,10 +126,8 @@ def _cmd_mms(args: argparse.Namespace) -> int:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    try:
-        form = load_form_file(args.file)
-    except (OSError, SonckitError) as error:
-        print(f"error: {error}", file=sys.stderr)
+    form = _load_form(args.file)
+    if form is None:
         return 1
     grid = GRIDS[args.grid]
     if len(grid[0]) != form.num_vars:

@@ -151,6 +151,18 @@ _TERM = re.compile(rf"([+-]|^)(?:(\d+)(?:/(\d+))?(?:\*({_MONO}))?|({_MONO}))")
 _FACTOR = re.compile(r"x(\d+)(?:\^(\d+))?")
 _SPACE = re.compile(r"\s+")
 
+#: The most variables a parsed form may have; more raise ``ParseError``.
+MAX_VARIABLES = 1000
+
+
+def _integer(digits: str, where: str) -> int:
+    """``int(digits)``; Python's limit on the digits it converts raises
+    ``ParseError`` naming ``where``."""
+    try:
+        return int(digits)
+    except ValueError as error:
+        raise ParseError(f"{where}: {error}") from error
+
 
 def parse_form(text: str, num_vars: int | None = None, name: str | None = None) -> SparseForm:
     """Parse polynomial text into its canonical form.
@@ -170,23 +182,25 @@ def parse_form(text: str, num_vars: int | None = None, name: str | None = None) 
         if match is None:
             raise ParseError(f"malformed term at offset {pos}: {text[pos:pos + 16]!r}")
         sign, numerator, denominator, scaled, bare = match.groups()
+        where = f"the term at offset {pos}"
         coeff = Fraction(1)
         if numerator is not None:
-            numerator, denominator = int(numerator), int(denominator or 1)
+            numerator = _integer(numerator, where)
+            denominator = _integer(denominator or "1", where)
             if denominator < 1:
                 raise ParseError(f"zero denominator in the term at offset {pos}")
             coeff = Fraction(numerator, denominator)
         powers: dict[int, int] = {}
         for index, power in _FACTOR.findall(scaled or bare or ""):
-            index, power = int(index), int(power or 1)
+            index, power = _integer(index, where), _integer(power or "1", where)
             if index < 1 or power < 1:
-                raise ParseError(
-                    f"variable indices and exponents start at 1, in the term at offset {pos}"
-                )
+                raise ParseError(f"variable indices and exponents start at 1, in {where}")
             powers[index] = powers.get(index, 0) + power
         raw_terms.append((-coeff if sign == "-" else coeff, powers))
         pos = match.end()
     max_index = max((max(p) for _, p in raw_terms if p), default=0)
+    if max(max_index, num_vars or 0) > MAX_VARIABLES:
+        raise ParseError(f"more than MAX_VARIABLES = {MAX_VARIABLES} variables")
     if num_vars is None:
         num_vars = max_index
     elif max_index > num_vars:
@@ -250,7 +264,7 @@ def load_form_file(path: str) -> SparseForm:
         raise ParseError(f"no polynomial text in {path}")
     return parse_form(
         " ".join(body),
-        num_vars=None if num_vars is None else int(num_vars),
+        num_vars=None if num_vars is None else _integer(num_vars, f"'# vars:' in {path}"),
         name=meta.get("name"),
     )
 

@@ -4,8 +4,8 @@
 condition with its equality-case corollary, the mediated-set
 sum-of-squares decision for circuits, and (on request) the bounded
 feasibility search, then condenses everything into tagged verdicts.
-The support partition computes the Newton polytope vertices; every later
-stage reads them from there.  Every verdict carries its certificate kind:
+The partition's Newton polytope vertices serve the precheck alone;
+circuit detection reads the squares.  Every verdict carries its certificate kind:
 ``exact`` conclusions rest on exact rational arithmetic, ``numeric`` ones
 come from the margin-reporting search.  Four rules assemble the verdicts:
 the first reason found for a conclusion wins; "not nonnegative" implies
@@ -131,7 +131,7 @@ def analyze(
             f"Newton polytope vertex {witness} is not a monomial square",
         )
 
-    report.circuit = circuit = detect_circuit(f, vertices=partition.vertices)
+    report.circuit = circuit = detect_circuit(f)
     if isinstance(circuit, Circuit):
         decision = decide_circuit_nonnegativity(circuit)
         report.circuit_nonnegative = decision.is_nonnegative

@@ -30,6 +30,12 @@ one regular expression per term: a tokenizer, a token stream and a
 recursive descent over ``form := [sign] term {sign term}``.
 ``parse_form`` here must agree with ``sonckit.forms.parse_form`` on every
 string: the same form, or the same exception type.
+
+And it keeps the circuit detector ``sonckit.circuits`` had before it
+decided a circuit from its squares alone: ``detect_circuit`` here takes
+the Newton hull first and compares its vertices with the squares before
+any rank test or barycentric solve.  The two must return equal results,
+failure reasons and detail strings included.
 """
 
 from __future__ import annotations
@@ -41,7 +47,16 @@ import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from sonckit.errors import CapExceeded, DimensionMismatch, NotHomogeneous, ParseError
+from sonckit import geometry
+from sonckit.circuits import Circuit, CircuitKind, NotACircuit
+from sonckit.errors import (
+    AffinelyDependentInput,
+    CapExceeded,
+    DimensionMismatch,
+    NotHomogeneous,
+    ParseError,
+    ZeroFormInput,
+)
 from sonckit.exactlp import _pivot
 from sonckit.forms import Exponent, RationalLike, SparseForm, grlex_key, make_form
 from sonckit.geometry import DEFAULT_CANDIDATE_CAP, Simplex
@@ -651,3 +666,59 @@ def parse_form(text: str, num_vars: int | None = None, name: str | None = None) 
         exponent = tuple(powers.get(i, 0) for i in range(1, num_vars + 1))
         pairs.append((exponent, coeff))
     return make_form(num_vars, pairs, name=name)
+
+
+def detect_circuit(f: SparseForm) -> Circuit | NotACircuit:
+    """Hull-first circuit detection: the Newton polytope vertices must be
+    the squares, affinely independent, with the inner exponent (if any)
+    in the relative interior of their simplex."""
+    if f.is_zero:
+        raise ZeroFormInput("circuit detection needs a nonzero form")
+    squares = geometry.monomial_square_support(f)
+    inner_set = sorted(set(f.terms.keys()) - squares, key=grlex_key)
+    if len(inner_set) > 1:
+        return NotACircuit(
+            reason="multiple_inner_exponents",
+            detail=f"{len(inner_set)} exponents are not monomial squares",
+        )
+    vertices = geometry.hull_vertices(f.terms.keys())
+    if vertices != squares:
+        missing = sorted(squares - vertices, key=grlex_key)
+        extra = sorted(vertices - squares, key=grlex_key)
+        return NotACircuit(
+            reason="vertex_square_mismatch",
+            detail=f"squares off the vertex set: {missing}; non-square vertices: {extra}",
+        )
+    outer_points = sorted(vertices, key=grlex_key, reverse=True)
+    dependent = NotACircuit(
+        reason="affinely_dependent_vertices",
+        detail=f"vertex set {outer_points} is affinely dependent",
+    )
+    outer = tuple((e, f.terms[e]) for e in outer_points)
+    if not inner_set:
+        if not geometry.affinely_independent(outer_points):
+            return dependent
+        return Circuit(
+            form=f,
+            outer=outer,
+            inner=None,
+            barycentric=(),
+            kind=CircuitKind.MONOMIAL_SQUARE_SUM,
+        )
+    beta = inner_set[0]
+    try:
+        weights = geometry.barycentric_coordinates(beta, outer_points)
+    except AffinelyDependentInput:
+        return dependent
+    if weights is None:
+        return NotACircuit(
+            reason="inner_not_in_relint",
+            detail=f"{beta} is not in the relative interior of the vertex hull",
+        )
+    return Circuit(
+        form=f,
+        outer=outer,
+        inner=(beta, f.terms[beta]),
+        barycentric=weights,
+        kind=CircuitKind.PROPER,
+    )

@@ -6,6 +6,10 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fraction_oracle as oracle
 
 from sonckit.errors import (
     DimensionMismatch,
@@ -107,6 +111,92 @@ def test_detect_proper_circuit_takes_no_rank_test(monkeypatch):
         monkeypatch.setattr(module, "matrix_rank", no_rank)
     circuit = detect_circuit(motzkin())
     assert isinstance(circuit, Circuit) and circuit.kind is CircuitKind.PROPER
+
+
+# ---------------------------------------------------------------------------
+# the detector against the hull-first oracle
+# ---------------------------------------------------------------------------
+
+_OUTCOMES = {
+    "MonomialSquareSum",
+    "ProperCircuit",
+    "multiple_inner_exponents",
+    "vertex_square_mismatch",
+    "affinely_dependent_vertices",
+    "inner_not_in_relint",
+}
+
+
+def _outcome(result):
+    return result.kind.value if isinstance(result, Circuit) else result.reason
+
+
+def _exponent(cuts, n, degree, even):
+    """The exponent of ``n`` entries summing to ``degree``, split at the
+    first ``n - 1`` of ``cuts`` clipped to the total; an even exponent is
+    twice a split of ``degree // 2``."""
+    total = degree // 2 if even else degree
+    cuts = sorted(min(c, total) for c in cuts[: n - 1])
+    parts = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+    return tuple(2 * p for p in parts) if even else tuple(parts)
+
+
+def _candidate(n, degree, squares, others):
+    """A form of ``n`` variables with the squares ``squares``, given as
+    ``(cuts, coefficient)`` with a positive coefficient, and the terms
+    ``others``, given as ``(cuts, even, coefficient)``."""
+    terms = {_exponent(cuts, n, degree, True): coeff for cuts, coeff in squares}
+    for cuts, even, coeff in others:
+        terms[_exponent(cuts, n, degree, even)] = coeff
+    return make_form(n, terms, zero_degree=degree)
+
+
+def _random_candidate(rng):
+    """Mostly at most one inner exponent, so that every outcome occurs."""
+    n = rng.randint(1, 4)
+    degree = rng.choice((2, 4, 6))
+
+    def cuts():
+        return [rng.randint(0, degree) for _ in range(n - 1)]
+
+    def coeff():
+        return Fraction(rng.randint(1, 9), rng.randint(1, 4))
+
+    squares = [(cuts(), coeff()) for _ in range(rng.randint(1, n + 2))]
+    others = [
+        (cuts(), rng.random() < 0.2, rng.choice((-1, 1)) * coeff())
+        for _ in range(rng.choice((0, 1, 1, 1, 2)))
+    ]
+    return _candidate(n, degree, squares, others)
+
+
+def test_detect_circuit_matches_the_hull_first_oracle_on_random_forms():
+    rng = random.Random(2026)
+    seen = set()
+    for _ in range(5000):
+        f = _random_candidate(rng)
+        result = detect_circuit(f)
+        assert result == oracle.detect_circuit(f), f
+        seen.add(_outcome(result))
+    assert seen == _OUTCOMES
+
+
+@st.composite
+def _candidates(draw):
+    n = draw(st.integers(1, 4))
+    degree = draw(st.sampled_from((2, 4, 6)))
+    cuts = st.lists(st.integers(0, degree), min_size=n - 1, max_size=n - 1)
+    coeffs = st.fractions(min_value=Fraction(1, 4), max_value=9, max_denominator=4)
+    squares = draw(st.lists(st.tuples(cuts, coeffs), min_size=1, max_size=n + 2))
+    signed = st.builds(lambda c, sign: sign * c, coeffs, st.sampled_from((-1, 1)))
+    others = draw(st.lists(st.tuples(cuts, st.booleans(), signed), max_size=2))
+    return _candidate(n, degree, squares, others)
+
+
+@settings(max_examples=300)
+@given(_candidates())
+def test_detect_circuit_matches_the_hull_first_oracle_hypothesis(f):
+    assert detect_circuit(f) == oracle.detect_circuit(f)
 
 
 def test_detect_zero_form():

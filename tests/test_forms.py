@@ -13,6 +13,7 @@ import fraction_oracle as oracle
 from sonckit.errors import DimensionMismatch, NotHomogeneous, ParseError
 from sonckit.exactlp import EchelonSolver
 from sonckit.forms import (
+    MAX_VARIABLES,
     add_forms,
     embed_variables,
     evaluate,
@@ -234,6 +235,43 @@ def test_file_with_too_few_declared_vars_is_rejected(tmp_path):
     path = tmp_path / "form.poly"
     path.write_text("# vars: 1\nx1^2 + x2^2\n", encoding="utf-8")
     with pytest.raises(ParseError, match="exceeds the declared 1 variables"):
+        load_form_file(str(path))
+
+
+def test_variable_count_is_bounded():
+    assert parse_form(f"x{MAX_VARIABLES}^2").num_vars == MAX_VARIABLES
+    assert parse_form("x1^2", num_vars=MAX_VARIABLES).num_vars == MAX_VARIABLES
+    for text, num_vars in [
+        (f"x{MAX_VARIABLES + 1}^2", None),
+        ("x1^2", MAX_VARIABLES + 1),
+        ("x10000000000", None),
+        ("x10000000000", 2),
+    ]:
+        with pytest.raises(ParseError, match=f"MAX_VARIABLES = {MAX_VARIABLES}"):
+            parse_form(text, num_vars=num_vars)
+
+
+def test_file_vars_line_is_bounded(tmp_path):
+    path = tmp_path / "form.poly"
+    path.write_text(f"# vars: {MAX_VARIABLES}\nx1^2\n", encoding="utf-8")
+    assert load_form_file(str(path)).num_vars == MAX_VARIABLES
+    path.write_text(f"# vars: {MAX_VARIABLES + 1}\nx1^2\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"MAX_VARIABLES = {MAX_VARIABLES}"):
+        load_form_file(str(path))
+
+
+@pytest.mark.parametrize(
+    "template", ["{}*x1^2", "1/{}*x1^2", "x{}^2", "x1^{}", "x1^2 - x2^2 + {}*x3^2"]
+)
+def test_numbers_beyond_the_int_digit_limit_raise_parse_error(int_digit_limit, template):
+    with pytest.raises(ParseError, match="the term at offset"):
+        parse_form(template.format("1" * (int_digit_limit + 1)))
+
+
+def test_file_vars_line_beyond_the_int_digit_limit_raises_parse_error(tmp_path, int_digit_limit):
+    path = tmp_path / "form.poly"
+    path.write_text(f"# vars: {'1' * (int_digit_limit + 1)}\nx1^2\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="vars"):
         load_form_file(str(path))
 
 

@@ -254,6 +254,25 @@ def test_analyze_computes_the_hull_once(monkeypatch):
     assert circuits >= 4
 
 
+def test_analyze_with_search_computes_the_hull_once(monkeypatch):
+    from sonckit.certify import SearchBudget
+
+    calls = _count_calls(monkeypatch, geometry.hull_vertices)
+    for builder in FORM_BUILDERS.values():
+        analyze(builder(), search=True, budget=SearchBudget(max_params=9))
+    assert len(calls) == len(FORM_BUILDERS) == 18
+
+
+def test_detect_circuit_computes_no_hull_for_a_circuit(monkeypatch):
+    calls = _count_calls(monkeypatch, geometry.hull_vertices)
+    circuits = [
+        name for name, builder in FORM_BUILDERS.items()
+        if isinstance(detect_circuit(builder()), Circuit)
+    ]
+    assert len(circuits) == 5
+    assert calls == []
+
+
 def test_run_entry_analyzes_each_form_once(monkeypatch):
     calls = _count_calls(monkeypatch, analyze)
     for entry in corpus.corpus_entries():
@@ -352,6 +371,24 @@ def test_cli_analyze_parse_error(tmp_path, capsys):
 
 def test_cli_analyze_missing_file(capsys):
     assert main(["analyze", "/nonexistent/f.poly"]) == 1
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("analyze", "{digits}*x1^2\n"),
+        ("grid", "# vars: {digits}\nx1^2 + x2^2\n"),
+    ],
+)
+def test_cli_reports_a_number_beyond_the_int_digit_limit(
+    tmp_path, capsys, int_digit_limit, command, text
+):
+    path = tmp_path / "long.poly"
+    path.write_text(text.format(digits="1" * (int_digit_limit + 1)), encoding="utf-8")
+    argv = [command, str(path)] + (["--grid", "X"] if command == "grid" else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_cli_corpus_filter(capsys):
