@@ -13,10 +13,12 @@ smoothed maximum of the circuit margins, which is convex in the weights.  A
 numeric result never certifies -- feasible weights are rounded to rationals
 and re-verified exactly, and infeasibility is only reported with an
 explicit margin: the smallest margin a first-order method found for a
-convex objective; numeric, not a bound.  Each search compiles one kernel
-for its problem on first use, its forward pass, gradient and step as
-straight-line Python with the float operations of the former interpreted
-loops in the same order; every float the search reports comes from it.
+convex objective; numeric, not a bound.  Each search compiles one
+function for its problem on first use, which runs the whole descent: one
+loop over the steps around a forward pass and a gradient written as
+straight-line Python, with the float operations of the interpreted loops
+kept as test oracles in the same order; every float the search reports
+comes from it.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from types import FunctionType, SimpleNamespace
-from typing import Iterable, Sequence
+from types import FunctionType
+from typing import Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -375,7 +377,7 @@ def sonc_feasibility_search(
     try:
         if problem.size == 0:
             # Floats for the report only; the infeasibility itself is exact.
-            margin = problem._kernel.forward([], 1.0)[4]  # the hard maximum, at any tau
+            margin = problem._descent(1.0, 0)[0]  # the start's hard maximum
             return SearchOutcome(SearchStatus.INFEASIBLE, margin, None, exact=True)
         best_margin, best_weights = _optimize(problem)
     except OverflowError:  # only ``exp`` raises it, for a theta beyond the float range
@@ -419,8 +421,9 @@ class _SearchProblem:
     free weights, the sum of group size - 1.  An inner exponent with no
     covering simplex raises :class:`UncoveredInnerExponent`.
 
-    One kernel, ``_kernel``, is generated from this layout as unrolled
-    straight-line source and compiled on first use, so a problem over the
+    One function, ``_descent``, runs the whole mirror descent, its forward
+    pass and gradient unrolled into straight-line source.  It is generated
+    from this layout and compiled on first use, so a problem over the
     budget or settled as feasible at size 0 compiles nothing.  Its results
     equal those of the interpreted loops it replaces (kept as oracles in
     the tests) bit for bit.
@@ -477,12 +480,12 @@ class _SearchProblem:
         ]
 
     @functools.cached_property
-    def _kernel(self) -> SimpleNamespace:
-        """``forward(logits, tau)``: the weights (forced ones 1.0), each
-        slot's margin and threshold (each mu clamped below at 1e-300), the
-        smoothed and the hard maximum; ``gradient``: the reverse mode
-        through such a pass (0 below the clamp); ``descend``: trial logits."""
-        return _compile(self._gradient_source() + self._search_source())
+    def _descent(self) -> FunctionType:
+        """``descend(scale, iterations)``: :func:`_optimize`'s mirror descent
+        at that scale for at most that many steps, which returns the best
+        hard margin, the weights that reach it (forced ones 1.0), and the
+        number of trial steps and of forward passes it ran."""
+        return _compile("descend(scale, iterations)", self._descent_source())
 
     # The generated source.  Weight ``k`` is the local ``w{k}``, its logit
     # ``l{k}`` and its gradient entry ``g{k}``; slot ``i`` has margin
@@ -495,7 +498,7 @@ class _SearchProblem:
     #   ``exp``, to which the sign of a zero makes no difference;
     # - a forced weight is 1.0: ``1.0 * |f_beta|`` is ``|f_beta|``, and a
     #   forced mu's term ``lambda * (log(1.0) + c)`` is computed here by the
-    #   same operations.
+    #   same operations; no step reads a forced weight's gradient entry.
     # Every sum is a left fold: builtin ``sum`` of floats is compensated
     # from Python 3.12 on, which would change the search's trajectory.
 
@@ -512,7 +515,8 @@ class _SearchProblem:
         return lines
 
     def _margin_source(self) -> list[str]:
-        """``th{i}`` and ``v{i}`` per slot."""
+        """``th{i}`` and ``v{i}`` per slot, then their hard maximum ``m``
+        and their smoothed maximum ``smoothed`` at temperature ``tau``."""
         free = set(self._free)
         lines = []
         for i, (nu_index, abs_inner, terms) in enumerate(self.slots):
@@ -525,53 +529,91 @@ class _SearchProblem:
             lines.append(f"th{i} = exp({' + '.join(parts)})")
             nu = f"w{nu_index} * " if nu_index in free else ""
             lines.append(f"v{i} = {nu}{abs_inner!r} - th{i}")
+        values = [f"v{i}" for i in range(len(self.slots))]
+        exps = " + ".join(f"exp(({v} - m) / tau)" for v in values)
+        lines.append("m = v0")
+        lines += [f"m = {v} if {v} > m else m" for v in values[1:]]
+        lines.append(f"smoothed = m + tau * log({exps})")
         return lines
 
     def _gradient_source(self) -> list[str]:
-        """Every weight has exactly one term: as the nu of one slot or as
-        a mu of one slot."""
-        count = range(len(self.slots))
-        lines = [
-            "def gradient(weights, values, thresholds, tau, smoothed):",
-            *_unpack((f"w{k}" for k in range(self.weight_count)), "weights"),
-            *_unpack((f"v{i}" for i in count), "values"),
-            *_unpack((f"th{i}" for i in count), "thresholds"),
-        ]
+        """``g{k}`` of each free weight, at the smoothed maximum ``level``:
+        every weight has exactly one term, as the nu of one slot or as a mu
+        of one slot."""
+        free = set(self._free)
+        lines = []
         for i, (nu_index, abs_inner, terms) in enumerate(self.slots):
+            mus = [(k, lam) for k, lam, _ in terms if k in free]
+            if nu_index not in free and not mus:
+                continue
+            lines.append(f"s = exp((v{i} - level) / tau)")
+            if nu_index in free:
+                lines.append(f"g{nu_index} = s * {abs_inner!r}")
+            if mus:
+                lines.append(f"p = s * th{i}")
             lines += [
-                f"s = exp((v{i} - smoothed) / tau)",
-                f"g{nu_index} = s * {abs_inner!r}",
-                f"p = s * th{i}",
-                *(
-                    f"g{k} = 0.0 - p * {lam!r} / w{k} if w{k} > 1e-300 else 0.0"
-                    for k, lam, _ in terms
-                ),
+                f"g{k} = 0.0 - p * {lam!r} / w{k} if w{k} > 1e-300 else 0.0"
+                for k, lam in mus
             ]
-        lines.append(f"return {_listed(f'g{k}' for k in range(self.weight_count))}")
         return lines
 
-    def _search_source(self) -> list[str]:
-        """``forward`` and ``descend``, which take the logits of the free
-        weights only; without free weights ``forward`` still gives the
-        margins at the forced split."""
+    def _step_source(self) -> list[str]:
+        """The trial logits ``l{k}``, a step of length ``step`` from ``o{k}``
+        against the gradient."""
+        return [f"l{k} = o{k} - step * g{k}" for k in self._free]
+
+    def _descent_source(self) -> list[str]:
+        """The body of :attr:`_descent`.  Each turn of its loop runs the one
+        forward pass: at the start logits, at a new temperature, or at the
+        trial logits it computes first.  A rejected trial halves the step
+        and turns again; every other pass is followed by the gradient that
+        the next trial steps against."""
         free = set(self._free)
-        logits = [f"l{k}" for k in self._free]
-        weights = (f"w{k}" if k in free else "1.0" for k in range(self.weight_count))
-        values = [f"v{i}" for i in range(len(self.slots))]
-        exps = " + ".join(f"exp(({v} - m) / tau)" for v in values)
+        last = len(_TAUS) - 1
+        best = (f"b{k}" if k in free else "1.0" for k in range(self.weight_count))
         return [
-            "def forward(logits, tau):",
-            *_unpack(logits, "logits"),
-            *self._softmax_source(),
-            *self._margin_source(),
-            "m = v0",
-            *(f"m = {v} if {v} > m else m" for v in values[1:]),
-            f"s = m + tau * log({exps})",
-            f"return {_listed(weights)}, {_listed(values)}, "
-            f"{_listed(f'th{i}' for i in range(len(self.slots)))}, s, m",
-            "def descend(logits, gradient, step):",
-            *_unpack(logits, "logits"),
-            f"return {_listed(f'l{k} - step * gradient[{k}]' for k in self._free)}",
+            f"tau = {_TAUS[0]!r} * scale",
+            f"step = {3 * _TAUS[0]!r} / scale",
+            "tolerance = 1e-7 * max(1.0, scale)",
+            *(f"l{k} = 0.0" for k in self._free),
+            "best = inf",
+            "iteration = stalled = trials = passes = 0",
+            "trial = False",
+            "while True:",
+            *_block([
+                "if trial:",
+                *_block(["trials += 1", *self._step_source()]),
+                "passes += 1",
+                *self._softmax_source(),
+                *self._margin_source(),
+                "if trial:",
+                *_block([
+                    # A short enough step leaves the logits, and the level,
+                    # as they are; only a slope that overflowed can run the
+                    # step down to 0.
+                    "if step and not smoothed <= level:",
+                    *_block(["step /= 2", "continue"]),
+                    "if smoothed < level:",
+                    *_block(["step *= 2"]),
+                    # Only the last phase counts steps that hardly improve
+                    # the margin.
+                    f"stalled = 0 if phase < {last} or m < best - tolerance else stalled + 1",
+                    "iteration += 1",
+                ]),
+                # A pass at a new temperature has the weights of the step
+                # before it, so it never improves the best margin.
+                "if m < best:",
+                *_block(["best = m", *(f"b{k} = w{k}" for k in self._free)]),
+                "level = smoothed",
+                f"if best <= 1e-10 or stalled >= {_PHASE + 60} or iteration == iterations:",
+                *_block([f"return best, [{', '.join(best)}], trials, passes"]),
+                f"phase = min(iteration // {_PHASE}, {last})",
+                f"if trial and iteration == phase * {_PHASE}:",
+                *_block([f"tau = {_TAUS!r}[phase] * scale", "trial = False", "continue"]),
+                *self._gradient_source(),
+                *(f"o{k} = l{k}" for k in self._free),
+                "trial = True",
+            ]),
         ]
 
 
@@ -591,27 +633,20 @@ def _log_magnitude(terms: dict[Exponent, Fraction], exponent: Exponent) -> float
     return math.log(magnitude)
 
 
-def _listed(names: Iterable[str]) -> str:
-    return f"[{', '.join(names)}]"
+def _block(lines: list[str]) -> list[str]:
+    return ["    " + line for line in lines]
 
 
-def _unpack(names: Iterable[str], source: str) -> list[str]:
-    names = list(names)
-    return [f"{', '.join(names)}, = {source}"] if names else []
-
-
-def _compile(source: list[str]) -> SimpleNamespace:
-    """The functions of generated ``source`` (``def`` lines at the left
-    margin, every other line in their bodies), over ``exp`` and ``log``.
-    The source holds only local names, integers and floats written by
-    ``repr``, which round-trips them exactly; each float is finite, since
-    :class:`_SearchProblem` admits only coefficients in the float range."""
-    text = "\n".join(line if line.startswith("def ") else "    " + line for line in source)
-    namespace = {"exp": math.exp, "log": math.log}
+def _compile(header: str, body: list[str]) -> FunctionType:
+    """The function ``def {header}:`` of generated ``body``, over ``exp``,
+    ``log`` and ``inf``.  The source holds only local names, integers and
+    floats written by ``repr``, which round-trips them exactly; each float
+    is finite, since :class:`_SearchProblem` admits only coefficients in
+    the float range."""
+    namespace = {"exp": math.exp, "log": math.log, "inf": math.inf}
+    text = "\n".join([f"def {header}:", *_block(body)])
     exec(compile(text, "<search kernel>", "exec"), namespace)
-    return SimpleNamespace(
-        **{name: value for name, value in namespace.items() if isinstance(value, FunctionType)}
-    )
+    return namespace[header.partition("(")[0]]
 
 
 def _optimize(problem: _SearchProblem) -> tuple[float, list[float]]:
@@ -619,43 +654,12 @@ def _optimize(problem: _SearchProblem) -> tuple[float, list[float]]:
     entropic mirror descent run from the uniform split: each step takes the
     weight-space gradient, times a step length that halves until the
     smoothed maximum does not rise, off the logits of the group softmaxes.
-    Only free weights have logits.  Every value comes from the kernel's
-    passes: one per trial, one at the start and one at each later change
-    of temperature, whose smoothed maximum is the level of the next step."""
-    kernel = problem._kernel
-    forward, descend, gradient_of = kernel.forward, kernel.descend, kernel.gradient
+    Only free weights have logits.  The whole descent runs in the problem's
+    compiled kernel, one forward pass per trial, one at the start and one
+    at each later change of temperature, whose smoothed maximum is the
+    level of the next step."""
     scale = max(abs_inner for _, abs_inner, _ in problem.slots)
     if not scale:
         raise FloatRangeExceeded("every inner coefficient lies below the float range")
-    last_phase = len(_TAUS) - 1
-    logits = [0.0] * len(problem._free)
-    tau = _TAUS[0] * scale
-    weights, values, thresholds, level, best_margin = forward(logits, tau)
-    best_weights = weights
-    step = 3 * _TAUS[0] / scale
-    stalled = 0
-    for iteration in range(_ITERATIONS):
-        if best_margin <= 1e-10 or stalled >= _PHASE + 60:
-            break
-        phase = min(iteration // _PHASE, last_phase)
-        if iteration and iteration == phase * _PHASE:  # a new temperature
-            tau = _TAUS[phase] * scale
-            weights, values, thresholds, level, _ = forward(logits, tau)
-        gradient = gradient_of(weights, values, thresholds, tau, level)
-        while True:
-            trial = descend(logits, gradient, step)
-            weights, values, thresholds, smoothed, current = forward(trial, tau)
-            # A short enough step leaves the logits, and the level, as they
-            # are; only a slope that overflowed can run the step down to 0.
-            if smoothed <= level or not step:
-                break
-            step /= 2
-        logits = trial
-        step *= 2 if smoothed < level else 1
-        level = smoothed
-        # Only the last phase counts steps that hardly improve the margin.
-        progress = current < best_margin - 1e-7 * max(1.0, scale)
-        stalled = 0 if phase < last_phase or progress else stalled + 1
-        if current < best_margin:
-            best_margin, best_weights = current, weights
+    best_margin, best_weights, _, _ = problem._descent(scale, _ITERATIONS)
     return best_margin, best_weights

@@ -44,6 +44,11 @@ from .forms import Exponent, SparseForm, grlex_key
 #: truncating silently.
 DEFAULT_CANDIDATE_CAP = 22
 
+#: Hard cap on the integer candidates of one lattice-point scan; a short
+#: text can name a simplex with more lattice points than any run can visit,
+#: so the scan fails loudly instead.
+LATTICE_CANDIDATE_CAP = 10_000
+
 
 @dataclass(frozen=True)
 class Simplex:
@@ -368,7 +373,10 @@ def _integer_candidates(points: Sequence[Sequence[Fraction]]) -> list[Exponent]:
     range spanned by the generators (convexity makes the restriction
     exact for the hull).  Prefixes grow one coordinate at a time and keep
     only values from which that range stays reachable, so a degree-d
-    simplex in n variables does not cost a box of (d + 1)^n points."""
+    simplex in n variables does not cost a box of (d + 1)^n points.  Every
+    kept prefix extends to a candidate, so the list only grows; once it
+    would hold more than :data:`LATTICE_CANDIDATE_CAP` prefixes, the scan
+    raises :class:`CapExceeded` before building them."""
     dim = len(points[0])
     lows = [math.ceil(min(p[i] for p in points)) for i in range(dim)]
     highs = [math.floor(max(p[i] for p in points)) for i in range(dim)]
@@ -377,21 +385,25 @@ def _integer_candidates(points: Sequence[Sequence[Fraction]]) -> list[Exponent]:
     prefixes: list[tuple[Exponent, int]] = [((), 0)]
     for i in range(dim):
         rest_low, rest_high = sum(lows[i + 1 :]), sum(highs[i + 1 :])
-        prefixes = [
-            ((*prefix, value), total + value)
-            for prefix, total in prefixes
-            for value in range(
-                max(lows[i], degree_low - total - rest_high),
-                min(highs[i], degree_high - total - rest_low) + 1,
-            )
-        ]
+        grown: list[tuple[Exponent, int]] = []
+        for prefix, total in prefixes:
+            low = max(lows[i], degree_low - total - rest_high)
+            high = min(highs[i], degree_high - total - rest_low)
+            if len(grown) + high - low + 1 > LATTICE_CANDIDATE_CAP:
+                raise CapExceeded(
+                    f"the lattice scan exceeds the cap of {LATTICE_CANDIDATE_CAP} candidate points"
+                )
+            grown += [((*prefix, value), total + value) for value in range(low, high + 1)]
+        prefixes = grown
     return [prefix for prefix, _ in prefixes]
 
 
 def lattice_points(simplex_vertices: Sequence[Exponent]) -> frozenset[Exponent]:
     """All integer points of the convex hull of affinely independent
     vertices, by a bounding-box scan with exact barycentric containment.
-    Vertices of different lengths raise :class:`DimensionMismatch`."""
+    Vertices of different lengths raise :class:`DimensionMismatch`, a scan
+    over more than :data:`LATTICE_CANDIDATE_CAP` candidates
+    :class:`CapExceeded`."""
     vertices = [tuple(v) for v in simplex_vertices]
     if not vertices:
         raise ValueError("empty vertex list")

@@ -13,9 +13,10 @@ the first reason found for a conclusion wins; "not nonnegative" implies
 contradictory exact verdicts raise :class:`InternalInvariantViolation`
 (exit 2).  The JSON records the verdicts with their reasons and the data
 behind them (partition, coefficient sums, corollary violations, circuit
-weights, mediated set, search status), but not yet every certificate
-needed to replay an exact verdict; see ROADMAP item 5.  JSON output is
-schema-versioned and serializes all rationals as ``p/q`` strings.
+weights, mediated set or the note of a scan over the lattice cap, search
+status), but not yet every certificate needed to replay an exact
+verdict; see ROADMAP item 5.  JSON output is schema-versioned and
+serializes all rationals as ``p/q`` strings.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Any
 
 from .errors import (
     BudgetExceeded,
+    CapExceeded,
     FloatRangeExceeded,
     InternalInvariantViolation,
     UncoveredInnerExponent,
@@ -74,6 +76,7 @@ class AnalysisReport:
     circuit_theta_float: float | None = None
     circuit_sos: bool | None = None
     mediated: MediatedSet | None = None
+    mediated_note: str | None = None
     precheck_witness: tuple[int, ...] | None = None
     necessary: NecessaryConditionReport | None = None
     feasibility: SearchOutcome | None = None
@@ -146,14 +149,19 @@ def analyze(
                 report.circuit_sos = True
                 conclude("SOS", "sum of monomial squares")
             else:
-                report.mediated = mediated_set_of_circuit(circuit)
-                report.circuit_sos = sos = circuit_is_sos(circuit, report.mediated)
-                assert circuit.inner is not None
-                conclude(
-                    "SOS" if sos else "not SOS",
-                    f"inner exponent {circuit.inner[0]}"
-                    f" {'lies in' if sos else 'is outside'} the maximal mediated set",
-                )
+                try:
+                    report.mediated = mediated_set_of_circuit(circuit)
+                except CapExceeded as error:
+                    # Too many lattice points to scan: no SOS verdict.
+                    report.mediated_note = f"{type(error).__name__}: {error}"
+                else:
+                    report.circuit_sos = sos = circuit_is_sos(circuit, report.mediated)
+                    assert circuit.inner is not None
+                    conclude(
+                        "SOS" if sos else "not SOS",
+                        f"inner exponent {circuit.inner[0]}"
+                        f" {'lies in' if sos else 'is outside'} the maximal mediated set",
+                    )
         else:
             conclude(
                 "not nonnegative",
@@ -325,6 +333,8 @@ def report_to_dict(report: AnalysisReport) -> dict[str, Any]:
             "star": _sorted_exponents(mediated.star),
             "classification": mediated.classification.value,
         }
+    elif report.mediated_note is not None:
+        data["mediated_set_note"] = report.mediated_note
     if report.feasibility is not None:
         outcome = report.feasibility
         data["feasibility"] = {
@@ -399,6 +409,8 @@ def render_text(report: AnalysisReport) -> str:
         lines.append(f"circuit: {report.circuit.kind.value}{extra}")
     elif isinstance(report.circuit, NotACircuit):
         lines.append(f"circuit: no ({report.circuit.reason})")
+    if report.mediated_note is not None:
+        lines.append(f"mediated set: {report.mediated_note}")
     if report.feasibility is not None:
         outcome = report.feasibility
         margin = "" if outcome.margin is None else f", margin {outcome.margin:.6g}"

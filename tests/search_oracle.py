@@ -14,8 +14,10 @@ computed the smoothed maximum once: the gradient, the level and every
 backtracking trial each evaluate it afresh.  Its sums are left folds, as
 builtin ``sum`` of floats was before Python 3.12.  ``_weights``,
 ``_margins``, ``_gradient`` and ``_smoothed_max`` are the interpreted
-loops the search's compiled kernel replaced; every oracle here is built on
-them, never on the kernel the tests check.
+loops the search's compiled descent replaced; every oracle here is built
+on them, never on the compiled code the tests check: the descent, and its
+forward pass, gradient and trial step, which the tests compile one by one
+from the search's own line generators.
 """
 
 import math

@@ -6,6 +6,7 @@ import math
 import operator
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -498,16 +499,75 @@ def _random_weights(rng, problem, logit):
     return search_oracle._weights(problem, _random_logits(rng, problem, logit))
 
 
+def _names(prefix, indices):
+    return [f"{prefix}{k}" for k in indices]
+
+
+def _unpack(names, source):
+    return [f"{', '.join(names)}, = {source}"] if names else []
+
+
+def _listed(names):
+    return f"[{', '.join(names)}]"
+
+
+@functools.cache
+def _kernel(problem):
+    """The parts of ``problem``'s compiled descent as three functions, built
+    from the search's own line generators: ``forward(logits, tau)`` takes
+    the free weights' logits and gives the weights (forced ones 1.0), each
+    slot's margin and threshold, and the smoothed and the hard maximum;
+    ``gradient(weights, values, thresholds, tau, level)`` the entries of
+    the free weights; ``descend(logits, gradient, step)`` the trial logits
+    from the free weights' logits and gradient entries."""
+    free, slots = problem._free, range(len(problem.slots))
+    weights = [f"w{k}" if k in free else "1.0" for k in range(problem.weight_count)]
+    forward = certify._compile(
+        "forward(logits, tau)",
+        [
+            *_unpack(_names("l", free), "logits"),
+            *problem._softmax_source(),
+            *problem._margin_source(),
+            f"return {_listed(weights)}, {_listed(_names('v', slots))},"
+            f" {_listed(_names('th', slots))}, smoothed, m",
+        ],
+    )
+    gradient = certify._compile(
+        "gradient(weights, values, thresholds, tau, level)",
+        [
+            *_unpack(_names("w", range(problem.weight_count)), "weights"),
+            *_unpack(_names("v", slots), "values"),
+            *_unpack(_names("th", slots), "thresholds"),
+            *problem._gradient_source(),
+            f"return {_listed(_names('g', free))}",
+        ],
+    )
+    descend = certify._compile(
+        "descend(logits, gradient, step)",
+        [
+            *_unpack(_names("o", free), "logits"),
+            *_unpack(_names("g", free), "gradient"),
+            *problem._step_source(),
+            f"return {_listed(_names('l', free))}",
+        ],
+    )
+    return SimpleNamespace(forward=forward, gradient=gradient, descend=descend)
+
+
 def _forward(problem, logits, tau):
     """The kernel's forward pass at one logit per weight, as the oracles
     take them; it reads those of the free weights only."""
-    return problem._kernel.forward([logits[k] for k in problem._free], tau)
+    return _kernel(problem).forward([logits[k] for k in problem._free], tau)
 
 
 def _assert_gradient_matches_oracle(problem, weights, tau):
+    """Compares the gradient entries of the free weights, the only ones a
+    step reads; returns them by weight index, with the numeric gradient
+    over every weight."""
     values, thresholds = search_oracle._margins(problem, weights)
-    analytic = problem._kernel.gradient(
-        weights, values, thresholds, tau, search_oracle._smoothed_max(values, tau)
+    smoothed = search_oracle._smoothed_max(values, tau)
+    analytic = dict(
+        zip(problem._free, _kernel(problem).gradient(weights, values, thresholds, tau, smoothed))
     )
     # Richardson extrapolation over steps h and h/2 cancels the h**2
     # truncation error of central differences, which exceeds the tolerance
@@ -521,8 +581,8 @@ def _assert_gradient_matches_oracle(problem, weights, tau):
     # maximum is computed from (some nu * |f_beta| or theta), whatever the
     # weights; the floor sits above that noise for a vanishing gradient.
     magnitude = max(max(v + t, t) for v, t in zip(values, thresholds))
-    reference = max(max(w * abs(n) for w, n in zip(weights, numeric)), 1e-2 * magnitude)
-    error = max(w * abs(a - n) for w, a, n in zip(weights, analytic, numeric))
+    reference = max(max(weights[k] * abs(numeric[k]) for k in analytic), 1e-2 * magnitude)
+    error = max(weights[k] * abs(a - numeric[k]) for k, a in analytic.items())
     assert error <= 1e-6 * reference, (weights, tau, analytic, numeric)
     return analytic, numeric
 
@@ -632,7 +692,7 @@ def test_search_sums_are_left_folds():
     )
     problem = _search_problem(f)
     assert problem.size == 0 and len(problem.slots) == 3
-    _, values, _, smoothed, peak = problem._kernel.forward([], 1.0)
+    _, values, _, smoothed, peak = _kernel(problem).forward([], 1.0)
     exps = [math.exp(v) for v in values]
     left = functools.reduce(operator.add, exps)
     assert values[0] == peak == 0.0
@@ -656,11 +716,14 @@ def test_search_sums_are_left_folds():
 def test_search_stops_when_the_slope_overflows():
     # A weight pushed near the clamp can give a slope beyond the float
     # range; the step then halves to zero and the search keeps its best.
+    # Here every gradient entry the descent compiles is that slope.
     problem = _search_problem(_trinomial_family_form(Fraction(1, 4)))
     uniform = search_oracle._weights(problem, [0.0] * problem.weight_count)
     start, _ = search_oracle._margins(problem, uniform)
     with mock.patch.object(
-        problem._kernel, "gradient", lambda *args: [math.inf] * problem.weight_count
+        _SearchProblem,
+        "_gradient_source",
+        lambda self: [f"g{k} = float('inf')" for k in self._free],
     ):
         margin, weights = certify._optimize(problem)
     assert margin == max(start)
@@ -1029,30 +1092,44 @@ def test_search_descent_matches_reference_on_random_sums(random_sums):
             _assert_descent_matches_reference(problem)
 
 
+#: ``float.hex()`` of the best margin of each corpus form searched at
+#: ``SearchBudget(max_params=9)``: the descent's trajectory pinned bit for
+#: bit, where the golden files compare floats to a relative 1e-12.
+SEARCH_MARGIN_BITS = {
+    "robinson1": "0x1.ffffffffffffep-2",
+    "p_2_6": "0x1.12614656b96f8p-2",
+    "q_3_6": "0x1.0000000000000p+0",
+    "q_3_8": "0x1.0000000000000p+0",
+    "square_trinomial": "0x1.2bec333018868p-1",
+    "separator_ternary": "0x1.0abb2f087a098p-1",
+    "separator_quaternary": "0x1.4334b5e4f6652p-1",
+}
+
+
+def test_search_margins_of_the_corpus_bitwise(corpus_problems):
+    budget = SearchBudget(max_params=9)
+    margins = {
+        name: sonc_feasibility_search(f, support_partition(f), budget).margin.hex()
+        for name, f, problem in corpus_problems
+        if problem.size <= budget.max_params
+    }
+    assert margins == SEARCH_MARGIN_BITS
+
+
 def test_search_computes_one_smoothed_maximum_per_forward_pass():
-    # The compiled forward pass returns one smoothed maximum per call, and
-    # the search computes no other: one forward pass per trial step and at
-    # the start, and one more at each later change of temperature.
+    # The compiled descent holds one forward pass, which computes one
+    # smoothed maximum, and no other: one pass per trial step and at the
+    # start, and one more at each later change of temperature, as the
+    # descent counts them.
     for name in ("robinson1", "separator_ternary"):
         problem = _search_problem(FORM_BUILDERS[name]())
-        kernel = problem._kernel
-        calls = {"forward": 0, "descend": 0}
-
-        def counting(key, function):
-            def counted(*args):
-                calls[key] += 1
-                return function(*args)
-
-            return counted
-
-        with mock.patch.object(
-            kernel, "forward", counting("forward", kernel.forward)
-        ), mock.patch.object(kernel, "descend", counting("descend", kernel.descend)):
-            certify._optimize(problem)
+        source = problem._descent_source()
+        assert sum(line.lstrip().startswith("smoothed = ") for line in source) == 1
+        scale = max(abs_inner for _, abs_inner, _ in problem.slots)
+        *_, trials, passes = problem._descent(scale, certify._ITERATIONS)
+        assert trials > 0, name
         # The passes of the trials and of the start.
-        passes = calls["descend"] + 1
-        assert calls["descend"] > 0, name
-        assert calls["forward"] <= passes + len(certify._TAUS) - 1, (name, calls)
+        assert passes <= trials + 1 + len(certify._TAUS) - 1, (name, trials, passes)
 
 
 # ---------------------------------------------------------------------------
@@ -1070,20 +1147,22 @@ def _assert_kernel_matches_oracle(problem, logits, tau):
     values, thresholds = search_oracle._margins(problem, weights)
     gradient = search_oracle._gradient(problem, weights, values, thresholds, tau)
     smoothed = search_oracle._smoothed_max(values, tau)
-    kernel = problem._kernel
+    kernel = _kernel(problem)
     forward = _forward(problem, logits, tau)
     assert _bits(forward[0]) == _bits(weights)
     assert _bits(forward[1]) == _bits(values)
     assert _bits(forward[2]) == _bits(thresholds)
     assert _bits(forward[3:]) == _bits([smoothed, max(values)])
+    # The entries of the free weights, the only ones a step reads.
+    free_gradient = [gradient[k] for k in problem._free]
     assert _bits(kernel.gradient(weights, values, thresholds, tau, smoothed)) == _bits(
-        gradient
+        free_gradient
     )
     # The trial update of the free logits, as a step over every logit.
     step = 0.37 / tau
     trial = [v - step * g for v, g in zip(logits, gradient)]
     free = [logits[k] for k in problem._free]
-    assert _bits(kernel.descend(free, gradient, step)) == _bits(
+    assert _bits(kernel.descend(free, free_gradient, step)) == _bits(
         [trial[k] for k in problem._free]
     )
 

@@ -672,6 +672,21 @@ def test_integer_candidates_are_the_box_points_in_the_degree_range():
         assert len(candidates) == len(expected) and set(candidates) == expected, points
 
 
+def test_integer_candidates_stop_at_the_cap():
+    from sonckit.geometry import LATTICE_CANDIDATE_CAP as cap, _integer_candidates
+
+    # The segment from (0, n) to (n, 0) holds n + 1 candidates.
+    assert len(_integer_candidates([(0, cap - 1), (cap - 1, 0)])) == cap
+    assert len(lattice_points([(0, cap - 1), (cap - 1, 0)])) == cap
+    with pytest.raises(CapExceeded):
+        _integer_candidates([(0, cap), (cap, 0)])
+    with pytest.raises(CapExceeded):
+        lattice_points([(0, cap), (cap, 0)])
+    # Raised while the prefixes are built: this box has 10**40 points.
+    with pytest.raises(CapExceeded):
+        _integer_candidates([(0, 0, 10**20), (10**20, 10**20, 0)])
+
+
 def test_lattice_points_of_a_nine_variable_simplex():
     # 3003 = C(14, 8) points of degree 6, out of 7**9 in the bounding box.
     vertices = [tuple(6 * (i == j) for i in range(9)) for j in range(9)]

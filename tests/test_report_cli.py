@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from sonckit.circuits import Circuit, detect_circuit
 from sonckit.cli import main
 from sonckit.forms import make_form, parse_form, save_form_file
 from sonckit.geometry import psd_newton_precheck
-from sonckit.report import analyze, report_to_dict, verdicts_from_dict
+from sonckit.report import analyze, render_text, report_to_dict, verdicts_from_dict
 from sonckit.corpus import (
     FORM_BUILDERS,
     motzkin,
@@ -428,6 +429,33 @@ def test_cli_mms_unit_triangle(capsys):
 def test_cli_mms_odd_point(capsys):
     assert main(["mms", "--points", "1,1"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_analyze_skips_a_mediated_set_over_the_lattice_cap():
+    # The circuit's segment holds 2000001 lattice points, beyond
+    # geometry.LATTICE_CANDIDATE_CAP: the scan stops at once, and the
+    # report keeps every verdict but the SOS one.
+    f = parse_form("x1^2000000 + x2^2000000 - x1^1000000*x2^1000000")
+    start = time.perf_counter()
+    report = analyze(f)
+    assert time.perf_counter() - start < 1.0
+    assert [(v.conclusion, v.certificate) for v in report.verdicts] == [
+        ("nonnegative", "exact"),
+        ("SONC", "exact"),
+    ]
+    assert report.mediated is None and report.circuit_sos is None
+    data = report_to_dict(report)
+    assert data["mediated_set_note"] == report.mediated_note
+    assert report.mediated_note.startswith("CapExceeded: ")
+    assert "mediated_set" not in data and data["circuit"]["is_sos"] is None
+    assert f"mediated set: {report.mediated_note}" in render_text(report).splitlines()
+    # Only a skipped mediated set adds the key.
+    assert "mediated_set_note" not in report_to_dict(analyze(motzkin()))
+
+
+def test_cli_mms_over_the_lattice_cap(capsys):
+    assert main(["mms", "--points", "2000000,0; 0,2000000"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_grid(tmp_path, capsys):
