@@ -6,16 +6,18 @@ The exact routes are the coefficient-sum necessary condition
         <=  sum over used square exponents of f_alpha,
 
 its equality-case corollary ``f_alpha >= min_k lambda_alpha^k * |f_beta|``,
-and exact verification of explicit cancellation-free decompositions.  A
-bounded numeric feasibility search over decomposition weights covers small
-instances the exact routes leave open.  It runs mirror descent on a
-smoothed maximum of the circuit margins, which is convex in the weights.  A
-numeric result never certifies -- feasible weights are rounded to rationals
-and re-verified exactly, and infeasibility is only reported with an
-explicit margin: the smallest margin a first-order method found for a
-convex objective; numeric, not a bound.  Each search compiles one
-function for its problem on first use, which runs the whole descent: one
-loop over the steps around a forward pass and a gradient written as
+and exact verification of explicit cancellation-free decompositions: the
+pieces are plain forms, and :func:`verify_decomposition` alone detects
+each as a circuit and decides its nonnegativity.  A bounded numeric
+feasibility search over decomposition weights covers small instances the
+exact routes leave open.  It runs mirror descent on a smoothed maximum of
+the circuit margins, which is convex in the weights.  A numeric result
+never certifies -- feasible weights are rounded to rationals, the pieces
+they make must pass :func:`verify_decomposition`, and infeasibility is
+only reported with an explicit margin: the smallest margin a first-order
+method found for a convex objective; numeric, not a bound.  Each search
+compiles one function for its problem on first use, which runs the whole
+descent: one loop over the steps around a forward pass and a gradient written as
 straight-line Python, with the float operations of the interpreted loops
 kept as test oracles in the same order; every float the search reports
 comes from it.
@@ -40,12 +42,7 @@ from .errors import (
     UncoveredInnerExponent,
     ZeroFormInput,
 )
-from .circuits import (
-    Circuit,
-    NotACircuit,
-    decide_circuit_nonnegativity,
-    detect_circuit,
-)
+from .circuits import Circuit, decide_circuit_nonnegativity, detect_circuit
 from .forms import Exponent, SparseForm, add_forms, grlex_key, make_form
 from .geometry import SupportPartition, Simplex
 
@@ -202,10 +199,12 @@ def corollary_check(f: SparseForm, partition: SupportPartition) -> CorollaryRepo
 
 @dataclass(frozen=True)
 class SoncDecomposition:
-    """Candidate decomposition into nonnegative circuits plus a monomial
-    square remainder, all supported inside the target's support."""
+    """Candidate decomposition into nonnegative circuit forms plus a
+    monomial square remainder, all supported inside the target's support.
+    ``circuits`` holds the piece forms; :func:`verify_decomposition`
+    decides whether each is a nonnegative circuit."""
 
-    circuits: tuple[Circuit, ...]
+    circuits: tuple[SparseForm, ...]
     monomial_square_remainder: SparseForm
 
 
@@ -216,24 +215,26 @@ class VerificationResult:
 
 
 def verify_decomposition(f: SparseForm, d: SoncDecomposition) -> VerificationResult:
-    """Exact validity check; names the first failing condition."""
+    """Exact validity check; names the first failing condition.  Each piece
+    is detected here: the zero form and a form that fails
+    :func:`detect_circuit` are ``not_a_circuit``."""
     try:
         total = add_forms(
-            *(c.form for c in d.circuits), d.monomial_square_remainder
+            *d.circuits, d.monomial_square_remainder
         ) if d.circuits else d.monomial_square_remainder
     except (DimensionMismatch, NotHomogeneous):
         return VerificationResult(False, "sum_mismatch")
     if total != f:
         return VerificationResult(False, "sum_mismatch")
-    for circuit in d.circuits:
-        redetected = detect_circuit(circuit.form)
-        if isinstance(redetected, NotACircuit):
+    for piece in d.circuits:
+        circuit = None if piece.is_zero else detect_circuit(piece)
+        if not isinstance(circuit, Circuit):
             return VerificationResult(False, "not_a_circuit")
-        if not decide_circuit_nonnegativity(redetected).is_nonnegative:
+        if not decide_circuit_nonnegativity(circuit).is_nonnegative:
             return VerificationResult(False, "circuit_not_nonnegative")
     support = set(f.terms.keys())
-    for circuit in d.circuits:
-        if not set(circuit.form.terms.keys()) <= support:
+    for piece in d.circuits:
+        if not set(piece.terms.keys()) <= support:
             return VerificationResult(False, "support_not_contained")
     remainder = d.monomial_square_remainder
     if any(
@@ -279,9 +280,10 @@ class SearchStatus(Enum):
 @dataclass(frozen=True)
 class SearchOutcome:
     """Search result; ``exact`` marks conclusions backed by rational
-    arithmetic (verified decomposition, or exhausted zero-parameter
-    family).  ``margin`` is the best achieved maximum over circuits of
-    ``nu * |f_beta| - theta`` in coefficient units."""
+    arithmetic (a decomposition :func:`verify_decomposition` accepted, or
+    an exhausted zero-parameter family).  ``margin`` is the best achieved
+    maximum over circuits of ``nu * |f_beta| - theta`` in coefficient
+    units."""
 
     status: SearchStatus
     margin: float | None
@@ -289,19 +291,21 @@ class SearchOutcome:
     exact: bool
 
 
-def _build_exact_decomposition(
+def _verified_decomposition(
     f: SparseForm,
     partition: SupportPartition,
     problem: _SearchProblem,
     weights: Sequence[Fraction],
 ) -> SoncDecomposition | None:
-    """Assemble the candidate decomposition from exact weights laid out
-    like ``problem``'s split weights; ``None`` when some piece fails to be
-    a circuit (rounding artefacts)."""
+    """The decomposition that exact weights, laid out like ``problem``'s
+    split weights, make of ``f``, if :func:`verify_decomposition` accepts
+    it.  A piece whose inner weight is zero is a sum of squares and joins
+    the remainder; a rounded piece that is no circuit (a zero square
+    weight) is rejected there."""
     remainder_terms: dict[Exponent, Fraction] = {
         alpha: f.terms[alpha] for alpha in partition.r_set
     }
-    circuits: list[Circuit] = []
+    pieces: list[SparseForm] = []
     for (beta, simplex), (nu_index, mu_indices) in zip(problem.circuits, problem.indices):
         nu = weights[nu_index]
         outer_pairs = {
@@ -310,25 +314,19 @@ def _build_exact_decomposition(
         }
         if nu == 0:
             for alpha, coeff in outer_pairs.items():
-                if coeff != 0:
-                    remainder_terms[alpha] = remainder_terms.get(alpha, _ZERO) + coeff
+                remainder_terms[alpha] = remainder_terms.get(alpha, _ZERO) + coeff
             continue
-        if any(coeff == 0 for coeff in outer_pairs.values()):
-            return None
-        terms = dict(outer_pairs)
-        terms[beta] = terms.get(beta, _ZERO) + nu * f.terms[beta]
-        piece = make_form(f.num_vars, terms, zero_degree=f.degree)
-        detected = detect_circuit(piece)
-        if isinstance(detected, NotACircuit):
-            return None
-        circuits.append(detected)
+        terms = {**outer_pairs, beta: nu * f.terms[beta]}
+        pieces.append(make_form(f.num_vars, terms, zero_degree=f.degree))
     remainder = make_form(f.num_vars, remainder_terms, zero_degree=f.degree)
-    return SoncDecomposition(
-        circuits=tuple(circuits), monomial_square_remainder=remainder
-    )
+    decomposition = SoncDecomposition(tuple(pieces), remainder)
+    return decomposition if verify_decomposition(f, decomposition).valid else None
 
 
-def _rationalize_group(values: Sequence[float]) -> list[Fraction] | None:
+def _rationalize_group(values: Sequence[float]) -> list[Fraction]:
+    """A group's best weights as rationals that sum to one.  They are a
+    softmax, so the largest, at least ``1 / len(values)``, is not snapped
+    to zero."""
     snapped = []
     for value in values:
         if value < 1e-9:
@@ -338,8 +336,6 @@ def _rationalize_group(values: Sequence[float]) -> list[Fraction] | None:
         else:
             snapped.append(Fraction(value).limit_denominator(10**6))
     total = sum(snapped, _ZERO)
-    if total == 0:
-        return None
     return [value / total for value in snapped]
 
 
@@ -357,8 +353,8 @@ def sonc_feasibility_search(
     the splits (``theta`` is a weighted geometric mean of linear functions),
     and the search runs entropic mirror descent on their smoothed maximum
     with the exact reverse-mode gradient.  Its numeric result never
-    certifies: any feasible point is rounded to rationals and must
-    re-verify exactly.
+    certifies: any feasible point is rounded to rationals, and the pieces
+    they make must pass :func:`verify_decomposition`.
     """
     budget = budget or SearchBudget()
     if f.is_zero:
@@ -371,8 +367,8 @@ def sonc_feasibility_search(
     if problem.size == 0:
         # Every split is forced; with no inner exponent the remainder is f.
         ones = [_ONE] * problem.weight_count
-        decomposition = _build_exact_decomposition(f, partition, problem, ones)
-        if decomposition is not None and verify_decomposition(f, decomposition).valid:
+        decomposition = _verified_decomposition(f, partition, problem, ones)
+        if decomposition is not None:
             return SearchOutcome(SearchStatus.FEASIBLE, 0.0, decomposition, exact=True)
     try:
         if problem.size == 0:
@@ -385,17 +381,14 @@ def sonc_feasibility_search(
     if best_margin <= 1e-6:
         # Promising enough to try the exact gate; rounding hits boundary
         # optima (weights like 1/2) exactly via continued fractions.
-        groups = [
-            _rationalize_group(best_weights[first : first + size])
+        exact = [
+            weight
             for first, size in problem.groups
+            for weight in _rationalize_group(best_weights[first : first + size])
         ]
-        if all(group is not None for group in groups):
-            exact = [weight for group in groups for weight in group]
-            decomposition = _build_exact_decomposition(f, partition, problem, exact)
-            if decomposition is not None and verify_decomposition(f, decomposition).valid:
-                return SearchOutcome(
-                    SearchStatus.FEASIBLE, best_margin, decomposition, exact=True
-                )
+        decomposition = _verified_decomposition(f, partition, problem, exact)
+        if decomposition is not None:
+            return SearchOutcome(SearchStatus.FEASIBLE, best_margin, decomposition, exact=True)
     if best_margin <= 1e-9:
         return SearchOutcome(SearchStatus.FEASIBLE, best_margin, None, exact=False)
     if best_margin > _INFEASIBILITY_MARGIN:

@@ -74,7 +74,8 @@ class NotACircuit:
 @dataclass(frozen=True)
 class CircuitNumber:
     """The AM-GM threshold ``prod base_i ** exponent_i`` kept in factored
-    exact shape; ``float_value`` is display-only and never decides, and is
+    exact shape, with positive bases and the circuit's barycentric weights,
+    which sum to one, as exponents; ``float_value`` is display-only and never decides, and is
     ``None`` when a base or the threshold lies outside the float range."""
 
     factor_bases: tuple[Fraction, ...]
@@ -213,17 +214,32 @@ def circuit_number(c: Circuit) -> CircuitNumber:
 
 def compare_circuit_number(theta: CircuitNumber, t: Fraction | int) -> Comparison:
     """Exact trichotomy of a nonnegative rational against the circuit
-    number, via the least common multiple of the weight denominators."""
+    number.  The number is a weighted geometric mean of its bases, so it
+    lies between their weighted harmonic and arithmetic means, and a ``t``
+    strictly outside that bracket is decided by them; a ``t`` inside it by
+    powers to the least common multiple of the weight denominators."""
     t = Fraction(t)
     if t < 0:
         raise ValueError("comparison is defined for nonnegative t")
     if t == 0:
         return Comparison.LESS  # bases are positive, so theta > 0
     lcm = math.lcm(*(weight.denominator for weight in theta.exponents))
+    powers = [int(weight * lcm) for weight in theta.exponents]
+    # lcm times the arithmetic mean is above / a, lcm over the harmonic
+    # mean below / b: integer fractions, so no sum pays for a gcd.
+    above, a, below, b = 0, 1, 0, 1
+    for base, power in zip(theta.factor_bases, powers):
+        p, q = base.numerator, base.denominator
+        above, a = above * q + power * p * a, a * q
+        below, b = below * p + power * q * b, b * p
+    if t.numerator * lcm * a > t.denominator * above:
+        return Comparison.GREATER
+    if t.numerator * below < t.denominator * lcm * b:
+        return Comparison.LESS
     lhs = t**lcm
     rhs = Fraction(1)
-    for base, weight in zip(theta.factor_bases, theta.exponents):
-        rhs *= base ** int(weight * lcm)
+    for base, power in zip(theta.factor_bases, powers):
+        rhs *= base**power
     if lhs < rhs:
         return Comparison.LESS
     if lhs == rhs:

@@ -227,11 +227,7 @@ def _last_opposite(row: list[int], sign: int, start: int) -> int:
     return q
 
 
-def enumerate_simplices(
-    beta: Exponent,
-    candidates: Iterable[Exponent],
-    cap: int = DEFAULT_CANDIDATE_CAP,
-) -> list[Simplex]:
+def enumerate_simplices(beta: Exponent, candidates: Iterable[Exponent]) -> list[Simplex]:
     """All simplices spanned by candidate points that contain ``beta`` in
     their relative interior, ordered by size and then by their vertex
     indices in the graded-lex sorted pool, as ``itertools.combinations``
@@ -269,8 +265,8 @@ def enumerate_simplices(
       ``q > j`` has ``rows[top][q] * rows[top][j] < 0``.
 
     Both rules compare signs within one row, so the row's scale, which
-    may be negative, does not matter.  Candidates strictly above the cap
-    raise :class:`CapExceeded`, candidates of another length than
+    may be negative, does not matter.  Candidates strictly above
+    :data:`DEFAULT_CANDIDATE_CAP` raise :class:`CapExceeded`, candidates of another length than
     ``beta`` :class:`DimensionMismatch`.
     """
     beta = tuple(beta)
@@ -284,8 +280,10 @@ def enumerate_simplices(
         if all(point[i] == 0 for i in zero_positions)
     ]
     size = len(pool)
-    if size > cap:
-        raise CapExceeded(f"{size} candidate points for {beta} exceed the cap of {cap}")
+    if size > DEFAULT_CANDIDATE_CAP:
+        raise CapExceeded(
+            f"{size} candidate points for {beta} exceed the cap of {DEFAULT_CANDIDATE_CAP}"
+        )
     rows = [[point[i] - beta[i] for point in pool] for i in range(n)]
     found: list[tuple[tuple[int, ...], tuple[Fraction, ...]]] = []
 

@@ -36,7 +36,7 @@ from sonckit.certify import (
     verify_decomposition,
 )
 from sonckit.circuits import Circuit, decide_circuit_nonnegativity, detect_circuit
-from sonckit.forms import grlex_key, make_form, parse_form
+from sonckit.forms import add_forms, grlex_key, make_form, parse_form
 from sonckit.geometry import support_partition
 from sonckit.report import analyze, render_text, report_to_dict
 from sonckit.corpus import (
@@ -228,7 +228,7 @@ def test_verify_motzkin_self_decomposition():
     circuit = detect_circuit(m)
     assert isinstance(circuit, Circuit)
     decomposition = SoncDecomposition(
-        circuits=(circuit,),
+        circuits=(m,),
         monomial_square_remainder=make_form(3, {}, zero_degree=6),
     )
     assert verify_decomposition(m, decomposition).valid
@@ -257,7 +257,7 @@ def _square_trinomial_candidate(nu1: Fraction) -> SoncDecomposition:
     c1, c2 = detect_circuit(f1), detect_circuit(f2)
     assert isinstance(c1, Circuit) and isinstance(c2, Circuit)
     remainder = make_form(3, {(4, 2, 2): Fraction(8)}, zero_degree=8)
-    return SoncDecomposition(circuits=(c1, c2), monomial_square_remainder=remainder)
+    return SoncDecomposition(circuits=(f1, f2), monomial_square_remainder=remainder)
 
 
 def test_verify_rejects_even_split_of_trinomial_square():
@@ -270,10 +270,9 @@ def test_verify_rejects_even_split_of_trinomial_square():
 
 def test_verify_rejects_sum_mismatch():
     m = motzkin()
-    circuit = detect_circuit(m)
     remainder = make_form(3, {(0, 0, 6): Fraction(1)}, zero_degree=6)
     result = verify_decomposition(
-        m, SoncDecomposition(circuits=(circuit,), monomial_square_remainder=remainder)
+        m, SoncDecomposition(circuits=(m,), monomial_square_remainder=remainder)
     )
     assert not result.valid and result.reason == "sum_mismatch"
 
@@ -285,31 +284,104 @@ def test_verify_rejects_sum_mismatch():
 )
 def test_verify_reads_an_unaddable_remainder_as_sum_mismatch(remainder):
     m = motzkin()
-    circuit = detect_circuit(m)
     result = verify_decomposition(
-        m, SoncDecomposition(circuits=(circuit,), monomial_square_remainder=remainder)
+        m, SoncDecomposition(circuits=(m,), monomial_square_remainder=remainder)
     )
     assert not result.valid and result.reason == "sum_mismatch"
 
 
 def test_verify_propagates_errors_other_than_a_mismatch():
     m = motzkin()
-    circuit = detect_circuit(m)
     with pytest.raises(AttributeError):
         verify_decomposition(
-            m, SoncDecomposition(circuits=(circuit,), monomial_square_remainder=None)
+            m, SoncDecomposition(circuits=(m,), monomial_square_remainder=None)
         )
 
 
 def test_verify_rejects_foreign_support():
     target = parse_form("x1^4 + x2^4")
-    piece = detect_circuit(parse_form("x1^4 + x2^4 - x1^2*x2^2"))
+    piece = parse_form("x1^4 + x2^4 - x1^2*x2^2")
     patch = make_form(2, {(2, 2): Fraction(1)}, zero_degree=4)
     result = verify_decomposition(
         target,
         SoncDecomposition(circuits=(piece,), monomial_square_remainder=patch),
     )
     assert not result.valid and result.reason == "support_not_contained"
+
+
+@pytest.mark.parametrize(
+    "piece, remainder",
+    [
+        # Two squares with no inner exponent on their segment's interior:
+        # a sum of squares that is no circuit.
+        ("x1^4 + x1^2*x2^2 + x2^4", None),
+        # The Motzkin form without x3^6, as when a square's split weight
+        # rounds to zero: its inner exponent is off the segment left.
+        ("x1^4*x2^2 + x1^2*x2^4 - 3*x1^2*x2^2*x3^2", "x3^6"),
+    ],
+    ids=["dependent_squares", "dropped_square"],
+)
+def test_verify_rejects_a_piece_that_is_no_circuit(piece, remainder):
+    piece = parse_form(piece, num_vars=3)
+    rest = make_form(3, {}, zero_degree=piece.degree)
+    if remainder is not None:
+        rest = parse_form(remainder, num_vars=3)
+    result = verify_decomposition(
+        add_forms(piece, rest),
+        SoncDecomposition(circuits=(piece,), monomial_square_remainder=rest),
+    )
+    assert not result.valid and result.reason == "not_a_circuit"
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
+def test_verify_reads_a_zero_piece_as_not_a_circuit(first):
+    m = motzkin()
+    zero = make_form(3, {}, zero_degree=6)
+    pieces = (zero, m) if first else (m, zero)
+    result = verify_decomposition(
+        m, SoncDecomposition(circuits=pieces, monomial_square_remainder=zero)
+    )
+    assert not result.valid and result.reason == "not_a_circuit"
+
+
+@pytest.mark.parametrize(
+    "target, piece, remainder",
+    [
+        # A negative coefficient: the piece takes 2*x2^4 of the target's x2^4.
+        ("2*x1^4 + x2^4 - 2*x1^2*x2^2", "2*x1^4 + 2*x2^4 - 2*x1^2*x2^2", "-x2^4"),
+        # A positive term whose exponent is odd.
+        ("x1^4 + x1^3*x2 + x2^4", "x1^4 + x2^4", "x1^3*x2"),
+    ],
+    ids=["negative", "odd_exponent"],
+)
+def test_verify_rejects_a_remainder_of_no_monomial_squares(target, piece, remainder):
+    piece = parse_form(piece, num_vars=2)
+    result = verify_decomposition(
+        parse_form(target, num_vars=2),
+        SoncDecomposition(
+            circuits=(piece,), monomial_square_remainder=parse_form(remainder, num_vars=2)
+        ),
+    )
+    assert not result.valid and result.reason == "remainder_not_monomial_squares"
+
+
+def test_search_detects_each_piece_once(monkeypatch):
+    # Only verify_decomposition detects a piece: the search's exact gate
+    # builds plain forms.
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return detect_circuit(f)
+
+    monkeypatch.setattr(certify, "detect_circuit", counting)
+    pieces = 0
+    for builder in FORM_BUILDERS.values():
+        report = analyze(builder(), search=True, budget=SearchBudget(max_params=9))
+        outcome = report.feasibility
+        if outcome is not None and outcome.decomposition is not None:
+            pieces += len(outcome.decomposition.circuits)
+    assert pieces == len(calls) == 5
 
 
 def test_search_motzkin_trivially_feasible():
@@ -392,7 +464,7 @@ def test_search_feasible_boundary_split_is_certified_exactly():
     result = verify_decomposition(f, outcome.decomposition)
     assert result.valid, result
     split = sorted(
-        circuit.form.terms[(0, 4, 4)] for circuit in outcome.decomposition.circuits
+        piece.terms[(0, 4, 4)] for piece in outcome.decomposition.circuits
     )
     assert split == [Fraction(1, 4), Fraction(1, 4)]
 
@@ -930,16 +1002,10 @@ def test_verify_accepts_random_cancellation_free_sums():
         union_support = set().union(*(set(p.terms) for p in pieces))
         if set(total.terms) != union_support:
             continue  # a term cancelled; not a cancellation-free witness
-        circuits = []
-        for piece in pieces:
-            detected = detect_circuit(piece)
-            if not isinstance(detected, Circuit):
-                break
-            circuits.append(detected)
-        else:
+        if all(isinstance(detect_circuit(piece), Circuit) for piece in pieces):
             built += 1
             decomposition = SoncDecomposition(
-                circuits=tuple(circuits),
+                circuits=tuple(pieces),
                 monomial_square_remainder=make_form(n, {}, zero_degree=degree),
             )
             assert verify_decomposition(total, decomposition).valid, total

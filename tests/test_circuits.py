@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from sonckit.errors import (
 from sonckit.circuits import (
     Circuit,
     CircuitKind,
+    CircuitNumber,
     Comparison,
     NotACircuit,
     ZeroLocus,
@@ -269,6 +271,62 @@ def test_exact_and_float_comparison_agree_away_from_ties():
             Comparison.LESS if float(t) < theta.float_value else Comparison.GREATER
         )
         assert exact is by_float
+
+
+def _compare_by_powers(theta, t):
+    """The trichotomy by powers alone: ``t`` and the circuit number raised
+    to the least common multiple of the weight denominators."""
+    lcm = math.lcm(*(weight.denominator for weight in theta.exponents))
+    lhs = Fraction(t) ** lcm
+    rhs = math.prod(
+        base ** int(weight * lcm) for base, weight in zip(theta.factor_bases, theta.exponents)
+    )
+    return Comparison.LESS if lhs < rhs else Comparison.EQUAL if lhs == rhs else Comparison.GREATER
+
+
+def _random_comparison(rng):
+    """A circuit number of 1-4 positive bases and weights summing to one,
+    with a ``t`` at its bracket's ends, just past them, inside the bracket,
+    or, for bases raised to the weights' common denominator, at the
+    circuit number itself."""
+    parts = [rng.randint(1, 6) for _ in range(rng.randint(1, 4))]
+    weights = tuple(Fraction(part, sum(parts)) for part in parts)
+    if rng.random() < 0.2:
+        roots = [Fraction(rng.randint(1, 4), rng.randint(1, 3)) for _ in weights]
+        bases = tuple(root ** sum(parts) for root in roots)
+        theta = math.prod(root ** part for root, part in zip(roots, parts))
+        return CircuitNumber(bases, weights, None), theta
+    bases = tuple(Fraction(rng.randint(1, 30), rng.randint(1, 6)) for _ in weights)
+    arithmetic = sum(w * b for w, b in zip(weights, bases))
+    harmonic = 1 / sum(w / b for w, b in zip(weights, bases))
+    nudge = Fraction(1, 10**rng.randint(1, 12))
+    inside = harmonic + (arithmetic - harmonic) * Fraction(rng.randint(0, 1000), 1000)
+    t = rng.choice([
+        arithmetic, harmonic, arithmetic + nudge, max(harmonic - nudge, Fraction(0)), inside,
+    ])
+    return CircuitNumber(bases, weights, None), t
+
+
+def test_compare_circuit_number_matches_the_power_path_on_random_cases():
+    rng = random.Random(30)
+    seen = set()
+    for _ in range(3000):
+        theta, t = _random_comparison(rng)
+        comparison = compare_circuit_number(theta, t)
+        assert comparison is _compare_by_powers(theta, t), (theta, t)
+        seen.add(comparison)
+    assert seen == set(Comparison)
+
+
+def test_compare_circuit_number_outside_the_bracket_takes_no_power():
+    # A huge lcm of the weight denominators: 2 * 10^6 here.
+    theta = circuit_number(
+        detect_circuit(parse_form("x1^2000000 + x2^2000000 - x1*x2^1999999"))
+    )
+    start = time.perf_counter()
+    assert compare_circuit_number(theta, 3) is Comparison.GREATER
+    assert compare_circuit_number(theta, Fraction(1, 2)) is Comparison.LESS
+    assert time.perf_counter() - start < 1.0
 
 
 def test_decide_nonnegativity():

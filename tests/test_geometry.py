@@ -358,9 +358,11 @@ def test_enumerate_simplices_outside_hull():
 
 
 def test_enumerate_simplices_cap():
-    candidates = [(i, 8 - i) for i in range(0, 9, 2)]
+    # One candidate above geometry.DEFAULT_CANDIDATE_CAP.
+    candidates = [(i, 44 - i) for i in range(0, 45, 2)]
+    assert len(candidates) == 23
     with pytest.raises(CapExceeded):
-        enumerate_simplices((3, 5), candidates, cap=3)
+        enumerate_simplices((21, 23), candidates)
 
 
 def test_enumerate_simplices_rejects_candidates_of_another_length():

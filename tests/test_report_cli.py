@@ -453,6 +453,22 @@ def test_analyze_skips_a_mediated_set_over_the_lattice_cap():
     assert "mediated_set_note" not in report_to_dict(analyze(motzkin()))
 
 
+def test_analyze_decides_a_circuit_number_with_a_huge_lcm_at_once():
+    # The weights 1/2000000 and 1999999/2000000 put the circuit number
+    # between its bases' weighted harmonic mean, about 1.000001, and their
+    # arithmetic mean, 2; the inner coefficient 3 lies above that bracket,
+    # so no power to the lcm 2000000 is taken.
+    f = parse_form("x1^2000000 + x2^2000000 - 3*x1*x2^1999999")
+    start = time.perf_counter()
+    report = analyze(f)
+    assert time.perf_counter() - start < 1.0
+    assert [(v.conclusion, v.certificate) for v in report.verdicts] == [
+        ("not nonnegative", "exact"),
+        ("not SONC", "exact"),
+    ]
+    assert report.circuit_nonnegative is False
+
+
 def test_cli_mms_over_the_lattice_cap(capsys):
     assert main(["mms", "--points", "2000000,0; 0,2000000"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
