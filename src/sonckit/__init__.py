@@ -15,7 +15,6 @@ from .forms import (
     embed_variables,
     evaluate,
     evaluate_columns,
-    evaluate_float,
     evaluate_many,
     format_form,
     load_form_file,

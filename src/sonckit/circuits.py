@@ -41,6 +41,10 @@ from .geometry import (
     monomial_square_support,
 )
 
+#: Pivot norm at or below which :func:`logs_affinely_independent` reads
+#: the log images as affinely dependent.
+LOG_INDEPENDENCE_TOLERANCE = 1e-9
+
 
 class CircuitKind(Enum):
     MONOMIAL_SQUARE_SUM = "MonomialSquareSum"
@@ -303,13 +307,12 @@ def _log_system(c: Circuit) -> ZeroLocus:
     return ZeroLocus(matrix=rows, rhs_symbolic=rhs, dimension=len(base_point) - len(rows))
 
 
-def logs_affinely_independent(
-    points: Sequence[Sequence[float]], tolerance: float = 1e-9
-) -> bool:
+def logs_affinely_independent(points: Sequence[Sequence[float]]) -> bool:
     """Whether the coordinatewise log-absolute images of the points are
     affinely independent, in floats: a pivoted modified Gram--Schmidt on
-    their differences to the first keeps every pivot norm above ``tolerance``.
-    Points of different lengths raise :class:`DimensionMismatch`."""
+    their differences to the first keeps every pivot norm above
+    :data:`LOG_INDEPENDENCE_TOLERANCE`.  Points of different lengths raise
+    :class:`DimensionMismatch`."""
     if not points:
         return False
     if any(len(point) != len(points[0]) for point in points):
@@ -319,7 +322,9 @@ def logs_affinely_independent(
             raise ZeroCoordinate(f"point {tuple(point)} has a zero coordinate")
     logs = [[math.log(abs(v)) for v in point] for point in points]
     diffs = [[a - b for a, b in zip(row, logs[0])] for row in logs[1:]]
-    return len(diffs) <= len(logs[0]) and len(_orthonormal(diffs, tolerance)) == len(diffs)
+    if len(diffs) > len(logs[0]):
+        return False
+    return len(_orthonormal(diffs, LOG_INDEPENDENCE_TOLERANCE)) == len(diffs)
 
 
 def _orthonormal(rows: Sequence[Sequence[float]], tolerance: float) -> list[tuple[float, ...]]:

@@ -41,7 +41,6 @@ from .forms import (
     embed_variables,
     evaluate,
     evaluate_columns,
-    evaluate_float,
     evaluate_many,
     form_power,
     grlex_key,
@@ -484,9 +483,10 @@ def _check_zero_locus(f: SparseForm, report: AnalysisReport, arg: str) -> str:
     locus = zero_locus(_proper_circuit(report))
     if isinstance(locus, ZeroLocusStatus):
         return locus.value
-    for y in locus.sample_solutions(100, seed=7):
-        point = [math.exp(v) for v in y]
-        residual = abs(evaluate_float(f, point))
+    points = [[math.exp(v) for v in y] for y in locus.sample_solutions(100, seed=7)]
+    values, denominator = evaluate_many(f, points)
+    for point, value in zip(points, values):
+        residual = abs(value) / denominator
         scale = max(
             abs(float(coeff)) * math.prod(p**e for p, e in zip(point, exponent))
             for exponent, coeff in f.terms.items()

@@ -30,7 +30,10 @@ class AffinelyDependentInput(SonckitError):
 
 
 class CapExceeded(SonckitError):
-    """Simplex enumeration would exceed the configured candidate cap."""
+    """A search would exceed one of its fixed caps: the candidate points
+    of a simplex enumeration (``geometry.DEFAULT_CANDIDATE_CAP``) or the
+    integer candidates of a lattice-point scan
+    (``geometry.LATTICE_CANDIDATE_CAP``)."""
 
 
 class MonomialSquareSumHasNoCircuitNumber(SonckitError):

@@ -1,15 +1,15 @@
 """Exact sparse homogeneous polynomials over the rationals.
 
 A form is stored as a map from exponent tuples to nonzero ``Fraction``
-coefficients.  All arithmetic is exact; floating point enters only through
-the explicitly approximate ``evaluate_float``.  Exact evaluation has one
-kernel, ``evaluate_columns``: it evaluates a batch of integer points held
-as coordinate columns and returns integer values over the coefficients'
-common denominator.  It runs on a multivariate Horner schedule, chosen
-greedily from the exponents and cached on the form, that multiplies a
-power of a variable shared by several terms in once for all of them.
-``evaluate_many`` writes a batch of rational points over one denominator
-and slices it into columns for the kernel; ``evaluate`` is
+coefficients.  All arithmetic is exact and nothing here uses floating
+point; a float coordinate is read as the rational it stores.  Evaluation
+has one kernel, ``evaluate_columns``: it evaluates a batch of integer
+points held as coordinate columns and returns integer values over the
+coefficients' common denominator.  It runs on a multivariate Horner
+schedule, chosen greedily from the exponents and cached on the form, that
+multiplies a power of a variable shared by several terms in once for all
+of them.  ``evaluate_many`` writes a batch of rational points over one
+denominator and slices it into columns for the kernel; ``evaluate`` is
 ``evaluate_many`` on a batch of one.
 
 Variables are written ``x1, x2, ...`` in text.  The grammar (whitespace
@@ -467,22 +467,6 @@ def evaluate(f: SparseForm, point: Sequence[RationalLike]) -> Fraction:
     """
     (numerator,), denominator = evaluate_many(f, [point])
     return Fraction(numerator, denominator)
-
-
-def evaluate_float(f: SparseForm, point: Sequence[float]) -> float:
-    """Double-precision evaluation; approximate, for residual checks only."""
-    if len(point) != f.num_vars:
-        raise DimensionMismatch(
-            f"point has {len(point)} coordinates, form has {f.num_vars} variables"
-        )
-    total = 0.0
-    for exponent, coeff in f.terms.items():
-        term = float(coeff)
-        for value, power in zip(point, exponent):
-            if power:
-                term *= float(value) ** power
-        total += term
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,19 @@ maximal mediated set is the largest ``L`` with
 ``delta <= L <= Mid(L) + delta`` where ``Mid`` collects midpoints of
 distinct even-point pairs.  It is computed as the fixpoint of deleting,
 from the lattice points of ``conv(delta)``, every non-generator that is
-not such a midpoint.  A nonnegative circuit with inner exponent ``beta``
-is a sum of squares exactly when ``beta`` lies in the maximal mediated
-set of its vertex exponents.
+not such a midpoint; a point ``q`` is one exactly when some even point
+``s != q`` has its mirror image ``2q - s`` among the even points, so no
+midpoint set is built.  A nonnegative circuit with inner exponent
+``beta`` is a sum of squares exactly when ``beta`` lies in the maximal
+mediated set of its vertex exponents.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from enum import Enum
+from operator import sub
 from typing import Iterable
 
 from .errors import AffinelyDependentInput, NotNonnegativeCircuit, OddPointInDelta
@@ -65,29 +69,47 @@ def mid_set(points: Iterable[Exponent]) -> frozenset[Exponent]:
     return frozenset(mids)
 
 
-def maximal_mediated_set(delta: Iterable[Exponent]) -> MediatedSet:
-    """Fixpoint computation of the maximal mediated set.
-
-    Starts from all lattice points of ``conv(delta)``; each round keeps
-    the generators and the points of ``mid_set`` of the survivors, until
-    a round deletes nothing.  The operator is monotone, since a deletion
-    never adds a witness, so the rounds reach the same greatest fixpoint
-    as deleting one point at a time in any order.  Generators are
-    ``NotSimplicial`` when :func:`lattice_points` finds them dependent;
-    their lattice points then come from :func:`hull_lattice_points`.
-    """
+def _generators(delta: Iterable[Exponent]) -> frozenset[Exponent]:
+    """The distinct generators, which must be nonempty and even."""
     generators = frozenset(canonical_points(delta))
     if not generators:
         raise ValueError("empty generator set")
     for point in generators:
         if not _is_even(point):
             raise OddPointInDelta(f"generator {point} has an odd entry")
+    return generators
+
+
+def _is_mediated(q: Exponent, even: frozenset[Exponent]) -> bool:
+    """Whether ``q`` is the midpoint of two distinct points of ``even``:
+    some ``s != q`` in it has its mirror image ``2q - s`` in it too."""
+    double = [2 * a for a in q]
+    return any(s != q and tuple(map(sub, double, s)) in even for s in even)
+
+
+def maximal_mediated_set(delta: Iterable[Exponent]) -> MediatedSet:
+    """Fixpoint computation of the maximal mediated set.
+
+    Starts from all lattice points of ``conv(delta)``; each round keeps
+    the generators and every survivor ``q`` with a witness pair, an even
+    survivor ``s != q`` whose mirror image ``2q - s`` is an even survivor,
+    until a round deletes nothing.  The operator is monotone, since a
+    deletion never adds a witness, so the rounds reach the same greatest
+    fixpoint as deleting one point at a time in any order.  Generators are
+    ``NotSimplicial`` when :func:`lattice_points` finds them dependent;
+    their lattice points then come from :func:`hull_lattice_points`.
+    """
+    generators = _generators(delta)
     try:
         lattice, simplicial = lattice_points(sorted(generators)), True
     except AffinelyDependentInput:
         lattice, simplicial = hull_lattice_points(sorted(generators)), False
     star = lattice
-    while (kept := generators | (star & mid_set(star))) != star:
+    while True:
+        even = frozenset(filter(_is_even, star))
+        kept = frozenset(q for q in star if q in generators or _is_mediated(q, even))
+        if kept == star:
+            break
         star = kept
     mid_delta = mid_set(generators)
     lower = generators | mid_delta
@@ -116,14 +138,7 @@ def naive_mediated_fixpoint(
     Recomputes the midpoint set from scratch after every single deletion;
     the deletion order may be randomized, the fixpoint never changes.
     """
-    import random
-
-    generators = frozenset(canonical_points(delta))
-    if not generators:
-        raise ValueError("empty generator set")
-    for point in generators:
-        if not _is_even(point):
-            raise OddPointInDelta(f"generator {point} has an odd entry")
+    generators = _generators(delta)
     alive = set(polytope_lattice_points(sorted(generators)))
     rng = (
         random.Random(deletion_order_seed)

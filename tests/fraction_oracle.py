@@ -36,6 +36,12 @@ decided a circuit from its squares alone: ``detect_circuit`` here takes
 the Newton hull first and compares its vertices with the squares before
 any rank test or barycentric solve.  The two must return equal results,
 failure reasons and detail strings included.
+
+It also keeps the fixpoint ``sonckit.mediated`` ran before it
+tested each point for a witness pair: ``mediated_star_by_rounds`` keeps,
+each round, the generators and the survivors that lie in ``mid_set`` of
+the survivors, a set of all pairwise midpoints of the even ones.  The
+two must return the same star.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ from sonckit.errors import (
 from sonckit.exactlp import _pivot
 from sonckit.forms import Exponent, RationalLike, SparseForm, grlex_key, make_form
 from sonckit.geometry import DEFAULT_CANDIDATE_CAP, Simplex
+from sonckit.mediated import mid_set
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -722,3 +729,16 @@ def detect_circuit(f: SparseForm) -> Circuit | NotACircuit:
         barycentric=weights,
         kind=CircuitKind.PROPER,
     )
+
+
+def mediated_star_by_rounds(delta: Iterable[Exponent]) -> frozenset[Exponent]:
+    """Maximal mediated set of the even generators ``delta`` by rounds
+    over the full midpoint set of the survivors."""
+    generators = frozenset(delta)
+    try:
+        star = geometry.lattice_points(sorted(generators))
+    except AffinelyDependentInput:
+        star = geometry.hull_lattice_points(sorted(generators))
+    while (kept := generators | (star & mid_set(star))) != star:
+        star = kept
+    return star

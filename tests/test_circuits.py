@@ -35,14 +35,16 @@ from sonckit.circuits import (
     negative_witness,
     zero_locus,
 )
+from sonckit import corpus
 from sonckit.forms import (
     evaluate,
-    evaluate_float,
+    evaluate_many,
     make_form,
     parse_form,
     scale_form,
     substitute_linear,
 )
+from sonckit.report import analyze
 from sonckit.corpus import (
     choi_lam_q1,
     choi_lam_q2,
@@ -384,7 +386,7 @@ def test_zero_locus_motzkin():
         assert sum(v * 0 for v in row) == 0
     for y in locus.sample_solutions(50, seed=3):
         point = [math.exp(v) for v in y]
-        assert abs(evaluate_float(motzkin(), point)) <= 1e-9 * max(
+        assert abs(evaluate(motzkin(), point)) <= 1e-9 * max(
             1.0, max(abs(p) for p in point) ** 6
         )
 
@@ -412,10 +414,10 @@ def test_zero_locus_with_unequal_outer_coefficients():
     rhs = locus.rhs_floats()
     for row, target in zip(locus.matrix, rhs):
         assert abs(sum(r * p for r, p in zip(row, point)) - target) < 1e-12
-    assert abs(evaluate_float(f, (x, y))) < 1e-12
+    assert abs(evaluate(f, (x, y))) < 1e-12
     for solution in locus.sample_solutions(50, seed=5):
         values = [math.exp(v) for v in solution]
-        assert abs(evaluate_float(f, values)) <= 1e-9 * max(
+        assert abs(evaluate(f, values)) <= 1e-9 * max(
             1.0, max(values) ** 4
         )
 
@@ -446,6 +448,27 @@ def test_zero_locus_boundary_rescaled_bcj():
     locus = zero_locus(detect_circuit(motzkin_bcj_boundary()))
     assert isinstance(locus, ZeroLocus)
     assert locus.dimension == 1
+
+
+def test_zero_locus_check_reports_a_sample_off_the_zero_set(monkeypatch):
+    # The first sample, the all-ones point, is a zero of the Motzkin form;
+    # the second, (1, 1, 2), is not: its exact value 54 exceeds 1e-8 times
+    # the largest term, 64.  The check evaluates both in one batch.
+    f = motzkin()
+    report = analyze(f)
+    samples = [(0.0, 0.0, 0.0), (0.0, 0.0, math.log(2.0))]
+    monkeypatch.setattr(ZeroLocus, "sample_solutions", lambda self, count, seed=0: samples)
+    calls = []
+
+    def counting_evaluate_many(form, points):
+        calls.append(len(points))
+        return evaluate_many(form, points)
+
+    monkeypatch.setattr(corpus, "evaluate_many", counting_evaluate_many)
+    assert corpus.CHECKS["zero_locus"](f, report, "") == "dim=1;residual=5.40e+01"
+    assert calls == [2]
+    monkeypatch.setattr(ZeroLocus, "sample_solutions", lambda self, count, seed=0: samples[:1])
+    assert corpus.CHECKS["zero_locus"](f, report, "") == "dim=1;residuals=ok"
 
 
 def test_logs_affinely_independent_examples():

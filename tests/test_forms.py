@@ -1,5 +1,7 @@
 """Parsing, serialization, evaluation, and the instance-building transforms."""
 
+import ast
+import pathlib
 import random
 import re
 from fractions import Fraction
@@ -11,13 +13,13 @@ from hypothesis import strategies as st
 import fraction_oracle as oracle
 
 from sonckit.errors import DimensionMismatch, NotHomogeneous, ParseError
+from sonckit import forms as forms_module
 from sonckit.exactlp import EchelonSolver
 from sonckit.forms import (
     MAX_VARIABLES,
     add_forms,
     embed_variables,
     evaluate,
-    evaluate_float,
     format_form,
     grlex_key,
     load_form_file,
@@ -293,12 +295,16 @@ def test_evaluate_dimension_mismatch():
         evaluate(motzkin(), (1, 2))
 
 
-def test_evaluate_float():
-    m = motzkin()
-    assert abs(evaluate_float(m, (1.0, 1.0, 1.0))) <= 1e-12
-    assert evaluate_float(m, (1.0, 0.0, 0.0)) == 0.0
-    zero = make_form(2, {}, zero_degree=4)
-    assert evaluate_float(zero, (3.0, 4.0)) == 0.0
+def test_forms_module_uses_no_float():
+    """Every value of a form comes from the exact kernel: ``forms.py``
+    names no ``float`` and holds no float literal."""
+    tree = ast.parse(pathlib.Path(forms_module.__file__).read_text())
+    assert not [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "float")
+        or (isinstance(node, ast.Constant) and isinstance(node.value, float))
+    ]
 
 
 def test_evaluate_respects_ring_operations():

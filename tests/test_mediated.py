@@ -3,6 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fraction_oracle as oracle
 
 from sonckit.errors import DimensionMismatch, NotNonnegativeCircuit, OddPointInDelta
 from sonckit.circuits import detect_circuit
@@ -193,6 +197,26 @@ def test_fixpoint_matches_naive_oracle_on_random_sets():
                 for t in even
             ), (delta, q)
     assert simplicial == [True] * 50 + [False] * 25
+
+
+def test_witness_fixpoint_matches_round_oracle_seeded():
+    for delta in _random_even_simplicial_sets(100, seed=53, max_lattice=120, dependent=25):
+        assert maximal_mediated_set(delta).star == oracle.mediated_star_by_rounds(delta), delta
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda n: st.lists(
+            st.tuples(*[st.integers(0, 4).map(lambda v: 2 * v)] * n),
+            min_size=1,
+            max_size=n + 2,
+            unique=True,
+        )
+    )
+)
+def test_witness_fixpoint_matches_round_oracle(delta):
+    assert maximal_mediated_set(delta).star == oracle.mediated_star_by_rounds(delta)
 
 
 def test_fixpoint_order_independence():

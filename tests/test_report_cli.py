@@ -1,9 +1,11 @@
 """Analysis reports, JSON round trip, and the command-line interface."""
 
+import ast
 import itertools
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -453,6 +455,22 @@ def test_analyze_skips_a_mediated_set_over_the_lattice_cap():
     assert "mediated_set_note" not in report_to_dict(analyze(motzkin()))
 
 
+def test_analyze_finds_the_mediated_set_of_a_long_segment_at_once():
+    # The circuit's segment holds 9999 lattice points, just under
+    # geometry.LATTICE_CANDIDATE_CAP; each point finds a witness pair of
+    # even points around it, so no all-pairs midpoint set is built.
+    f = parse_form("x1^9998 + x2^9998 - 2*x1^4999*x2^4999")
+    start = time.perf_counter()
+    report = analyze(f)
+    assert time.perf_counter() - start < 2.0
+    assert [(v.conclusion, v.certificate) for v in report.verdicts] == [
+        ("nonnegative", "exact"),
+        ("SONC", "exact"),
+        ("SOS", "exact"),
+    ]
+    assert len(report.mediated.star) == 9999 and report.circuit_sos
+
+
 def test_analyze_decides_a_circuit_number_with_a_huge_lcm_at_once():
     # The weights 1/2000000 and 1999999/2000000 put the circuit number
     # between its bases' weighted harmonic mean, about 1.000001, and their
@@ -747,6 +765,28 @@ def test_import_sonckit_leaves_numpy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_test_extra_declares_every_third_party_import():
+    """A fresh ``pip install -e '.[test]'`` can collect the tests and the
+    benchmark: each top-level import of ``tests/*.py`` and
+    ``perfbench/*.py`` is the standard library, sonckit, a module of the
+    repo, or a package of the ``test`` extra."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    files = [*root.glob("tests/*.py"), *root.glob("perfbench/*.py")]
+    own = {"sonckit", *(path.stem for path in files)}
+    imported = set()
+    for path in files:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    # tomllib is new in Python 3.11, so the extra is read as text.
+    extra = re.search(r"^test = \[(.*)\]$", (root / "pyproject.toml").read_text(), re.M)
+    declared = set(re.findall(r'"([A-Za-z0-9_]+)', extra.group(1)))
+    assert "sympy" in imported
+    assert imported - set(sys.stdlib_module_names) - own <= declared
 
 
 def test_python_dash_m_sonckit_runs_the_command_line():
