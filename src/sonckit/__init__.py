@@ -67,9 +67,7 @@ from .certify import (
 from .mediated import (
     MediatedSet,
     SimplexClass,
-    circuit_is_sos,
     maximal_mediated_set,
-    mediated_set_of_circuit,
     mid_set,
 )
 from .report import AnalysisReport, Verdict, analyze, report_to_dict

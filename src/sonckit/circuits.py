@@ -8,8 +8,10 @@ magnitude against the circuit number
 
     theta = prod (f_alpha / lambda_alpha) ** lambda_alpha,
 
-which this module decides exactly by clearing the denominators of the
-barycentric exponents -- boundary cases must never flip under rounding.
+which this module decides exactly -- boundary cases must never flip under
+rounding: equality by valuations on a coprime base of the rationals
+involved, order by logarithms at a precision that outgrows a proven
+rounding bound.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     AffinelyDependentInput,
@@ -220,8 +222,10 @@ def compare_circuit_number(theta: CircuitNumber, t: Fraction | int) -> Compariso
     """Exact trichotomy of a nonnegative rational against the circuit
     number.  The number is a weighted geometric mean of its bases, so it
     lies between their weighted harmonic and arithmetic means, and a ``t``
-    strictly outside that bracket is decided by them; a ``t`` inside it by
-    powers to the least common multiple of the weight denominators."""
+    strictly outside that bracket is decided by them.  A ``t`` inside it
+    is first tested for equality on a coprime base of the numerators and
+    denominators, then ordered by logarithms at doubling precision; no
+    power to the weights' common denominator is taken."""
     t = Fraction(t)
     if t < 0:
         raise ValueError("comparison is defined for nonnegative t")
@@ -240,15 +244,83 @@ def compare_circuit_number(theta: CircuitNumber, t: Fraction | int) -> Compariso
         return Comparison.GREATER
     if t.numerator * below < t.denominator * lcm * b:
         return Comparison.LESS
-    lhs = t**lcm
-    rhs = Fraction(1)
-    for base, power in zip(theta.factor_bases, powers):
-        rhs *= base**power
-    if lhs < rhs:
-        return Comparison.LESS
-    if lhs == rhs:
+    # theta = t iff t**lcm = prod base**power, that is iff both sides have
+    # the same valuation at every element of a coprime base of all the
+    # numerators and denominators.
+    values = (t, *theta.factor_bases)
+    coprime = _coprime_base(n for v in values for n in (v.numerator, v.denominator))
+    if all(
+        lcm * _valuation(t, q)
+        == sum(power * _valuation(base, q) for base, power in zip(theta.factor_bases, powers))
+        for q in coprime
+    ):
         return Comparison.EQUAL
-    return Comparison.GREATER
+    # Otherwise gap = log t - sum lambda_i log b_i is not 0.  At P digits
+    # with half-even rounding, a rational x becomes x(1 + d) with
+    # |d| <= e = 5 * 10**-P, and the correctly rounded log of that is off
+    # from log x by at most |log(1 + d)| + e (|log x| + 2e) <= e (|log x| + 3),
+    # where |log x| is below the larger bit length of x's numerator and
+    # denominator.  The weights are positive and sum to one and the sum is
+    # exact, so the gap is off by at most e (bits(t) + sum lambda_i bits(b_i)
+    # + 6).  A gap beyond that bound has its true sign, and since the true
+    # gap is not 0, doubling P reaches such a gap.
+    bound = _log_bound(t) + 6 + sum(
+        weight * _log_bound(base) for base, weight in zip(theta.factor_bases, theta.exponents)
+    )
+    digits = 32
+    while True:
+        with localcontext() as context:
+            context.prec, context.rounding = digits, ROUND_HALF_EVEN
+            gap = Fraction(_decimal(t).ln()) - sum(
+                weight * Fraction(_decimal(base).ln())
+                for base, weight in zip(theta.factor_bases, theta.exponents)
+            )
+        if abs(gap) * 10**digits > 5 * bound:
+            return Comparison.LESS if gap < 0 else Comparison.GREATER
+        digits *= 2
+
+
+def _coprime_base(numbers: Iterable[int]) -> list[int]:
+    """Pairwise coprime integers above 1 of which each of ``numbers`` is a
+    product of powers, by gcd refinement with no factoring: a number
+    sharing ``g > 1`` with a base element is split, with that element,
+    into ``g`` and both parts stripped of ``g``."""
+    base: list[int] = []
+    pending = list(numbers)
+    while pending:
+        n = pending.pop()
+        if n == 1:
+            continue
+        for i, q in enumerate(base):
+            g = math.gcd(n, q)
+            if g > 1:
+                del base[i]
+                pending += [g, n // g ** _multiplicity(n, g), q // g ** _multiplicity(q, g)]
+                break
+        else:
+            base.append(n)
+    return base
+
+
+def _multiplicity(n: int, q: int) -> int:
+    """The largest ``k`` with ``q**k`` dividing the nonzero ``n``, for
+    ``q > 1``."""
+    k = 0
+    while n % q == 0:
+        n //= q
+        k += 1
+    return k
+
+
+def _valuation(x: Fraction, q: int) -> int:
+    """The exponent of ``q`` in ``x``, for ``q`` in a coprime base of its
+    numerator and denominator."""
+    return _multiplicity(x.numerator, q) - _multiplicity(x.denominator, q)
+
+
+def _log_bound(x: Fraction) -> int:
+    """An upper bound on ``|log x|`` for a positive rational ``x``."""
+    return max(x.numerator.bit_length(), x.denominator.bit_length())
 
 
 def decide_circuit_nonnegativity(c: Circuit) -> NonnegativityVerdict:

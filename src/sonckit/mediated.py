@@ -1,4 +1,4 @@
-"""Maximal mediated sets and the sum-of-squares test for circuits.
+"""Maximal mediated sets: lattice geometry of even generating points.
 
 Starting from the generating points ``delta`` (all entries even), the
 maximal mediated set is the largest ``L`` with
@@ -7,9 +7,9 @@ distinct even-point pairs.  It is computed as the fixpoint of deleting,
 from the lattice points of ``conv(delta)``, every non-generator that is
 not such a midpoint; a point ``q`` is one exactly when some even point
 ``s != q`` has its mirror image ``2q - s`` among the even points, so no
-midpoint set is built.  A nonnegative circuit with inner exponent
-``beta`` is a sum of squares exactly when ``beta`` lies in the maximal
-mediated set of its vertex exponents.
+midpoint set is built.  :func:`sonckit.report.analyze` reads a
+circuit's sum-of-squares verdict off the maximal mediated set of its
+vertex exponents.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from enum import Enum
 from operator import sub
 from typing import Iterable
 
-from .errors import AffinelyDependentInput, NotNonnegativeCircuit, OddPointInDelta
-from .circuits import Circuit, CircuitKind, decide_circuit_nonnegativity
+from .errors import AffinelyDependentInput, OddPointInDelta
 from .forms import Exponent
 from .geometry import (
     canonical_points,
@@ -155,20 +154,3 @@ def naive_mediated_fixpoint(
         victim = rng.choice(deletable) if rng else deletable[0]
         alive.discard(victim)
 
-
-def circuit_is_sos(c: Circuit, mms: MediatedSet) -> bool:
-    """Sum-of-squares decision for a nonnegative circuit: membership of
-    the inner exponent in the maximal mediated set of its vertices."""
-    if not decide_circuit_nonnegativity(c).is_nonnegative:
-        raise NotNonnegativeCircuit("sum-of-squares test needs a nonnegative circuit")
-    if c.kind is CircuitKind.MONOMIAL_SQUARE_SUM:
-        return True
-    assert c.inner is not None
-    expected = frozenset(point for point, _ in c.outer)
-    if mms.delta != expected:
-        raise ValueError("mediated set was not computed from this circuit's vertices")
-    return c.inner[0] in mms.star
-
-
-def mediated_set_of_circuit(c: Circuit) -> MediatedSet:
-    return maximal_mediated_set(point for point, _ in c.outer)

@@ -1,8 +1,9 @@
 """Analysis pipeline and machine-readable reports.
 
 ``analyze`` runs support partition, circuit detection, the necessary
-condition with its equality-case corollary, the mediated-set
-sum-of-squares decision for circuits, and (on request) the bounded
+condition with its equality-case corollary, the sum-of-squares decision
+for nonnegative circuits (the inner exponent in the maximal mediated set
+of the vertices, by Iliman and de Wolff), and (on request) the bounded
 feasibility search, then condenses everything into tagged verdicts.
 The partition's Newton polytope vertices serve the precheck alone;
 circuit detection reads the squares.  Every verdict carries its certificate kind:
@@ -50,7 +51,7 @@ from .circuits import (
 )
 from .forms import SparseForm, format_rational, grlex_key
 from .geometry import SupportPartition, non_square_vertex, support_partition
-from .mediated import MediatedSet, circuit_is_sos, mediated_set_of_circuit
+from .mediated import MediatedSet, maximal_mediated_set
 
 JSON_SCHEMA_VERSION = 1
 
@@ -150,13 +151,13 @@ def analyze(
                 conclude("SOS", "sum of monomial squares")
             else:
                 try:
-                    report.mediated = mediated_set_of_circuit(circuit)
+                    report.mediated = maximal_mediated_set(e for e, _ in circuit.outer)
                 except CapExceeded as error:
                     # Too many lattice points to scan: no SOS verdict.
                     report.mediated_note = f"{type(error).__name__}: {error}"
                 else:
-                    report.circuit_sos = sos = circuit_is_sos(circuit, report.mediated)
                     assert circuit.inner is not None
+                    report.circuit_sos = sos = circuit.inner[0] in report.mediated.star
                     conclude(
                         "SOS" if sos else "not SOS",
                         f"inner exponent {circuit.inner[0]}"

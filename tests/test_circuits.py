@@ -320,6 +320,42 @@ def test_compare_circuit_number_matches_the_power_path_on_random_cases():
     assert seen == set(Comparison)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(1, 6),
+            st.builds(Fraction, st.integers(1, 30), st.integers(1, 6)),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.integers(0, 12),
+)
+def test_compare_circuit_number_matches_the_power_path_at_near_ties(parts, k):
+    # t is the float circuit number with its denominator limited to 10^k:
+    # within about 10^-2k of it, or equal to it when the number is rational.
+    weights = tuple(Fraction(part, sum(p for p, _ in parts)) for part, _ in parts)
+    bases = tuple(base for _, base in parts)
+    value = math.exp(sum(float(w) * math.log(b) for w, b in zip(weights, bases)))
+    theta = CircuitNumber(bases, weights, value)
+    t = Fraction(value).limit_denominator(10**k)
+    assert compare_circuit_number(theta, t) is _compare_by_powers(theta, t)
+
+
+@pytest.mark.parametrize("digits", [40, 100])
+def test_compare_circuit_number_refines_the_logarithms_at_a_close_tie(digits):
+    # 162^(1/3) to `digits` digits differs from it by about 10^-digits,
+    # beyond the first 32-digit logarithms.
+    theta = CircuitNumber((Fraction(6), Fraction(3), Fraction(9)), (Fraction(1, 3),) * 3, None)
+    with localcontext() as context:
+        context.prec = digits
+        root = Decimal(162) ** (Decimal(1) / 3)
+        near = [Fraction(root), Fraction(root.next_plus()), Fraction(root.next_minus())]
+    for t in near:
+        assert compare_circuit_number(theta, t) is _compare_by_powers(theta, t)
+
+
 def test_compare_circuit_number_outside_the_bracket_takes_no_power():
     # A huge lcm of the weight denominators: 2 * 10^6 here.
     theta = circuit_number(

@@ -1,6 +1,9 @@
 """Midpoint sets, maximal mediated sets, and the circuit SOS decision."""
 
+import ast
+import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,18 +11,21 @@ from hypothesis import strategies as st
 
 import fraction_oracle as oracle
 
-from sonckit.errors import DimensionMismatch, NotNonnegativeCircuit, OddPointInDelta
-from sonckit.circuits import detect_circuit
-from sonckit.forms import parse_form
-from sonckit.geometry import affinely_independent, polytope_lattice_points
+from sonckit import mediated as mediated_module
+from sonckit.errors import DimensionMismatch, OddPointInDelta
+from sonckit.forms import make_form, parse_form
+from sonckit.geometry import (
+    affinely_independent,
+    barycentric_coordinates,
+    polytope_lattice_points,
+)
 from sonckit.mediated import (
     SimplexClass,
-    circuit_is_sos,
     maximal_mediated_set,
-    mediated_set_of_circuit,
     mid_set,
     naive_mediated_fixpoint,
 )
+from sonckit.report import analyze
 from sonckit.corpus import (
     choi_lam_q1,
     choi_lam_q2,
@@ -226,34 +232,92 @@ def test_fixpoint_order_independence():
             assert naive_mediated_fixpoint(delta, deletion_order_seed=order_seed) == reference
 
 
+def _sos_verdicts(report):
+    return [
+        (v.conclusion, v.certificate)
+        for v in report.verdicts
+        if v.conclusion in ("SOS", "not SOS")
+    ]
+
+
 def test_circuit_is_sos_known_cases():
     for builder in (motzkin, motzkin_bcj, choi_lam_q1, choi_lam_q2):
-        circuit = detect_circuit(builder())
-        assert not circuit_is_sos(circuit, mediated_set_of_circuit(circuit)), builder
+        report = analyze(builder())
+        assert _sos_verdicts(report) == [("not SOS", "exact")], builder
+        assert report.circuit_sos is False
 
 
 def test_circuit_is_sos_square_sums():
-    circuit = detect_circuit(parse_form("x1^4 + x2^4"))
-    assert circuit_is_sos(circuit, mediated_set_of_circuit(circuit))
+    report = analyze(parse_form("x1^4 + x2^4"))
+    assert _sos_verdicts(report) == [("SOS", "exact")]
+    assert report.circuit_sos is True and report.mediated is None
 
 
 def test_circuit_is_sos_accepting_case():
-    # x^4 + y^4 + c*x^2*y^2 with small positive... use inner on the segment:
     # x1^4 + x2^4 - x1^2*x2^2 is a nonnegative circuit whose inner exponent
     # (2,2) is the midpoint of the generators, hence a sum of squares.
-    circuit = detect_circuit(parse_form("x1^4 + x2^4 - x1^2*x2^2"))
-    mediated = mediated_set_of_circuit(circuit)
-    assert (2, 2) in mediated.star
-    assert circuit_is_sos(circuit, mediated)
+    report = analyze(parse_form("x1^4 + x2^4 - x1^2*x2^2"))
+    assert (2, 2) in report.mediated.star
+    assert _sos_verdicts(report) == [("SOS", "exact")]
+    assert report.circuit_sos is True
 
 
-def test_circuit_is_sos_requires_nonnegative():
-    bad = detect_circuit(parse_form("x1^4 + x2^4 - 3*x1^2*x2^2"))
-    with pytest.raises(NotNonnegativeCircuit):
-        circuit_is_sos(bad, maximal_mediated_set([(4, 0), (0, 4)]))
+def _random_nonnegative_circuits(count, seed):
+    """``count`` nonnegative circuits in 2 or 3 variables of degree 4, 6
+    or 8: even vertices, an inner exponent in the relative interior with
+    coefficient -1, and outer coefficients ``lambda_i * r_i`` with
+    ``r_i >= 1``, so the circuit number is at least 1."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n, degree = rng.randint(2, 3), rng.choice((4, 6, 8))
+        vertices = set()
+        for _ in range(rng.randint(2, n)):
+            head = [2 * rng.randint(0, degree // 2) for _ in range(n - 1)]
+            if sum(head) <= degree:
+                vertices.add((*head, degree - sum(head)))
+        vertices = sorted(vertices)
+        if len(vertices) < 2 or not affinely_independent(vertices):
+            continue
+        interior = sorted(
+            beta
+            for beta in polytope_lattice_points(vertices)
+            if beta not in vertices and barycentric_coordinates(beta, vertices)
+        )
+        if not interior:
+            continue
+        beta = rng.choice(interior)
+        weights = barycentric_coordinates(beta, vertices)
+        terms = {
+            vertex: weight * rng.choice((1, 1, Fraction(3, 2), 2))
+            for vertex, weight in zip(vertices, weights)
+        }
+        out.append(make_form(n, {**terms, beta: Fraction(-1)}))
+    return out
 
 
-def test_circuit_is_sos_rejects_foreign_mediated_set():
-    circuit = detect_circuit(motzkin())
-    with pytest.raises(ValueError):
-        circuit_is_sos(circuit, maximal_mediated_set([(0, 0, 0), (2, 0, 0)]))
+def test_analyze_sos_verdict_matches_the_naive_fixpoint_on_random_circuits():
+    verdicts = []
+    for f in _random_nonnegative_circuits(60, seed=32):
+        report = analyze(f)
+        circuit = report.circuit
+        assert report.circuit_nonnegative, f
+        naive = naive_mediated_fixpoint(e for e, _ in circuit.outer)
+        expected = "SOS" if circuit.inner[0] in naive else "not SOS"
+        assert _sos_verdicts(report) == [(expected, "exact")], f
+        verdicts.append(expected)
+    assert set(verdicts) == {"SOS", "not SOS"}
+
+
+def test_mediated_module_imports_only_lattice_geometry():
+    """Mediated sets are plain lattice geometry: within the package,
+    ``mediated.py`` imports only ``errors``, ``forms`` and ``geometry``."""
+    tree = ast.parse(pathlib.Path(mediated_module.__file__).read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.add(f"sonckit.{node.module or ''}" if node.level else node.module)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+    package = {module for module in modules if module.split(".")[0] == "sonckit"}
+    assert package <= {"sonckit.errors", "sonckit.forms", "sonckit.geometry"}

@@ -471,20 +471,65 @@ def test_analyze_finds_the_mediated_set_of_a_long_segment_at_once():
     assert len(report.mediated.star) == 9999 and report.circuit_sos
 
 
-def test_analyze_decides_a_circuit_number_with_a_huge_lcm_at_once():
-    # The weights 1/2000000 and 1999999/2000000 put the circuit number
-    # between its bases' weighted harmonic mean, about 1.000001, and their
-    # arithmetic mean, 2; the inner coefficient 3 lies above that bracket,
-    # so no power to the lcm 2000000 is taken.
-    f = parse_form("x1^2000000 + x2^2000000 - 3*x1*x2^1999999")
+# Circuits whose weights have a common denominator L of 2 * 10^6 or
+# 2 * 10^20, each with the verdicts it must get at once: nothing is raised
+# to the power L.
+HUGE_LCM_CIRCUITS = {
+    # The weights 1/L and 1 - 1/L put the circuit number between its bases'
+    # weighted harmonic mean, about 1.000001, and their arithmetic mean, 2;
+    # the inner coefficient 3 lies above that bracket.
+    "above_bracket": (
+        "x1^2000000 + x2^2000000 - 3*x1*x2^1999999",
+        [("not nonnegative", "exact"), ("not SONC", "exact")],
+    ),
+    # 3/2 lies inside the bracket, above the circuit number, about 1.0000078.
+    "inside_bracket": (
+        "x1^2000000 + x2^2000000 - 3/2*x1*x2^1999999",
+        [("not nonnegative", "exact"), ("not SONC", "exact")],
+    ),
+    "inside_bracket_exponents_near_1e20": (
+        "x1^200000000000000000000 + x2^200000000000000000000"
+        " - 3/2*x1*x2^199999999999999999999",
+        [("not nonnegative", "exact"), ("not SONC", "exact")],
+    ),
+    # Both bases are 3/2, so the circuit number is exactly the inner
+    # coefficient: a boundary circuit, with too many lattice points on its
+    # segment for a mediated set.
+    "equal_inside_bracket": (
+        "3/4000000*x1^2000000 + 5999997/4000000*x2^2000000 - 3/2*x1*x2^1999999",
+        [("nonnegative", "exact"), ("SONC", "exact")],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "text, expected", HUGE_LCM_CIRCUITS.values(), ids=HUGE_LCM_CIRCUITS.keys()
+)
+def test_analyze_decides_a_circuit_number_with_a_huge_lcm_at_once(text, expected):
     start = time.perf_counter()
-    report = analyze(f)
+    report = analyze(parse_form(text))
     assert time.perf_counter() - start < 1.0
-    assert [(v.conclusion, v.certificate) for v in report.verdicts] == [
-        ("not nonnegative", "exact"),
-        ("not SONC", "exact"),
-    ]
-    assert report.circuit_nonnegative is False
+    assert [(v.conclusion, v.certificate) for v in report.verdicts] == expected
+    nonnegative = expected[0][0] == "nonnegative"
+    assert report.circuit_nonnegative is nonnegative
+    assert report.circuit_boundary is nonnegative
+    assert ("mediated_set_note" in report_to_dict(report)) is nonnegative
+
+
+def test_analyze_decides_a_circuit_once(monkeypatch):
+    from sonckit import circuits
+
+    calls = []
+    original = circuits.compare_circuit_number
+
+    def counting(theta, t):
+        calls.append(t)
+        return original(theta, t)
+
+    monkeypatch.setattr(circuits, "compare_circuit_number", counting)
+    report = analyze(motzkin())
+    assert calls == [3]
+    assert report.circuit_boundary and report.circuit_sos is False
 
 
 def test_cli_mms_over_the_lattice_cap(capsys):
