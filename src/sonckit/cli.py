@@ -34,16 +34,14 @@ def _load_form(path: str) -> SparseForm | None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    if args.max_params < 0:
-        print(
-            f"error: --max-params must be at least 0, got {args.max_params}",
-            file=sys.stderr,
-        )
+    try:
+        budget = SearchBudget(max_params=args.max_params)
+    except ValueError as error:
+        print(f"error: --max-params: {error}", file=sys.stderr)
         return 1
     form = _load_form(args.file)
     if form is None:
         return 1
-    budget = SearchBudget(max_params=args.max_params)
     try:
         report = analyze(form, search=args.search, budget=budget)
     except InternalInvariantViolation as error:

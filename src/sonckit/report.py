@@ -8,11 +8,14 @@ feasibility search, then condenses everything into tagged verdicts.
 The partition's Newton polytope vertices serve the precheck alone;
 circuit detection reads the squares.  Every verdict carries its certificate kind:
 ``exact`` conclusions rest on exact rational arithmetic, ``numeric`` ones
-come from the margin-reporting search.  Four rules assemble the verdicts:
-the first reason found for a conclusion wins; "not nonnegative" implies
-"not SONC"; a numeric verdict never overrides an exact opposite; and
-contradictory exact verdicts raise :class:`InternalInvariantViolation`
-(exit 2).  The JSON records the verdicts with their reasons and the data
+come from the margin-reporting search.  The first reason found for a
+conclusion wins.  One table states the cone inclusions
+SOS ∪ SONC ⊆ SOS+SONC ⊆ nonnegative, and in the Hilbert cases also
+nonnegative ⊆ SOS (Hilbert 1888); after the last stage the exact verdicts
+are closed under it and its contrapositives, and a conclusion next to its
+negation raises :class:`InternalInvariantViolation` (exit 2).  A numeric
+verdict implies nothing and never stands beside an exact verdict on its
+cone.  The JSON records the verdicts with their reasons and the data
 behind them (partition, coefficient sums, corollary violations, circuit
 weights, mediated set or the note of a scan over the lattice cap, search
 status), but not yet every certificate needed to replay an exact
@@ -85,22 +88,39 @@ class AnalysisReport:
     verdicts: list[Verdict] = field(default_factory=list)
 
 
-# Conclusions that cannot hold together: direct negations, and "not
-# nonnegative" next to a cone that implies nonnegativity.  "SOS" and "not
-# SONC" can both hold, so they are no pair.
-_CONTRADICTIONS = (
-    ("SONC", "not SONC"),
-    ("SOS", "not SOS"),
-    ("nonnegative", "not nonnegative"),
-    ("SONC", "not nonnegative"),
-    ("SOS", "not nonnegative"),
-)
+#: The cone inclusions SOS ∪ SONC ⊆ SOS+SONC ⊆ nonnegative as (smaller,
+#: larger) pairs: a form in the smaller cone lies in the larger one, and a
+#: form outside the larger cone lies outside the smaller one.
+_INCLUSIONS = (("SOS", "SOS+SONC"), ("SONC", "SOS+SONC"), ("SOS+SONC", "nonnegative"))
+#: In the Hilbert cases every nonnegative form is SOS (Hilbert 1888).
+_HILBERT_INCLUSION = ("nonnegative", "SOS")
 
 
 def _is_hilbert_case(num_vars: int, degree: int) -> bool:
     """Variable/degree ranges where nonnegativity and sums of squares
-    coincide; informational only."""
+    coincide; there the closure adds :data:`_HILBERT_INCLUSION`."""
     return num_vars == 2 or degree == 2 or (num_vars, degree) == (3, 4)
+
+
+def _close(verdicts: dict[str, Verdict], hilbert_case: bool) -> None:
+    """Append every exact verdict the inclusions imply, premises first; a
+    conclusion next to its negation raises :class:`InternalInvariantViolation`."""
+    inclusions = _INCLUSIONS + ((_HILBERT_INCLUSION,) if hilbert_case else ())
+    premises = list(verdicts)
+    for premise in premises:
+        for small, large in inclusions:
+            for given, implied in ((small, large), (f"not {large}", f"not {small}")):
+                if given == premise and implied not in verdicts:
+                    reason = f"{premise}, and {small} ⊆ {large}"
+                    if (small, large) == _HILBERT_INCLUSION:
+                        reason += " (Hilbert 1888)"
+                    verdicts[implied] = Verdict(implied, "exact", reason)
+                    premises.append(implied)
+    for conclusion in verdicts:
+        if f"not {conclusion}" in verdicts:
+            raise InternalInvariantViolation(
+                f"contradictory verdicts {conclusion!r} and 'not {conclusion}'"
+            )
 
 
 def analyze(
@@ -122,8 +142,6 @@ def analyze(
 
     def conclude(conclusion: str, reason: str) -> None:
         verdicts.setdefault(conclusion, Verdict(conclusion, "exact", reason))
-        if conclusion == "not nonnegative":
-            conclude("not SONC", "not nonnegative, hence in no nonnegativity cone")
 
     report.partition = partition = support_partition(f)
     report.precheck_witness = witness = non_square_vertex(
@@ -195,31 +213,32 @@ def analyze(
             )
         conclude("not SONC", reason)
 
+    numeric = None
     if search:
         try:
             report.feasibility = sonc_feasibility_search(f, partition, budget)
         except (BudgetExceeded, FloatRangeExceeded, UncoveredInnerExponent) as error:
             report.feasibility_note = f"{type(error).__name__}: {error}"
         else:
-            verdict = _search_verdict(report.feasibility, verdicts)
-            if verdict is not None:
+            verdict = _search_verdict(report.feasibility)
+            if verdict is not None and verdict.certificate == "exact":
                 verdicts.setdefault(verdict.conclusion, verdict)
+            else:
+                numeric = verdict
 
+    _close(verdicts, report.hilbert_case)
+    # A numeric verdict implies nothing and never stands beside an exact
+    # verdict on its cone; the raw outcome stays in the feasibility field.
+    if numeric is not None and not {"SONC", "not SONC"} & verdicts.keys():
+        verdicts[numeric.conclusion] = numeric
     report.verdicts = list(verdicts.values())
-    _enforce_consistency(report.verdicts)
     return report
 
 
-def _search_verdict(
-    outcome: SearchOutcome, verdicts: dict[str, Verdict]
-) -> Verdict | None:
-    """The SONC verdict the search outcome adds to ``verdicts``, if any.
-
-    Every verdict before the search is exact, and a numeric verdict never
-    overrides an exact opposite; the raw outcome stays visible in the
-    report's feasibility field either way."""
+def _search_verdict(outcome: SearchOutcome) -> Verdict | None:
+    """The SONC verdict of a search outcome, if it has one."""
     if outcome.status is SearchStatus.FEASIBLE:
-        conclusion, opposite = "SONC", "not SONC"
+        conclusion = "SONC"
         if outcome.exact:
             decomposition = outcome.decomposition
             count = 0 if decomposition is None else len(decomposition.circuits)
@@ -227,22 +246,11 @@ def _search_verdict(
         else:
             reason = "numerically feasible weights; exact rounding failed"
     elif outcome.status is SearchStatus.INFEASIBLE:
-        conclusion, opposite = "not SONC", "SONC"
+        conclusion = "not SONC"
         reason = f"no cancellation-free decomposition; margin {outcome.margin:.6g}"
     else:
         return None
-    if outcome.exact:
-        return Verdict(conclusion, "exact", reason)
-    return None if opposite in verdicts else Verdict(conclusion, "numeric", reason)
-
-
-def _enforce_consistency(verdicts: list[Verdict]) -> None:
-    conclusions = {v.conclusion for v in verdicts}
-    for positive, negative in _CONTRADICTIONS:
-        if positive in conclusions and negative in conclusions:
-            raise InternalInvariantViolation(
-                f"contradictory verdicts {positive!r} and {negative!r}"
-            )
+    return Verdict(conclusion, "exact" if outcome.exact else "numeric", reason)
 
 
 # ---------------------------------------------------------------------------

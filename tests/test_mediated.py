@@ -262,15 +262,16 @@ def test_circuit_is_sos_accepting_case():
     assert report.circuit_sos is True
 
 
-def _random_nonnegative_circuits(count, seed):
+def _random_nonnegative_circuits(count, seed, shape=None):
     """``count`` nonnegative circuits in 2 or 3 variables of degree 4, 6
-    or 8: even vertices, an inner exponent in the relative interior with
-    coefficient -1, and outer coefficients ``lambda_i * r_i`` with
-    ``r_i >= 1``, so the circuit number is at least 1."""
+    or 8, or of the given ``shape`` (variables, degree): even vertices, an
+    inner exponent in the relative interior with coefficient -1, and outer
+    coefficients ``lambda_i * r_i`` with ``r_i >= 1``, so the circuit
+    number is at least 1."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        n, degree = rng.randint(2, 3), rng.choice((4, 6, 8))
+        n, degree = shape or (rng.randint(2, 3), rng.choice((4, 6, 8)))
         vertices = set()
         for _ in range(rng.randint(2, n)):
             head = [2 * rng.randint(0, degree // 2) for _ in range(n - 1)]
@@ -307,6 +308,18 @@ def test_analyze_sos_verdict_matches_the_naive_fixpoint_on_random_circuits():
         assert _sos_verdicts(report) == [(expected, "exact")], f
         verdicts.append(expected)
     assert set(verdicts) == {"SOS", "not SOS"}
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (2, 6), (2, 8), (3, 4), (3, 2), (4, 2), (5, 2)])
+def test_nonnegative_circuits_in_the_hilbert_cases_are_sos(shape):
+    # There nonnegative forms are SOS (Hilbert 1888), so the closure adds
+    # SOS to every nonnegative circuit and raises if the mediated set says
+    # "not SOS".
+    for f in _random_nonnegative_circuits(25, seed=33, shape=shape):
+        report = analyze(f)
+        assert report.hilbert_case and report.circuit_nonnegative, f
+        exact = {v.conclusion for v in report.verdicts if v.certificate == "exact"}
+        assert {"nonnegative", "SONC", "SOS", "SOS+SONC"} <= exact, f
 
 
 def test_mediated_module_imports_only_lattice_geometry():

@@ -63,8 +63,10 @@ def test_analyze_sum_of_monomial_squares_that_is_no_circuit(text, circuit_reason
         ("nonnegative", "exact"),
         ("SONC", "exact"),
         ("SOS", "exact"),
+        ("SOS+SONC", "exact"),
     ]
-    assert all("sum of monomial squares" in v.reason for v in report.verdicts)
+    assert all("sum of monomial squares" in v.reason for v in report.verdicts[:3])
+    assert report.verdicts[3].reason == "SONC, and SONC ⊆ SOS+SONC"
 
 
 def test_analyze_monomial_square_circuit_keeps_its_reasons():
@@ -73,6 +75,7 @@ def test_analyze_monomial_square_circuit_keeps_its_reasons():
         ("nonnegative", "nonnegative circuit (strictly above the threshold)"),
         ("SONC", "a nonnegative circuit form"),
         ("SOS", "sum of monomial squares"),
+        ("SOS+SONC", "SONC, and SONC ⊆ SOS+SONC"),
     ]
 
 
@@ -176,7 +179,21 @@ def test_verdicts_from_dict_rejects_malformed_input(data, message):
 # verdict precedence around the search
 # ---------------------------------------------------------------------------
 
-_MOTZKIN_VERDICTS = [("nonnegative", "exact"), ("SONC", "exact"), ("not SOS", "exact")]
+_MOTZKIN_VERDICTS = [
+    ("nonnegative", "exact"),
+    ("SONC", "exact"),
+    ("not SOS", "exact"),
+    ("SOS+SONC", "exact"),
+]
+#: Not nonnegative (5 > 108^(1/3)) though its coefficient sums pass
+#: (5 < 6): its "not SONC" is only implied, by "not SOS+SONC".
+_IMPLIED_NOT_SONC = "x1^4*x2^2 + x1^2*x2^4 + 4*x3^6 - 5*x1^2*x2^2*x3^2"
+_IMPLIED_NOT_SONC_VERDICTS = [
+    ("not nonnegative", "exact"),
+    ("not SOS+SONC", "exact"),
+    ("not SOS", "exact"),
+    ("not SONC", "exact"),
+]
 
 
 @pytest.mark.parametrize(
@@ -198,11 +215,20 @@ _MOTZKIN_VERDICTS = [("nonnegative", "exact"), ("SONC", "exact"), ("not SOS", "e
         ("motzkin", "INCONCLUSIVE", True, _MOTZKIN_VERDICTS),
         # No verdict before the search: its own verdict is the only one.
         ("schmuedgen", "FEASIBLE", False, [("SONC", "numeric")]),
-        ("schmuedgen", "FEASIBLE", True, [("SONC", "exact")]),
+        (
+            "schmuedgen",
+            "FEASIBLE",
+            True,
+            [("SONC", "exact"), ("SOS+SONC", "exact"), ("nonnegative", "exact")],
+        ),
         ("schmuedgen", "INFEASIBLE", False, [("not SONC", "numeric")]),
         ("schmuedgen", "INFEASIBLE", True, [("not SONC", "exact")]),
         ("schmuedgen", "INCONCLUSIVE", False, []),
         ("schmuedgen", "INCONCLUSIVE", True, []),
+        # An implied exact verdict stands against a numeric one too.
+        (_IMPLIED_NOT_SONC, "FEASIBLE", False, _IMPLIED_NOT_SONC_VERDICTS),
+        (_IMPLIED_NOT_SONC, "FEASIBLE", True, None),
+        (_IMPLIED_NOT_SONC, "INFEASIBLE", False, _IMPLIED_NOT_SONC_VERDICTS),
     ],
 )
 def test_analyze_search_verdict_precedence(monkeypatch, name, status, exact, expected):
@@ -214,7 +240,7 @@ def test_analyze_search_verdict_precedence(monkeypatch, name, status, exact, exp
     monkeypatch.setattr(
         report_mod, "sonc_feasibility_search", lambda *args, **kwargs: outcome
     )
-    f = FORM_BUILDERS[name]()
+    f = FORM_BUILDERS[name]() if name in FORM_BUILDERS else parse_form(name)
     if expected is None:
         with pytest.raises(InternalInvariantViolation):
             analyze(f, search=True)
@@ -340,6 +366,54 @@ def test_analyze_matches_standalone_routes_hypothesis(f):
 
 
 # ---------------------------------------------------------------------------
+# verdicts closed under the cone inclusions
+# ---------------------------------------------------------------------------
+
+#: SOS ∪ SONC ⊆ SOS+SONC ⊆ nonnegative, restated apart from ``report``;
+#: in the Hilbert cases also nonnegative ⊆ SOS.
+_CONE_INCLUSIONS = (("SOS", "SOS+SONC"), ("SONC", "SOS+SONC"), ("SOS+SONC", "nonnegative"))
+
+
+def _assert_verdicts_closed(report):
+    """The exact conclusions are closed under the inclusions and their
+    contrapositives and hold no negation pair; a numeric verdict stands
+    beside no exact verdict on its cone."""
+    assert len({v.conclusion for v in report.verdicts}) == len(report.verdicts)
+    exact = {v.conclusion for v in report.verdicts if v.certificate == "exact"}
+    inclusions = _CONE_INCLUSIONS + (
+        (("nonnegative", "SOS"),) if report.hilbert_case else ()
+    )
+    for small, large in inclusions:
+        assert small not in exact or large in exact, (small, large)
+        assert f"not {large}" not in exact or f"not {small}" in exact, (small, large)
+    assert not {f"not {conclusion}" for conclusion in exact} & exact
+    for verdict in report.verdicts:
+        if verdict.certificate == "numeric":
+            cone = verdict.conclusion.removeprefix("not ")
+            assert not {cone, f"not {cone}"} & exact
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(f=_small_forms())
+def test_analyze_verdicts_are_closed_hypothesis(f):
+    _assert_verdicts_closed(analyze(f))
+
+
+def test_corpus_verdicts_are_closed_with_and_without_search():
+    from sonckit.certify import SearchBudget
+
+    implied = 0
+    for builder in FORM_BUILDERS.values():
+        for report in (
+            analyze(builder()),
+            analyze(builder(), search=True, budget=SearchBudget(max_params=9)),
+        ):
+            _assert_verdicts_closed(report)
+            implied += "SOS+SONC" in _conclusions(report)
+    assert implied == 10  # the five nonnegative circuits, twice
+
+
+# ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
@@ -436,7 +510,7 @@ def test_cli_mms_odd_point(capsys):
 def test_analyze_skips_a_mediated_set_over_the_lattice_cap():
     # The circuit's segment holds 2000001 lattice points, beyond
     # geometry.LATTICE_CANDIDATE_CAP: the scan stops at once, and the
-    # report keeps every verdict but the SOS one.
+    # report keeps every verdict; SOS comes from Hilbert's theorem alone.
     f = parse_form("x1^2000000 + x2^2000000 - x1^1000000*x2^1000000")
     start = time.perf_counter()
     report = analyze(f)
@@ -444,6 +518,8 @@ def test_analyze_skips_a_mediated_set_over_the_lattice_cap():
     assert [(v.conclusion, v.certificate) for v in report.verdicts] == [
         ("nonnegative", "exact"),
         ("SONC", "exact"),
+        ("SOS", "exact"),
+        ("SOS+SONC", "exact"),
     ]
     assert report.mediated is None and report.circuit_sos is None
     data = report_to_dict(report)
@@ -467,6 +543,7 @@ def test_analyze_finds_the_mediated_set_of_a_long_segment_at_once():
         ("nonnegative", "exact"),
         ("SONC", "exact"),
         ("SOS", "exact"),
+        ("SOS+SONC", "exact"),
     ]
     assert len(report.mediated.star) == 9999 and report.circuit_sos
 
@@ -480,24 +557,44 @@ HUGE_LCM_CIRCUITS = {
     # the inner coefficient 3 lies above that bracket.
     "above_bracket": (
         "x1^2000000 + x2^2000000 - 3*x1*x2^1999999",
-        [("not nonnegative", "exact"), ("not SONC", "exact")],
+        [
+            ("not nonnegative", "exact"),
+            ("not SONC", "exact"),
+            ("not SOS+SONC", "exact"),
+            ("not SOS", "exact"),
+        ],
     ),
     # 3/2 lies inside the bracket, above the circuit number, about 1.0000078.
     "inside_bracket": (
         "x1^2000000 + x2^2000000 - 3/2*x1*x2^1999999",
-        [("not nonnegative", "exact"), ("not SONC", "exact")],
+        [
+            ("not nonnegative", "exact"),
+            ("not SOS+SONC", "exact"),
+            ("not SOS", "exact"),
+            ("not SONC", "exact"),
+        ],
     ),
     "inside_bracket_exponents_near_1e20": (
         "x1^200000000000000000000 + x2^200000000000000000000"
         " - 3/2*x1*x2^199999999999999999999",
-        [("not nonnegative", "exact"), ("not SONC", "exact")],
+        [
+            ("not nonnegative", "exact"),
+            ("not SOS+SONC", "exact"),
+            ("not SOS", "exact"),
+            ("not SONC", "exact"),
+        ],
     ),
     # Both bases are 3/2, so the circuit number is exactly the inner
     # coefficient: a boundary circuit, with too many lattice points on its
     # segment for a mediated set.
     "equal_inside_bracket": (
         "3/4000000*x1^2000000 + 5999997/4000000*x2^2000000 - 3/2*x1*x2^1999999",
-        [("nonnegative", "exact"), ("SONC", "exact")],
+        [
+            ("nonnegative", "exact"),
+            ("SONC", "exact"),
+            ("SOS", "exact"),
+            ("SOS+SONC", "exact"),
+        ],
     ),
 }
 
@@ -514,6 +611,53 @@ def test_analyze_decides_a_circuit_number_with_a_huge_lcm_at_once(text, expected
     assert report.circuit_nonnegative is nonnegative
     assert report.circuit_boundary is nonnegative
     assert ("mediated_set_note" in report_to_dict(report)) is nonnegative
+
+
+# Circuits with huge numbers other than the lcm, each with the exact
+# verdicts it must get within a second.
+HUGE_NUMBER_CIRCUITS = {
+    # 4299 digits, just under Python's default int digit limit.
+    "outer_coefficient_of_4299_digits": (
+        f"{'9' * 4299}*x1^4 + x2^4 - 3*x1^2*x2^2",
+        [
+            ("nonnegative", "exact"),
+            ("SONC", "exact"),
+            ("SOS", "exact"),
+            ("SOS+SONC", "exact"),
+        ],
+    ),
+    "inner_coefficient_of_4299_digits": (
+        f"x1^4 + x2^4 - {'9' * 4299}*x1^2*x2^2",
+        [
+            ("not nonnegative", "exact"),
+            ("not SONC", "exact"),
+            ("not SOS+SONC", "exact"),
+            ("not SOS", "exact"),
+        ],
+    ),
+    # The mediated set is skipped over the lattice cap; SOS follows from
+    # nonnegativity in two variables (Hilbert).
+    "segment_over_the_lattice_cap": (
+        "x1^2000000 + x2^2000000 - x1^1000000*x2^1000000",
+        [
+            ("nonnegative", "exact"),
+            ("SONC", "exact"),
+            ("SOS", "exact"),
+            ("SOS+SONC", "exact"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "text, expected", HUGE_NUMBER_CIRCUITS.values(), ids=HUGE_NUMBER_CIRCUITS.keys()
+)
+def test_analyze_decides_a_circuit_with_huge_numbers_at_once(text, expected):
+    start = time.perf_counter()
+    report = analyze(parse_form(text))
+    assert time.perf_counter() - start < 1.0
+    assert [(v.conclusion, v.certificate) for v in report.verdicts] == expected
+    assert report.circuit_nonnegative is (expected[0][0] == "nonnegative")
 
 
 def test_analyze_decides_a_circuit_once(monkeypatch):
@@ -606,19 +750,25 @@ def test_cli_invariant_violation_exit_code(monkeypatch, motzkin_file, capsys):
     ],
 )
 def test_enforce_consistency_rejects_broken_pairs(positive, negative):
+    # The closure enforces consistency: the last two pairs contradict
+    # only through the cone inclusions.
     from sonckit.errors import InternalInvariantViolation
-    from sonckit.report import Verdict, _enforce_consistency
+    from sonckit.report import Verdict, _close
 
-    verdicts = [Verdict(positive, "exact", "x"), Verdict(negative, "exact", "y")]
-    with pytest.raises(InternalInvariantViolation):
-        _enforce_consistency(verdicts)
+    for hilbert_case in (False, True):
+        verdicts = {c: Verdict(c, "exact", "x") for c in (positive, negative)}
+        with pytest.raises(InternalInvariantViolation):
+            _close(verdicts, hilbert_case)
 
 
 def test_enforce_consistency_allows_sos_next_to_not_sonc():
-    from sonckit.report import Verdict, _enforce_consistency
+    from sonckit.report import Verdict, _close
 
     conclusions = ("nonnegative", "SOS", "not SONC")
-    _enforce_consistency([Verdict(c, "exact", "x") for c in conclusions])
+    for hilbert_case in (False, True):
+        verdicts = {c: Verdict(c, "exact", "x") for c in conclusions}
+        _close(verdicts, hilbert_case)
+        assert list(verdicts) == [*conclusions, "SOS+SONC"]
 
 
 def test_cli_analyze_zero_form(tmp_path, capsys):
@@ -654,8 +804,8 @@ _TINY = f"1/{_HUGE}"
 @pytest.mark.parametrize(
     "scale, conclusions",
     [
-        (_HUGE, ["nonnegative", "SONC", "not SOS"]),
-        (_TINY, ["not nonnegative", "not SONC"]),
+        (_HUGE, ["nonnegative", "SONC", "not SOS", "SOS+SONC"]),
+        (_TINY, ["not nonnegative", "not SONC", "not SOS+SONC", "not SOS"]),
     ],
 )
 def test_cli_analyze_circuit_beyond_the_float_range(tmp_path, capsys, scale, conclusions):
@@ -743,7 +893,8 @@ def test_cli_analyze_search_reports_floats_it_cannot_use(tmp_path, capsys, text,
 )
 def test_cli_analyze_search_settles_beside_the_float_range(tmp_path, capsys, text):
     # The exact gate at size 0 needs no float, and an inner coefficient
-    # that rounds to 0.0 is still a float the search can use.
+    # that rounds to 0.0 is still a float the search can use.  Each form is
+    # a Hilbert case (degree 2, or two variables), so SONC implies SOS.
     path = tmp_path / "form.poly"
     path.write_text(text + "\n")
     assert main(["analyze", str(path), "--json", "--search"]) == 0
@@ -752,7 +903,10 @@ def test_cli_analyze_search_settles_beside_the_float_range(tmp_path, capsys, tex
         "circuits": 2, "exact": True, "margin": 0.0, "status": "Feasible"
     }
     assert [(v["conclusion"], v["certificate"]) for v in payload["verdicts"]] == [
-        ("SONC", "exact")
+        ("SONC", "exact"),
+        ("SOS+SONC", "exact"),
+        ("nonnegative", "exact"),
+        ("SOS", "exact"),
     ]
 
 
