@@ -21,7 +21,9 @@ Bland's rule, which guarantees termination, decides convex-hull
 membership.  Its tableau holds only the structural columns: the
 artificial variables survive as basis labels, and the loop stops at the
 first basis where no structural column can enter, which decides
-feasibility and returns the same point as the full tableau.
+feasibility and returns the same point as the full tableau.  A system
+with no columns, such as a hull test against an empty coordinate face,
+is answered at entry, feasible exactly when its right side is zero.
 """
 
 from __future__ import annotations
@@ -195,8 +197,10 @@ def simplex_feasible(
         raise ValueError("ragged constraint matrix")
     if len(b) != nrows:
         raise ValueError("right-hand side has wrong length")
-    if nrows == 0:
-        return []
+    if ncols == 0:
+        # No columns: x = [] solves A x = b exactly when b is zero, so no
+        # tableau is built.
+        return None if any(b) else []
 
     # One denominator for the whole system: scaling rows apart would
     # reweight the artificial variables in the objective, and the LP

@@ -14,11 +14,16 @@ prefix columns, so a positive kernel vector needs a later point whose
 entry in that row has the sign opposite to the pivot's: each pivot
 row's last such point bounds the walk's next point.  A new independent
 point becomes the pivot of its row, so it is pivoted only if a later
-point has the opposite sign in that row.  The squares are checked and
-sorted once per set, not once per inner exponent.  The support partition
-enumerates the simplices first and takes the hull over the squares and
-the uncovered inner exponents only, since a covered one is no vertex.
-Nothing here touches floating point.
+point has the opposite sign in that row.  Zero patterns are support
+masks, bit ``i`` set where coordinate ``i`` is nonzero.  The squares are
+checked, sorted and masked once per set, not once per inner exponent,
+and the pool of ``beta`` keeps the squares whose mask lies inside
+``beta``'s.  The support partition enumerates the simplices first and
+takes the hull over the squares and the uncovered inner exponents only,
+since a covered one is no vertex.  On points with no negative
+coordinate, each hull LP sees only the points whose mask lies inside
+its point's, cut by one AND before the coordinate-face scan.  Nothing
+here touches floating point.
 """
 
 from __future__ import annotations
@@ -112,6 +117,12 @@ def monomial_square_support(f: SparseForm) -> frozenset[Exponent]:
     )
 
 
+def _support_mask(point: Sequence[Fraction | int]) -> int:
+    """The point's support as a bit mask: bit ``i`` is set where
+    ``point[i] != 0``."""
+    return sum(1 << i for i, value in enumerate(point) if value)
+
+
 def _face(
     point: Sequence[Fraction | int], generators: list[Sequence[Fraction | int]]
 ) -> list[Sequence[Fraction | int]]:
@@ -153,7 +164,13 @@ def hull_vertices(points: Iterable[Exponent]) -> frozenset[Exponent]:
     sees only the alive points on the point's coordinate face
     (:func:`_face`): exponents are sparse, so a point at the low or high
     end of a coordinate is tested against the few points that share that
-    value, often none.  Points of different lengths raise
+    value, often none, and an LP with no columns is answered without a
+    tableau.  When no coordinate is negative, the face scan starts from
+    the alive points whose support mask (:func:`_support_mask`) lies
+    inside the point's: 0 is then the low end of every coordinate, so
+    these are exactly the points the face keeps on the point's zero
+    coordinates.  A negative coordinate anywhere sets every mask to 0,
+    which keeps every point.  Points of different lengths raise
     :class:`DimensionMismatch`.
     """
     unique = canonical_points(points)
@@ -162,14 +179,18 @@ def hull_vertices(points: Iterable[Exponent]) -> frozenset[Exponent]:
     check_common_length(unique)
     if len(unique) == 1:
         return frozenset(unique)
-    alive = unique
+    # The masks do _face's zero-coordinate passes only on nonnegative points.
+    nonnegative = all(value >= 0 for point in unique for value in point)
+    masks = {point: _support_mask(point) if nonnegative else 0 for point in unique}
+    alive = list(unique)
     vertices = []
     for point in unique:
-        others = [q for q in alive if q != point]
-        if point_in_hull(point, _face(point, others)) is None:
+        outside = ~masks[point]
+        inside = [q for q in alive if not masks[q] & outside and q != point]
+        if point_in_hull(point, _face(point, inside)) is None:
             vertices.append(point)
         else:
-            alive = others
+            alive.remove(point)
     return frozenset(vertices)
 
 
@@ -202,16 +223,20 @@ def barycentric_coordinates(
 
 
 @functools.lru_cache(maxsize=1)
-def _sorted_pool(points: frozenset[Exponent], length: int) -> tuple[Exponent, ...]:
-    """``points`` in graded-lex order, sorted once per set of points: a
-    partition passes its squares for every inner exponent in turn, so the
-    last set is the one kept.  The tuple of tuples is immutable, so no
-    caller can change a later call's input.  Points of another length
-    than ``length`` raise :class:`DimensionMismatch` on every call, since
-    a call that raises is not cached."""
+def _sorted_pool(
+    points: frozenset[Exponent], length: int
+) -> tuple[tuple[Exponent, ...], tuple[int, ...]]:
+    """``points`` in graded-lex order and their support masks
+    (:func:`_support_mask`), built once per set of points: a partition
+    passes its squares for every inner exponent in turn, so the last set
+    is the one kept.  Both tuples are immutable, so no caller can change a
+    later call's input.  Points of another length than ``length`` raise
+    :class:`DimensionMismatch` on every call, since a call that raises is
+    not cached."""
     if any(len(point) != length for point in points):
         raise DimensionMismatch(f"a candidate is not of length {length}")
-    return tuple(sorted(points, key=grlex_key))
+    pool = tuple(sorted(points, key=grlex_key))
+    return pool, tuple(map(_support_mask, pool))
 
 
 def _last_opposite(row: list[int], sign: int, start: int) -> int:
@@ -271,13 +296,14 @@ def enumerate_simplices(beta: Exponent, candidates: Iterable[Exponent]) -> list[
     """
     beta = tuple(beta)
     n = len(beta)
+    if not isinstance(candidates, frozenset):
+        candidates = frozenset(map(tuple, candidates))
     # A simplex covering beta in its relative interior uses only points
-    # vanishing wherever beta vanishes (weights are strictly positive).
-    zero_positions = [i for i, b in enumerate(beta) if b == 0]
+    # vanishing wherever beta vanishes (weights are strictly positive):
+    # those whose support mask lies inside beta's.
+    outside = ~_support_mask(beta)
     pool = [
-        point
-        for point in _sorted_pool(frozenset(map(tuple, candidates)), n)
-        if all(point[i] == 0 for i in zero_positions)
+        point for point, mask in zip(*_sorted_pool(candidates, n)) if not mask & outside
     ]
     size = len(pool)
     if size > DEFAULT_CANDIDATE_CAP:

@@ -5,7 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import fraction_oracle as oracle
+from sonckit import exactlp
 from sonckit.errors import DimensionMismatch
 from sonckit.exactlp import (
     EchelonSolver,
@@ -58,6 +62,49 @@ def test_simplex_feasible_basic():
     assert solution == [Fraction(1, 2), Fraction(1, 2)]
     # x1 + x2 = -1 with x >= 0 is infeasible.
     assert simplex_feasible([[1, 1]], [-1]) is None
+
+
+def _assert_column_free(b):
+    """``k`` empty rows are solved by ``x = []`` exactly when ``b`` is
+    zero; the answer comes at entry, before any integer scaling."""
+
+    def no_tableau(values):
+        raise AssertionError("a tableau was built for a system with no columns")
+
+    rows = [[] for _ in b]
+    expected = oracle.simplex_feasible(rows, b)
+    assert expected == (None if any(b) else [])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactlp, "integer_numerators", no_tableau)
+        assert simplex_feasible(rows, b) == expected
+
+
+def test_simplex_feasible_without_columns_seeded():
+    rng = random.Random(34)
+    for trial in range(300):
+        b = [
+            rng.choice([0, 0, rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 4))])
+            for _ in range(rng.randint(1, 6))
+        ]
+        if trial % 3 == 0:
+            b = [Fraction(0)] * len(b) if trial % 2 else [0] * len(b)
+        _assert_column_free(b)
+
+
+_RIGHT_SIDE = st.one_of(
+    st.just(0),
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(_RIGHT_SIDE, min_size=1, max_size=6))
+@example([0] * 6)
+@example([Fraction(0)] * 3)
+@example([0, 0, Fraction(1, 5)])
+def test_simplex_feasible_without_columns_hypothesis(b):
+    _assert_column_free(b)
 
 
 def test_point_in_hull_whole_segment():

@@ -6,9 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import fraction_oracle as oracle
 from benchmark_forms import random_specs
 from sonckit import exactlp, geometry
 from sonckit.errors import (
@@ -86,6 +87,31 @@ def hull_vertices_oracle(points):
     return frozenset(vertices)
 
 
+def lp_hull_vertices_oracle(points):
+    """The points outside the hull of all the others, each decided by the
+    ``Fraction`` LP of ``fraction_oracle``: no face, no support mask, no
+    alive set.  Unlike the brute force it stays fast at 20 points."""
+    pts = sorted(set(points))
+    return frozenset(
+        p for p in pts if oracle.point_in_hull(p, [q for q in pts if q != p]) is None
+    )
+
+
+#: Most subsets per point the brute-force oracle is asked to try: every
+#: set of up to 11 points in up to 4 variables stays within it.
+BRUTE_FORCE_SUBSETS = 640
+
+
+def _assert_hull_matches_oracles(points):
+    """``hull_vertices`` against the LP oracle, and against the brute
+    force as well where it has few enough subsets to try."""
+    vertices = hull_vertices(points)
+    assert vertices == lp_hull_vertices_oracle(points)
+    others, n = len(set(points)) - 1, len(points[0])
+    if sum(math.comb(others, size) for size in range(1, n + 2)) <= BRUTE_FORCE_SUBSETS:
+        assert vertices == hull_vertices_oracle(points)
+
+
 def _assert_partition_vertices_are_the_hull(f):
     """The partition takes its hull over part of the support; its
     vertices must be those of the whole support."""
@@ -149,15 +175,31 @@ def test_hull_vertices_matches_oracle_on_random_supports():
         }
         points = sorted(points)
         assert hull_vertices(points) == hull_vertices_oracle(points)
+    # Sparse supports, each coordinate 0 about half the time, where the
+    # support masks leave most points off a point's face.
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        points = {
+            tuple(rng.choice([0, rng.randint(1, 8)]) for _ in range(n))
+            for _ in range(rng.randint(1, 20))
+        }
+        _assert_hull_matches_oracles(sorted(points))
 
 
 @st.composite
 def _hull_point_sets(draw):
     """Small point sets, not homogeneous in general, with a collinear run
     through one of the points, midpoints drawn twice (as ``Fraction``s
-    where they are not integral), and now and then every point halved."""
-    n = draw(st.integers(1, 4))
-    points = draw(st.lists(st.tuples(*[st.integers(0, 6)] * n), min_size=1, max_size=5))
+    where they are not integral), and now and then every point halved.
+    Half the sets are sparse: 2 to 6 variables, 6 to 20 points, each
+    coordinate 0 about half the time.  A collinear run may step below 0."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 6))
+        value = st.one_of(st.just(0), st.integers(1, 6))
+        points = draw(st.lists(st.tuples(*[value] * n), min_size=6, max_size=20))
+    else:
+        n = draw(st.integers(1, 4))
+        points = draw(st.lists(st.tuples(*[st.integers(0, 6)] * n), min_size=1, max_size=5))
     if draw(st.booleans()):
         start = draw(st.sampled_from(points))
         step = draw(st.tuples(*[st.integers(-2, 2)] * n))
@@ -175,8 +217,10 @@ def _hull_point_sets(draw):
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(_hull_point_sets())
+@example([(0,), (1,), (-1,)])  # a negative coordinate: no mask filters
+@example([(0, 2), (1, 0), (-1, 0), (0, 1)])
 def test_hull_vertices_matches_oracle_hypothesis(points):
-    assert hull_vertices(points) == hull_vertices_oracle(points)
+    _assert_hull_matches_oracles(points)
 
 
 def _counted_hull_vertices(monkeypatch, points):
@@ -406,16 +450,21 @@ def test_enumerate_simplices_takes_candidates_in_any_form():
 
 
 def test_enumerate_simplices_cached_pool_is_immutable():
-    """The cached pool is a tuple of tuples, so neither a caller nor the
-    walk can change what a later call with the same squares is given."""
+    """The cached pool and its support masks are tuples of tuples and ints,
+    so neither a caller nor the walk can change what a later call with the
+    same squares is given."""
     squares = [[2, 0], [0, 2], [1, 1]]
     first = enumerate_simplices((1, 1), squares)
     squares[0][0] = 8
-    pool = geometry._sorted_pool(frozenset({(2, 0), (0, 2), (1, 1)}), 2)
+    cached = geometry._sorted_pool(frozenset({(2, 0), (0, 2), (1, 1)}), 2)
+    pool, masks = cached
     assert pool == ((0, 2), (1, 1), (2, 0))
-    hash(pool)  # every level is immutable
+    assert masks == (0b10, 0b11, 0b01)
+    hash(cached)  # every level is immutable
     with pytest.raises(TypeError):
         pool[0] = (8, 0)
+    with pytest.raises(TypeError):
+        masks[0] = 0
     assert enumerate_simplices((1, 1), [(2, 0), (0, 2), (1, 1)]) == first
 
 
@@ -482,6 +531,26 @@ def test_support_partition_monomial_squares_only():
 def test_support_partition_zero_form():
     with pytest.raises(ZeroFormInput):
         support_partition(make_form(2, {}, zero_degree=2))
+
+
+def test_support_partition_enumerates_each_inner_exponent_once(monkeypatch):
+    """The benchmark's tracer counts the simplex walks by wrapping the
+    module attribute ``geometry.enumerate_simplices``; a partition that
+    inlined or renamed the walk would drop out of those counts."""
+    walk, betas = geometry.enumerate_simplices, []
+
+    def spy(beta, candidates):
+        betas.append(tuple(beta))
+        return walk(beta, candidates)
+
+    monkeypatch.setattr(geometry, "enumerate_simplices", spy)
+    forms = [builder() for builder in FORM_BUILDERS.values()]
+    forms += [make_form(spec.num_vars, spec.terms) for spec in random_specs(7)]
+    for f in forms:
+        betas.clear()
+        partition = support_partition(f)
+        assert sorted(betas) == sorted(partition.i_set), f
+        assert set(partition.simplex_families) == partition.i_set, f
 
 
 def test_support_partition_of_embedding_matches():
