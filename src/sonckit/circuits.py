@@ -126,7 +126,10 @@ class ZeroLocus:
     dimension: int
 
     def rhs_floats(self) -> list[float]:
-        return [math.log(a) - math.log(b) for a, b in self.rhs_symbolic]
+        """Each ``log(a / b)`` from the ratio's integer numerator and
+        denominator, which ``math.log`` takes at any size."""
+        ratios = [a / b for a, b in self.rhs_symbolic]
+        return [math.log(r.numerator) - math.log(r.denominator) for r in ratios]
 
     def sample_solutions(self, count: int, seed: int = 0) -> list[tuple[float, ...]]:
         """``count`` float points of the affine solution space: the
@@ -432,32 +435,24 @@ def negative_witness(c: Circuit) -> tuple[Fraction, ...]:
     """Rational point with exactly negative value, for circuits that fail
     the nonnegativity test.
 
-    The AM-GM equality direction (minimum-norm solution of the locus-style
-    system) is the natural violator: first rounded to a denominator of at
-    most 1e6, then, if that point is not negative, at growing decimal
-    precision.  The returned point is verified exactly.
+    The value at the AM-GM equality point of the outer terms is the inner
+    monomial times the circuit number less the inner magnitude, so it is
+    negative (Iliman--de Wolff).  Its log system is eliminated once and
+    solved at decimal logarithms, then exponentiated, at a precision that
+    starts at 8 digits and doubles until the exact value is negative: a
+    rounded point exceeds the minimum by the square of its error, so this
+    ends.  No float is involved.
     """
     if decide_circuit_nonnegativity(c).is_nonnegative:
         raise ValueError("circuit is nonnegative; no negative witness exists")
     assert c.inner is not None and c.kind is CircuitKind.PROPER
     locus = _log_system(c)
-    solution, _ = locus._solution_space()
-    signs = _sign_pattern_for_negative_inner(*c.inner)
-    point = tuple(
-        sign * Fraction(math.exp(min(max(v, -12.0), 12.0))).limit_denominator(10**6)
-        for sign, v in zip(signs, solution)
-    )
-    if evaluate(c.form, point) < 0:
-        return point
-    # Near the circuit number the value at the AM-GM point exceeds its
-    # minimum by the square of the rounding error, so refine that point at
-    # doubling precision until the exact value is negative; the limit is
-    # negative, so this ends.
     solver = EchelonSolver(locus.matrix)
-    digits = 32
+    signs = _sign_pattern_for_negative_inner(*c.inner)
+    digits = 8
     while True:
         with localcontext() as context:
-            context.prec = digits
+            context.prec, context.rounding = digits, ROUND_HALF_EVEN
             rhs = [Fraction(_decimal(a).ln() - _decimal(b).ln()) for a, b in locus.rhs_symbolic]
             logs = solver.solve(rhs)
             point = tuple(sign * Fraction(_decimal(y).exp()) for sign, y in zip(signs, logs))

@@ -230,13 +230,16 @@ def _sorted_pool(
     (:func:`_support_mask`), built once per set of points: a partition
     passes its squares for every inner exponent in turn, so the last set
     is the one kept.  Both tuples are immutable, so no caller can change a
-    later call's input.  Points of another length than ``length`` raise
+    later call's input.  As in :func:`hull_vertices`, a negative
+    coordinate anywhere sets every mask to 0, which keeps every point.
+    Points of another length than ``length`` raise
     :class:`DimensionMismatch` on every call, since a call that raises is
     not cached."""
     if any(len(point) != length for point in points):
         raise DimensionMismatch(f"a candidate is not of length {length}")
     pool = tuple(sorted(points, key=grlex_key))
-    return pool, tuple(map(_support_mask, pool))
+    nonnegative = all(value >= 0 for point in pool for value in point)
+    return pool, tuple(_support_mask(point) if nonnegative else 0 for point in pool)
 
 
 def _last_opposite(row: list[int], sign: int, start: int) -> int:
@@ -298,9 +301,9 @@ def enumerate_simplices(beta: Exponent, candidates: Iterable[Exponent]) -> list[
     n = len(beta)
     if not isinstance(candidates, frozenset):
         candidates = frozenset(map(tuple, candidates))
-    # A simplex covering beta in its relative interior uses only points
-    # vanishing wherever beta vanishes (weights are strictly positive):
-    # those whose support mask lies inside beta's.
+    # On a nonnegative pool, a simplex covering beta in its relative
+    # interior uses only points vanishing wherever beta vanishes (weights
+    # are strictly positive): those whose support mask lies inside beta's.
     outside = ~_support_mask(beta)
     pool = [
         point for point, mask in zip(*_sorted_pool(candidates, n)) if not mask & outside

@@ -294,6 +294,10 @@ def barycentric_coordinates(
     return tuple(solution)
 
 
+def _nonnegative(points: Iterable[Exponent]) -> bool:
+    return all(value >= 0 for point in points for value in point)
+
+
 def enumerate_simplices(
     beta: Exponent,
     candidates: Iterable[Exponent],
@@ -308,15 +312,13 @@ def enumerate_simplices(
     """
     beta = tuple(beta)
     dim = len(beta)
+    points = {tuple(p) for p in candidates}
     # A simplex covering beta in its relative interior uses only points
-    # vanishing wherever beta vanishes (weights are strictly positive).
-    zero_positions = [i for i, b in enumerate(beta) if b == 0]
+    # vanishing wherever beta vanishes (weights are strictly positive),
+    # when no point has a negative coordinate.
+    zero_positions = [i for i, b in enumerate(beta) if b == 0] if _nonnegative(points) else []
     pool = sorted(
-        (
-            point
-            for point in {tuple(p) for p in candidates}
-            if all(point[i] == 0 for i in zero_positions)
-        ),
+        (point for point in points if all(point[i] == 0 for i in zero_positions)),
         key=grlex_key,
     )
     if len(pool) > cap:
@@ -352,8 +354,9 @@ def walk_simplices(
     if any(len(point) != len(beta) for point in points):
         raise DimensionMismatch(f"a candidate differs in length from {beta}")
     # A simplex covering beta in its relative interior uses only points
-    # vanishing wherever beta vanishes (weights are strictly positive).
-    zero_positions = [i for i, b in enumerate(beta) if b == 0]
+    # vanishing wherever beta vanishes (weights are strictly positive),
+    # when no point has a negative coordinate.
+    zero_positions = [i for i, b in enumerate(beta) if b == 0] if _nonnegative(points) else []
     pool = sorted(
         (point for point in points if all(point[i] == 0 for i in zero_positions)),
         key=grlex_key,

@@ -397,8 +397,8 @@ def test_negative_witness_with_positive_inner():
 @pytest.mark.parametrize("gap", ["1e-25", "1e-30", "1e-60"])
 def test_negative_witness_just_above_the_circuit_number(gap):
     # 2x^4y^2 + x^2y^4 + 3z^6 - c*x^2y^2z^2 has circuit number 162^(1/3);
-    # at c a relative gap above it, no candidate rounded to a denominator
-    # of 1e6 is negative, and the AM-GM point must be refined.
+    # at c a relative gap above it, the AM-GM point at the first precision
+    # is not negative, and the precision must grow.
     with localcontext() as context:
         context.prec = 100
         c = Fraction(Decimal(162) ** (Decimal(1) / 3) * (1 + Decimal(gap)))
@@ -409,6 +409,25 @@ def test_negative_witness_just_above_the_circuit_number(gap):
     witness = negative_witness(circuit)
     assert evaluate(circuit.form, witness) < 0
     assert negative_witness(circuit) == witness
+
+
+_BEYOND_FLOAT = {
+    "huge_outer": f"{10**400}*x1^2 + x2^2 - {10**400}*x1*x2",
+    "tiny_outer": f"x1^2 + 1/{10**400}*x2^2 - x1*x2",
+    "huge_ternary": f"{10**400}*x1^4*x2^2 + x1^2*x2^4 - {10**400}*x1^2*x2^2*x3^2 + x3^6",
+    "4299_nines": f"{'9' * 4299}*x1^4 + x2^4 - {'9' * 4299}*x1^2*x2^2",
+}
+
+
+@pytest.mark.parametrize("text", _BEYOND_FLOAT.values(), ids=_BEYOND_FLOAT.keys())
+def test_negative_witness_beyond_the_float_range(text):
+    # A coefficient ratio beyond the float range: the witness takes no float.
+    circuit = detect_circuit(parse_form(text))
+    assert not decide_circuit_nonnegativity(circuit).is_nonnegative
+    start = time.perf_counter()
+    witness = negative_witness(circuit)
+    assert time.perf_counter() - start < 1.0
+    assert evaluate(circuit.form, witness) < 0
 
 
 def test_zero_locus_motzkin():

@@ -1,6 +1,7 @@
 """Parsing, serialization, evaluation, and the instance-building transforms."""
 
 import ast
+import importlib
 import pathlib
 import random
 import re
@@ -304,6 +305,45 @@ def test_forms_module_uses_no_float():
         for node in ast.walk(tree)
         if (isinstance(node, ast.Name) and node.id == "float")
         or (isinstance(node, ast.Constant) and isinstance(node.value, float))
+    ]
+
+
+@pytest.mark.parametrize(
+    "module, function",
+    [
+        ("exactlp", None),
+        ("geometry", None),
+        ("mediated", None),
+        ("circuits", "detect_circuit"),
+        ("circuits", "compare_circuit_number"),
+        ("circuits", "decide_circuit_nonnegativity"),
+        ("circuits", "negative_witness"),
+    ],
+)
+def test_exact_core_uses_no_float(module, function):
+    """The exact modules, and the exact functions of ``circuits``, name no
+    ``float``, hold no float literal and call neither ``math.exp`` nor
+    ``math.log``.  ``circuit_number`` (its float is for display),
+    ``ZeroLocus`` and ``logs_affinely_independent`` stay outside."""
+    path = pathlib.Path(importlib.import_module(f"sonckit.{module}").__file__)
+    tree = ast.parse(path.read_text())
+    if function is not None:
+        (tree,) = [
+            node
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == function
+        ]
+    assert not [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "float")
+        or (isinstance(node, ast.Constant) and isinstance(node.value, float))
+        or (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "math"
+            and node.attr in ("exp", "log")
+        )
     ]
 
 

@@ -491,6 +491,34 @@ def test_enumerate_simplices_exhaustive_closure():
                 assert qualifies == (frozenset(subset) in returned), (beta, subset)
 
 
+def test_enumerate_simplices_with_negative_coordinates_matches_unfiltered_subsets():
+    """A negative coordinate turns the support-mask filter off: the
+    simplices are exactly the subsets that ``barycentric_coordinates``
+    puts ``beta`` inside, with its weights, and the oracles agree."""
+    assert [s.barycentric for s in enumerate_simplices((0, 0), [(-1, 0), (1, 0)])] == [
+        (Fraction(1, 2), Fraction(1, 2))
+    ]
+    rng = random.Random(35)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        count = rng.randint(1, 6)
+        candidates = {tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(count)}
+        beta = tuple(rng.randint(-1, 1) for _ in range(n))
+        expected = {}
+        for size in range(1, n + 2):
+            for subset in itertools.combinations(sorted(candidates), size):
+                if affinely_independent(subset):
+                    weights = barycentric_coordinates(beta, subset)
+                    if weights is not None:
+                        expected[frozenset(subset)] = dict(zip(subset, weights))
+        simplices = enumerate_simplices(beta, candidates)
+        assert {
+            frozenset(s.vertices): dict(zip(s.vertices, s.barycentric)) for s in simplices
+        } == expected, (beta, candidates)
+        assert oracle.enumerate_simplices(beta, candidates) == simplices
+        assert oracle.walk_simplices(beta, candidates) == simplices
+
+
 def test_simplex_invariants_on_corpus():
     for builder in FORM_BUILDERS.values():
         f = builder()

@@ -116,6 +116,20 @@ def test_corpus_boundary_loci_match_oracle():
             _assert_solution_space_matches(locus)
 
 
+def test_boundary_locus_beyond_the_float_range_matches_oracle():
+    """The outer coefficients' ratio 10^800 is no float, but its logarithm
+    is: the samples lie near +-460 and solve the system."""
+    f = parse_form(f"{10**400}*x1^2 + 1/{10**400}*x2^2 - 2*x1*x2")
+    locus = zero_locus(detect_circuit(f))
+    assert isinstance(locus, ZeroLocus) and locus.dimension == 1
+    assert math.isclose(abs(locus.rhs_floats()[0]), 800 * math.log(10))
+    _oracle_samples_solve(locus)
+    _assert_samples_solve(locus)
+    _assert_solution_space_matches(locus)
+    for y in locus.sample_solutions(10):
+        assert all(math.isclose(abs(v), 200 * math.log(10), rel_tol=0.05) for v in y)
+
+
 def test_sample_solutions_returns_float_tuples():
     locus = zero_locus(detect_circuit(FORM_BUILDERS["motzkin"]()))
     samples = locus.sample_solutions(3, seed=7)

@@ -77,13 +77,14 @@ def compute() -> dict[str, Any]:
 
     families: dict[str, Any] = {}
 
-    def reports(forms, **options) -> dict[str, Any]:
-        out = {}
-        for f in forms:
-            report = analyze(f, **options)
-            out[f.name] = report_to_dict(report)
-            families.setdefault(f.name, _families(report))
+    def analysed(forms, **options) -> dict[str, Any]:
+        out = {f.name: analyze(f, **options) for f in forms}
+        for name, report in out.items():
+            families.setdefault(name, _families(report))
         return out
+
+    def dicts(reports) -> dict[str, Any]:
+        return {name: report_to_dict(report) for name, report in reports.items()}
 
     corpus_forms = [builder() for builder in FORM_BUILDERS.values()]
     budget = SearchBudget(max_params=9)
@@ -93,23 +94,23 @@ def compute() -> dict[str, Any]:
         )
         for spec in _sparse_forms().random_forms(RANDOM_SEED)
     ]
+    # One analysis per corpus form and option set feeds both the JSON
+    # reports and the text snapshot.
+    plain = analysed(corpus_forms)
+    searched = analysed(corpus_forms, search=True, budget=budget)
     return {
         "corpus_rows.json": [dataclasses.asdict(row) for row in run_corpus()],
-        "corpus_reports.json": reports(corpus_forms),
-        "corpus_reports_search.json": reports(
-            corpus_forms, search=True, budget=budget
-        ),
+        "corpus_reports.json": dicts(plain),
+        "corpus_reports_search.json": dicts(searched),
         "corpus_text.json": {
-            f.name: {
-                "analyze": render_text(analyze(f)).splitlines(),
-                "search": render_text(
-                    analyze(f, search=True, budget=budget)
-                ).splitlines(),
+            name: {
+                "analyze": render_text(plain[name]).splitlines(),
+                "search": render_text(searched[name]).splitlines(),
             }
-            for f in corpus_forms
+            for name in plain
         },
-        "p_family.json": reports([p_family(n, 6) for n in range(3, 10)]),
-        "random_forms.json": reports(random_forms),
+        "p_family.json": dicts(analysed([p_family(n, 6) for n in range(3, 10)])),
+        "random_forms.json": dicts(analysed(random_forms)),
         "simplex_families.json": families,
     }
 
