@@ -10,7 +10,6 @@ Exit codes: 0 ok, 1 input error, 2 internal invariant violation,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import re
 import sys
@@ -73,7 +72,8 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
             return 1
     rows = run_corpus(name_filter=args.filter)
     if args.json:
-        print(json.dumps([dataclasses.asdict(row) for row in rows], indent=2))
+        # A row's fields are str and bool, so its own __dict__ serialises as is.
+        print(json.dumps([vars(row) for row in rows], indent=2))
     else:
         if rows:
             widths = [

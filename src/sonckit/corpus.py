@@ -16,7 +16,7 @@ import random
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import sub
+from operator import mul
 from typing import Callable, Iterable
 
 from .certify import (
@@ -434,8 +434,13 @@ _TOP_SIX_BITS = bytes(b >> 2 for b in range(256))
 _REJECTED_BYTES = bytes(range(49 << 2, 256))
 
 
-def _sampling_coordinates(rng: random.Random, k: int) -> list[int]:
-    """``[rng.randint(-24, 24) for _ in range(k)]``, drawn without ``randint``.
+#: The sampling check's coordinates; a draw holds offsets into it.
+_SAMPLING_ALPHABET = range(-24, 25)
+
+
+def _sampling_codes(rng: random.Random, k: int) -> bytes:
+    """``bytes(rng.randint(-24, 24) + 24 for _ in range(k))``, drawn
+    without ``randint``.
 
     CPython's ``randint(-24, 24)`` is ``-24 + rng._randbelow(49)``, which
     draws ``getrandbits(6)`` (49 has 6 bits) and redraws while the value
@@ -445,54 +450,69 @@ def _sampling_coordinates(rng: random.Random, k: int) -> list[int]:
     least significant 32 bits.  So each round below takes one word for
     each coordinate still missing, reads the top byte of every word
     (byte ``3`` of each little-endian 4-byte group), deletes the bytes
-    that give 49 or more and keeps ``(byte >> 2) - 24`` of the rest: the
-    kept values and the generator's final state are those of the
-    ``randint`` loop.
+    that give 49 or more and keeps ``byte >> 2`` of the rest: the kept
+    offsets and the generator's final state are those of the ``randint``
+    loop.
     """
-    coordinates: list[int] = []
-    while len(coordinates) < k:
-        m = k - len(coordinates)
+    codes = b""
+    while len(codes) < k:
+        m = k - len(codes)
         words = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
-        kept = words[3::4].translate(_TOP_SIX_BITS, _REJECTED_BYTES)
-        coordinates += map(sub, kept, itertools.repeat(24))
-    return coordinates
+        codes += words[3::4].translate(_TOP_SIX_BITS, _REJECTED_BYTES)
+    return codes
 
 
 def _check_sampling_nonneg(f: SparseForm, report: AnalysisReport, arg: str) -> str:
     """Seeded points ``p / 8`` with integer ``p`` in ``[-24, 24]``.  By
     homogeneity ``f(p / 8)`` has the sign of ``f(p)``, so the integer
-    points are evaluated in batches, straight from the coordinate columns
-    of the flat draw, and ``Fraction``s are built only for the first
-    negative one.  The coordinates come from :func:`_sampling_coordinates`,
+    points are evaluated in batches, and ``Fraction``s are built only for
+    the first negative one.  The draw comes from :func:`_sampling_codes`,
     point by point, in the order and with the values of
-    ``rng.randint(-24, 24)``."""
+    ``rng.randint(-24, 24)``, as offsets ``p + 24``; its coordinate
+    columns stay ``bytes`` slices, which :func:`evaluate_columns` reads
+    through :data:`_SAMPLING_ALPHABET`, one power table per column it
+    reads."""
     count = int(arg)
     rng = random.Random(f"sampling:{f.name}")
     n = f.num_vars
     for start in range(0, count, _SAMPLING_BATCH):
         size = min(_SAMPLING_BATCH, count - start)
-        flat = _sampling_coordinates(rng, n * size)
-        values, _ = evaluate_columns(f, [flat[i::n] for i in range(n)], size)
+        codes = _sampling_codes(rng, n * size)
+        values, _ = evaluate_columns(
+            f, [codes[i::n] for i in range(n)], size, alphabet=_SAMPLING_ALPHABET
+        )
         if min(values) < 0:
             j = next(j for j, value in enumerate(values) if value < 0)
-            return f"negative at {tuple(Fraction(v, 8) for v in flat[j * n:(j + 1) * n])}"
+            return f"negative at {tuple(Fraction(c - 24, 8) for c in codes[j * n:(j + 1) * n])}"
     return "ok"
 
 
 def _check_zero_locus(f: SparseForm, report: AnalysisReport, arg: str) -> str:
+    """Evaluate ``f`` exactly at ``x = exp(y)`` for 100 seeded samples
+    ``y`` of the zero locus, and test ``|f(x)| <= 1e-8 * max |c_a x^a|`` in
+    log space: ``log |f(x)|`` from the integer value and denominator, and
+    ``log |c_a| + <a, y>`` from each coefficient's numerator and
+    denominator, so coefficients beyond the float range do not overflow."""
     locus = zero_locus(_proper_circuit(report))
     if isinstance(locus, ZeroLocusStatus):
         return locus.value
-    points = [[math.exp(v) for v in y] for y in locus.sample_solutions(100, seed=7)]
-    values, denominator = evaluate_many(f, points)
-    for point, value in zip(points, values):
-        residual = abs(value) / denominator
-        scale = max(
-            abs(float(coeff)) * math.prod(p**e for p, e in zip(point, exponent))
-            for exponent, coeff in f.terms.items()
+    samples = locus.sample_solutions(100, seed=7)
+    values, denominator = evaluate_many(f, [[math.exp(v) for v in y] for y in samples])
+    log_coefficients = [
+        math.log(abs(c.numerator)) - math.log(c.denominator) for c in f.terms.values()
+    ]
+    for y, value in zip(samples, values):
+        if not value:
+            continue
+        log_residual = math.log(abs(value)) - math.log(denominator)
+        log_scale = max(
+            log_c + sum(map(mul, exponent, y))
+            for log_c, exponent in zip(log_coefficients, f.terms)
         )
-        if residual > 1e-8 * scale:
-            return f"dim={locus.dimension};residual={residual:.2e}"
+        if log_residual > math.log(1e-8) + log_scale:
+            digits, mantissa = divmod(log_residual / math.log(10), 1)
+            residual = f"{10**mantissa:.2f}e{int(digits):+03d}"  # may lie beyond the float range
+            return f"dim={locus.dimension};residual={residual}"
     return f"dim={locus.dimension};residuals=ok"
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -79,13 +80,16 @@ class SparseForm:
         return tuple(self.terms.keys())
 
     @functools.cached_property
-    def _schedule(self) -> tuple[tuple[_PowerStep, ...], tuple[_Term | _Factor, ...]]:
-        """The steps that build the power columns, and the Horner sum that
-        :func:`evaluate_columns` reads the values from.  Both depend on the
-        exponents alone, so they are built once per form."""
-        needed: set[_PowerKey] = set()
-        parts = _horner_parts([(e, index) for index, e in enumerate(self.terms)], needed)
-        return _power_chain(needed), parts
+    def _schedule(
+        self,
+    ) -> tuple[tuple[_PowerStep, ...], tuple[_Term | _Factor, ...], Counter[_PowerKey]]:
+        """The steps that build the power columns, the Horner sum that
+        :func:`evaluate_columns` reads the values from, and how many times
+        the sum reads each power column.  All three depend on the exponents
+        alone, so they are built once per form."""
+        reads: Counter[_PowerKey] = Counter()
+        parts = _horner_parts([(e, index) for index, e in enumerate(self.terms)], reads)
+        return _power_chain(reads), parts, reads
 
     def __str__(self) -> str:
         return format_form(self)
@@ -303,15 +307,15 @@ class _Factor(NamedTuple):
 
 
 def _horner_parts(
-    terms: list[tuple[Exponent, int]], needed: set[_PowerKey]
+    terms: list[tuple[Exponent, int]], reads: Counter[_PowerKey]
 ) -> tuple[_Term | _Factor, ...]:
     """Greedy multivariate Horner split of ``(exponent, index)`` terms.
 
     While some variable occurs in two terms or more, the one in the most
     terms (the first on ties) has its smallest positive power factored out
     of those terms, whose quotient is split the same way; the terms left
-    share no variable and are summed.  Every power key used is added to
-    ``needed``.
+    share no variable and are summed.  Each use of a power key is counted
+    in ``reads``.
     """
     parts: list[_Term | _Factor] = []
     while terms:
@@ -326,16 +330,16 @@ def _horner_parts(
             if e[best]
         ]
         terms = [(e, index) for e, index in terms if not e[best]]
-        needed.add((best, power))
-        parts.append(_Factor((best, power), _horner_parts(quotient, needed)))
+        reads[best, power] += 1
+        parts.append(_Factor((best, power), _horner_parts(quotient, reads)))
     for exponent, index in terms:
         keys = tuple((i, e) for i, e in enumerate(exponent) if e)
-        needed.update(keys)
+        reads.update(keys)
         parts.append(_Term(index, keys))
     return tuple(parts)
 
 
-def _power_chain(needed: set[_PowerKey]) -> tuple[_PowerStep, ...]:
+def _power_chain(needed: Iterable[_PowerKey]) -> tuple[_PowerStep, ...]:
     """Steps that build every needed power column from power-1 columns.
 
     Powers of one variable are built in increasing order, each as the
@@ -366,7 +370,7 @@ def _power_chain(needed: set[_PowerKey]) -> tuple[_PowerStep, ...]:
 def _sum_values(
     parts: tuple[_Term | _Factor, ...],
     coefficients: list[int],
-    powers: dict[_PowerKey, Sequence[int]],
+    powers: dict[_PowerKey, Iterable[int]],
     size: int,
 ) -> Iterable[int]:
     """The values of ``parts``, as one lazy pass over the power columns."""
@@ -391,28 +395,38 @@ def _sum_values(
 
 
 def evaluate_columns(
-    f: SparseForm, columns: Sequence[Sequence[int]], size: int
+    f: SparseForm,
+    columns: Sequence[Sequence[int]],
+    size: int,
+    *,
+    alphabet: Sequence[int] | None = None,
 ) -> tuple[list[int], int]:
     """Values of ``f`` at ``size`` integer points given column by column.
 
-    ``columns[i][j]`` is coordinate ``i`` of point ``j``; the size is
-    passed because a form in no variables has no column to read it from.
-    Returns ``(values, denominator)`` with
+    ``columns[i][j]`` is coordinate ``i`` of point ``j``, or, with an
+    ``alphabet`` of at most 256 integers, its code: the coordinate is
+    ``alphabet[columns[i][j]]``.  Codes are byte values, so ``bytes``
+    columns are read as they are.  The size is passed because a form in
+    no variables has no column to read it from.  Returns ``(values, denominator)`` with
     ``f(point j) == Fraction(values[j], denominator)``, where
     ``denominator > 0`` is the least common denominator of the
     coefficients, cleared once per call.  Raises ``ValueError`` for a
-    negative size and ``DimensionMismatch`` unless there is one column
-    per variable, each of ``size`` entries.
+    negative size or a code outside ``range(len(alphabet))``, and
+    ``DimensionMismatch`` unless there is one column per variable, each
+    of ``size`` entries.
 
     The form is evaluated by the greedy Horner schedule of its support
     (see :func:`_horner_parts`), built once per form: a power of a
     variable shared by several terms is multiplied in once for all of
     them.  Each power column above 1 is the product of two lower ones,
     computed once per call; a power-1 column is the input column itself,
-    never written.  A sum starts from its first part, and a term is scaled
-    by its coefficient only when that is not 1.  The products and sums
-    are chained ``map``s over whole columns, in Python ints, which the
-    returned list consumes in one pass.
+    never written.  With an alphabet, each power column the sum reads is
+    instead looked up, code by code, in a table of that power of every
+    letter, built per call: it stays a lazy ``map`` when the sum reads it
+    once and is listed once when it reads it more often.  A sum starts
+    from its first part, and a term is scaled by its coefficient only when
+    that is not 1.  The products and sums are chained ``map``s over whole
+    columns, in Python ints, which the returned list consumes in one pass.
     """
     if size < 0:
         raise ValueError(f"size must be nonnegative, got {size}")
@@ -420,18 +434,28 @@ def evaluate_columns(
         raise DimensionMismatch(
             f"{len(columns)} columns given, form has {f.num_vars} variables"
         )
+    letters = None if alphabet is None else bytes(range(len(alphabet)))
     for i, column in enumerate(columns):
         if len(column) != size:
             raise DimensionMismatch(
                 f"column of x{i + 1} has {len(column)} entries, expected {size}"
             )
+        # bytes() rejects a code outside range(256); translate deletes the valid ones.
+        if letters is not None and bytes(column).translate(None, letters):
+            raise ValueError(f"column of x{i + 1} has a code outside range({len(letters)})")
     coefficients, denominator = integer_numerators(list(f.terms.values()))
     if not coefficients:
         return [0] * size, denominator
-    chain, parts = f._schedule
-    powers: dict[_PowerKey, Sequence[int]] = {(i, 1): column for i, column in enumerate(columns)}
-    for key, left, right in chain:
-        powers[key] = list(map(mul, powers[left], powers[right]))
+    chain, parts, reads = f._schedule
+    powers: dict[_PowerKey, Iterable[int]] = {}
+    if alphabet is None:
+        powers.update(((i, 1), column) for i, column in enumerate(columns))
+        for key, left, right in chain:
+            powers[key] = list(map(mul, powers[left], powers[right]))
+    else:
+        for (i, e), count in reads.items():
+            lookup = map([a**e for a in alphabet].__getitem__, columns[i])
+            powers[i, e] = lookup if count == 1 else list(lookup)
     return list(_sum_values(parts, coefficients, powers, size)), denominator
 
 

@@ -526,6 +526,16 @@ def test_zero_locus_check_reports_a_sample_off_the_zero_set(monkeypatch):
     assert corpus.CHECKS["zero_locus"](f, report, "") == "dim=1;residuals=ok"
 
 
+
+def test_zero_locus_check_beyond_the_float_range():
+    # The residual scale once took float() of each coefficient and raised
+    # OverflowError; the test now runs on logarithms of the integers.
+    f = parse_form(f"{10**400}*x1^2 + 1/{10**400}*x2^2 - 2*x1*x2")
+    report = analyze(f)
+    start = time.perf_counter()
+    assert corpus.CHECKS["zero_locus"](f, report, "") == "dim=1;residuals=ok"
+    assert time.perf_counter() - start < 1.0
+
 def test_logs_affinely_independent_examples():
     points = [
         (1.0, -2.0, 1.0),

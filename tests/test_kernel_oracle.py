@@ -18,7 +18,12 @@ from hypothesis import strategies as st
 
 import fraction_oracle as oracle
 from sonckit import exactlp
-from sonckit.corpus import FORM_BUILDERS, _check_sampling_nonneg, _sampling_coordinates
+from sonckit.corpus import (
+    _SAMPLING_ALPHABET,
+    FORM_BUILDERS,
+    _check_sampling_nonneg,
+    _sampling_codes,
+)
 from sonckit.errors import AffinelyDependentInput, DimensionMismatch
 from sonckit.exactlp import (
     EchelonSolver,
@@ -434,7 +439,9 @@ def test_sampling_draws_are_those_of_randint(name, k):
     # hold about 15 000 rejected draws.
     rng = random.Random(f"sampling:{name}")
     reference = random.Random(f"sampling:{name}")
-    assert _sampling_coordinates(rng, k) == [reference.randint(-24, 24) for _ in range(k)]
+    drawn = _sampling_codes(rng, k)
+    assert type(drawn) is bytes
+    assert [b - 24 for b in drawn] == [reference.randint(-24, 24) for _ in range(k)]
     assert rng.getstate() == reference.getstate()
 
 
@@ -443,15 +450,15 @@ def test_sampling_draws_continue_across_batches():
     for name in ("needle", _REJECTING):
         rng = random.Random(f"sampling:{name}")
         reference = random.Random(f"sampling:{name}")
-        drawn = []
+        drawn = b""
         while len(drawn) < 50000:
-            drawn += _sampling_coordinates(rng, min(3000, 50000 - len(drawn)))
-        assert drawn == [reference.randint(-24, 24) for _ in range(50000)]
+            drawn += _sampling_codes(rng, min(3000, 50000 - len(drawn)))
+        assert [b - 24 for b in drawn] == [reference.randint(-24, 24) for _ in range(50000)]
     # One coordinate per call: each call makes five rounds or more at first.
     rng = random.Random(f"sampling:{_REJECTING}")
     reference = random.Random(f"sampling:{_REJECTING}")
-    drawn = [_sampling_coordinates(rng, 1)[0] for _ in range(200)]
-    assert drawn == [reference.randint(-24, 24) for _ in range(200)]
+    drawn = [_sampling_codes(rng, 1)[0] for _ in range(200)]
+    assert [b - 24 for b in drawn] == [reference.randint(-24, 24) for _ in range(200)]
     assert rng.getstate() == reference.getstate()
 
 
@@ -467,9 +474,12 @@ def test_sampling_batch_values_match_oracle(name):
     # the first batch the check draws.
     f = FORM_BUILDERS[name]()
     n = f.num_vars
-    flat = _sampling_coordinates(random.Random(f"sampling:{name}"), n * 1000)
-    values, denominator = evaluate_columns(f, [flat[i::n] for i in range(n)], 1000)
+    drawn = _sampling_codes(random.Random(f"sampling:{name}"), n * 1000)
+    values, denominator = evaluate_columns(
+        f, [drawn[i::n] for i in range(n)], 1000, alphabet=_SAMPLING_ALPHABET
+    )
     assert len(values) == 1000
+    flat = [b - 24 for b in drawn]
     for j, value in enumerate(values):
         assert Fraction(value, denominator) == oracle.evaluate(f, flat[j * n:(j + 1) * n])
 
@@ -737,6 +747,92 @@ def test_schedule_cache_keeps_each_form_apart():
                 assert Fraction(value, denominator) == oracle.evaluate(f, point)
             point = (Fraction(rng.randint(-9, 9), 4), 3, Fraction(-1, 2))
             assert evaluate(f, point) == oracle.evaluate(f, point)
+
+
+# ---------------------------------------------------------------------------
+# evaluate_columns on coded columns
+# ---------------------------------------------------------------------------
+
+def _assert_coded_agrees(f, alphabet, codes):
+    """``codes`` holds one tuple of codes per point: the lookup path, on
+    ``bytes`` and on list columns, gives what the product chain gives on
+    the decoded points, and each value is the oracle's."""
+    size = len(codes)
+    coded = [bytes(point[i] for point in codes) for i in range(f.num_vars)]
+    listed = [list(column) for column in coded]
+    points = [[alphabet[c] for c in point] for point in codes]
+    result = evaluate_columns(f, coded, size, alphabet=alphabet)
+    assert evaluate_columns(f, listed, size, alphabet=alphabet) == result
+    assert listed == [list(column) for column in coded]  # input columns never written
+    chain = evaluate_columns(f, [[p[i] for p in points] for i in range(f.num_vars)], size)
+    assert result == chain
+    values, denominator = result
+    assert denominator > 0 and len(values) == size
+    for point, value in zip(points, values):
+        assert Fraction(value, denominator) == oracle.evaluate(f, point)
+
+
+_ALPHABETS = [_SAMPLING_ALPHABET, [0], [-3], [7], [5, -5, 0, 7], range(-2, 3), [2, 2, -9]]
+
+
+def test_lookup_path_matches_chain_and_oracle_seeded():
+    rng = random.Random(36)
+    forms = [builder() for builder in FORM_BUILDERS.values()]
+    forms += [_TERMS_OF_EVERY_KIND, _QUATERNARY_OCTIC, parse_form("x1^7 - 2/3*x1^3*x2^4")]
+    # Some power column is read twice (choi_lam_q1's x1), and some only once.
+    reads = [count for f in forms for count in f._schedule[2].values()]
+    assert 1 in reads and max(reads) > 1
+    for f in forms:
+        for alphabet in _ALPHABETS:
+            for size in (0, 1, 2, 37):
+                codes = [
+                    tuple(rng.randrange(len(alphabet)) for _ in range(f.num_vars))
+                    for _ in range(size)
+                ]
+                _assert_coded_agrees(f, alphabet, codes)
+
+
+@st.composite
+def _coded_cases(draw):
+    """A form from :func:`_column_cases` or :func:`_shared_factor_cases`,
+    an alphabet of 1-12 integers and 0-8 points as codes into it."""
+    f = draw(st.one_of(_column_cases(), _shared_factor_cases()))[0]
+    alphabet = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=12))
+    code = st.integers(0, len(alphabet) - 1)
+    point = st.tuples(*[code] * f.num_vars)
+    return f, alphabet, draw(st.lists(point, max_size=8))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_coded_cases())
+@example((make_form(3, {}, zero_degree=4), [1, -1], []))  # zero form, no points
+@example((make_form(0, {(): Fraction(-7, 3)}), [4], [(), ()]))  # no variables
+@example((FORM_BUILDERS["choi_lam_q1"](), [0], [(0, 0, 0, 0)]))  # size 1, only 0
+@example((_TERMS_OF_EVERY_KIND, [-24, 0, 24], [(0, 1, 2), (2, 2, 0), (1, 1, 1)]))
+def test_lookup_path_matches_chain_and_oracle_hypothesis(case):
+    _assert_coded_agrees(*case)
+
+
+def test_lookup_path_rejects_codes_outside_the_alphabet():
+    f = parse_form("x1^2 - 3*x1*x2")
+    alphabet = [-1, 2, 5]
+    # -1 and -3 would index from the end of a list; 256 is no byte.
+    for bad in ([0, 3], [0, -1], [0, -3], [1, 256], b"\x00\x03", bytearray(b"\x09\x00")):
+        with pytest.raises(ValueError):
+            evaluate_columns(f, [[0, 1], bad], 2, alphabet=alphabet)
+        with pytest.raises(ValueError):
+            evaluate_columns(f, [bad, b"\x00\x01"], 2, alphabet=alphabet)
+    with pytest.raises(ValueError, match=r"column of x2 has a code outside range\(3\)"):
+        evaluate_columns(f, [b"\x00", b"\x03"], 1, alphabet=alphabet)
+    # A column the schedule never reads is checked as well.
+    with pytest.raises(ValueError, match=r"column of x2 has a code outside range\(1\)"):
+        evaluate_columns(parse_form("x1^2 + 0*x2^2"), [[0], [1]], 1, alphabet=[4])
+    with pytest.raises(ValueError):
+        evaluate_columns(f, [[0], [0]], 1, alphabet=[])
+    with pytest.raises(ValueError):  # codes are bytes: no alphabet above 256 letters
+        evaluate_columns(f, [[0], [0]], 1, alphabet=range(257))
+    assert evaluate_columns(f, [[], []], 0, alphabet=[]) == ([], 1)
+    assert evaluate_columns(f, [[0, 2], [1, 1]], 2, alphabet=alphabet) == ([7, -5], 1)
 
 
 # ---------------------------------------------------------------------------
